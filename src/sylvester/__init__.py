@@ -8,14 +8,7 @@ routes cross-validate each other: contour-integral quadrature, a registry
 of exact closed forms, and a Monte Carlo convex-hull oracle.
 """
 
-from .anglesums import (
-    AngleSumEvaluation,
-    AngleSumQuery,
-    beta_angle_sum,
-    beta_prime_angle_sum,
-    evaluate_angle_sum,
-    gaussian_angle_sum,
-)
+from .anglesums import beta_angle_sum, beta_prime_angle_sum, gaussian_angle_sum
 from .errors import (
     DegenerateGeometryError,
     DomainError,
@@ -43,10 +36,10 @@ from .probability import (
     sylvester_probability,
 )
 from .quad import (
+    CumulativeIntegral,
     DecayEnvelope,
     EvalResult,
     QuadratureConfig,
-    cumulative_integral,
     integrate_line,
 )
 from .specfun import (
@@ -62,8 +55,7 @@ from .specfun import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngleSumEvaluation",
-    "AngleSumQuery",
+    "CumulativeIntegral",
     "DecayEnvelope",
     "DegenerateGeometryError",
     "Distribution",
@@ -84,10 +76,8 @@ __all__ = [
     "beta_prime_const",
     "cauchy_asymptotic",
     "closed_form_lookup",
-    "cumulative_integral",
     "estimate_cone_angle",
     "estimate_sylvester",
-    "evaluate_angle_sum",
     "gaussian_angle_sum",
     "gen_binomial",
     "h_imag_cdf",

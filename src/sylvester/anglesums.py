@@ -21,8 +21,10 @@ dimension n-1 and all normalized so a full sphere is 1:
   cosh(x)^(-(alpha*n-1)) and inner kernel
   ctilde_((alpha+1)/2) * cosh(y)^(alpha-1).
 
-The integrands are real because the imaginary part is odd in x; each
-evaluation integrates that odd part separately and certifies it vanishes.
+The integrands are real because the imaginary part is odd in x.  The inner
+functions are exactly odd (h_imag_cdf by copysign, the cumulative inner
+integral by mirroring), so the term at -x is the exact conjugate of the term
+at x; only its real part, which is even, is integrated, over the half line.
 All powers are combined in log space: (1/2 + i*I)^(n-1) overflows directly
 once n is moderately large while the full integrand stays tame.
 """
@@ -31,12 +33,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable, Literal, Optional
+from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError, OverflowBoundError
 from .quad import (
     DEFAULT_CONFIG,
     CumulativeIntegral,
@@ -78,59 +79,38 @@ def _check_n(n: int, minimum: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class AngleSumQuery:
-    """Selects which angle-sum quantity to evaluate and how."""
-
-    n: int
-    variant: Literal["gaussian_limit", "beta", "beta_prime"]
-    beta: Optional[float] = None
-    cfg: QuadratureConfig = DEFAULT_CONFIG
-
-    def __post_init__(self):
-        if self.variant not in ("gaussian_limit", "beta", "beta_prime"):
-            raise DomainError(f"unknown angle-sum variant {self.variant!r}")
-        if self.variant == "gaussian_limit":
-            if self.beta is not None:
-                raise DomainError("gaussian_limit takes no beta parameter")
-        elif self.beta is None:
-            raise DomainError(f"variant {self.variant!r} requires a beta parameter")
-
-
-@dataclass(frozen=True)
-class AngleSumEvaluation:
-    """Angle-sum value plus the separately integrated imaginary part."""
-
-    result: EvalResult
-    imaginary_part: float
-
-
-def _integrate_pair(
-    f_re: Callable[[float], float],
-    f_im: Callable[[float], float],
+def _integrate_real_part(
+    term: Callable[[float], complex],
     envelope: DecayEnvelope,
     cfg: QuadratureConfig,
     n: int,
+    exponent: float,
     on_refinement=None,
-) -> AngleSumEvaluation:
-    res_re = integrate_line(f_re, envelope, cfg, symmetric=True, on_refinement=on_refinement)
-    res_im = integrate_line(f_im, envelope, cfg, symmetric=False, on_refinement=on_refinement)
-    imag = res_im.value
-    if abs(imag) >= 10.0 * cfg.abs_tol:
-        raise NonConvergenceError(
-            f"imaginary part failed to cancel: {imag:.3e} (abs_tol {cfg.abs_tol:.1e})",
-            best=res_re,
+) -> EvalResult:
+    """Integrate term over the line, given term(-x) == conj(term(x)) exactly.
+
+    The real part is then even and the imaginary part cancels, so only the
+    real part is evaluated, on the half line.  ``exponent`` is the kernel
+    power named when the integrand overflows.
+    """
+    try:
+        result = integrate_line(
+            lambda x: term(x).real, envelope, cfg, symmetric=True, on_refinement=on_refinement
         )
-    estimate = res_re.abs_error_estimate + abs(imag)
+    except OverflowError as exc:
+        raise OverflowBoundError(
+            f"angle-sum integrand at n = {n} overflows double precision"
+            f" (kernel exponent {exponent:g})"
+        ) from exc
     if n > N_GUARANTEED:
-        estimate *= _ESTIMATE_INFLATION
-    result = EvalResult(
-        res_re.value, estimate, "quadrature", res_re.nodes_used + res_im.nodes_used
-    )
-    return AngleSumEvaluation(result, imag)
+        result = EvalResult(
+            result.value, result.abs_error_estimate * _ESTIMATE_INFLATION, "quadrature", result.nodes_used
+        )
+    return result
 
 
-def _gaussian_evaluation(n: int, cfg: QuadratureConfig) -> AngleSumEvaluation:
+def gaussian_angle_sum(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> EvalResult:
+    """Angle sum of the regular simplex with n vertices."""
     _check_n(n, minimum=2)
     # substitution u = x / sqrt(n); prefactor n*sqrt(n)/sqrt(2*pi)
     log_pref = 1.5 * math.log(n) - 0.5 * math.log(2.0 * math.pi)
@@ -147,9 +127,7 @@ def _gaussian_evaluation(n: int, cfg: QuadratureConfig) -> AngleSumEvaluation:
         poly_degree=n - 1,
         log_amplitude=log_pref + (n - 1) * _LOG_HALF,
     )
-    return _integrate_pair(
-        lambda u: term(u).real, lambda u: term(u).imag, envelope, cfg, n
-    )
+    return _integrate_real_part(term, envelope, cfg, n, exponent=n - 1)
 
 
 def _subdivided_grid(nodes: np.ndarray, factor: int) -> np.ndarray:
@@ -181,7 +159,7 @@ def _cosh_kernel_evaluation(
     inner_exponent: float,
     rate: float,
     cfg: QuadratureConfig,
-) -> AngleSumEvaluation:
+) -> EvalResult:
     def g(y: float) -> float:
         return math.exp(log_c_in + inner_exponent * _log_cosh(y))
 
@@ -208,17 +186,13 @@ def _cosh_kernel_evaluation(
     envelope = DecayEnvelope(
         kind="exponential", scale=1.0 / rate, poly_degree=n - 1, log_amplitude=float(log_amp)
     )
-    return _integrate_pair(
-        lambda x: term(x).real,
-        lambda x: term(x).imag,
-        envelope,
-        cfg,
-        n,
-        on_refinement=rebuild,
+    return _integrate_real_part(
+        term, envelope, cfg, n, exponent=inner_exponent, on_refinement=rebuild
     )
 
 
-def _beta_evaluation(n: int, beta: float, cfg: QuadratureConfig) -> AngleSumEvaluation:
+def beta_angle_sum(n: int, beta: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> EvalResult:
+    """Expected angle sum of the beta simplex with n vertices."""
     _check_n(n, minimum=3)
     if n == 3:
         if not beta >= -1.0:
@@ -241,7 +215,10 @@ def _beta_evaluation(n: int, beta: float, cfg: QuadratureConfig) -> AngleSumEval
     )
 
 
-def _beta_prime_evaluation(n: int, beta: float, cfg: QuadratureConfig) -> AngleSumEvaluation:
+def beta_prime_angle_sum(
+    n: int, beta: float, cfg: QuadratureConfig = DEFAULT_CONFIG
+) -> EvalResult:
+    """Expected angle sum of the beta-prime simplex with n vertices."""
     _check_n(n, minimum=2)
     threshold = 0.5 * (n - 1) + 0.5 / n
     if not beta > threshold:
@@ -260,29 +237,3 @@ def _beta_prime_evaluation(n: int, beta: float, cfg: QuadratureConfig) -> AngleS
         rate=rate,
         cfg=cfg,
     )
-
-
-def evaluate_angle_sum(query: AngleSumQuery) -> AngleSumEvaluation:
-    """Evaluate an AngleSumQuery, returning value and realness certificate."""
-    if query.variant == "gaussian_limit":
-        return _gaussian_evaluation(query.n, query.cfg)
-    if query.variant == "beta":
-        return _beta_evaluation(query.n, query.beta, query.cfg)
-    return _beta_prime_evaluation(query.n, query.beta, query.cfg)
-
-
-def gaussian_angle_sum(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> EvalResult:
-    """Angle sum of the regular simplex with n vertices."""
-    return _gaussian_evaluation(n, cfg).result
-
-
-def beta_angle_sum(n: int, beta: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> EvalResult:
-    """Expected angle sum of the beta simplex with n vertices."""
-    return _beta_evaluation(n, beta, cfg).result
-
-
-def beta_prime_angle_sum(
-    n: int, beta: float, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> EvalResult:
-    """Expected angle sum of the beta-prime simplex with n vertices."""
-    return _beta_prime_evaluation(n, beta, cfg).result

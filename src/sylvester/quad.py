@@ -9,7 +9,7 @@ Two pieces:
   decay envelope certifies that the remaining tail mass is negligible; the
   envelope is a required input, never inferred from samples.
 
-* :func:`cumulative_integral` — a queryable evaluator for I(x) =
+* :class:`CumulativeIntegral` — a queryable evaluator for I(x) =
   integral_0^x g, built from 7-point Gauss-Legendre cells on a fixed grid
   with partial-cell evaluation between nodes.
 
@@ -301,12 +301,12 @@ class CumulativeIntegral:
     ):
         grid = np.asarray(x_points, dtype=float)
         if grid.ndim != 1 or grid.size < 2:
-            raise DomainError("cumulative_integral needs a 1-d grid with at least two points")
+            raise DomainError("CumulativeIntegral needs a 1-d grid with at least two points")
         if not np.all(np.diff(grid) > 0.0):
-            raise DomainError("cumulative_integral grid must be strictly increasing")
+            raise DomainError("CumulativeIntegral grid must be strictly increasing")
         zero_pos = np.searchsorted(grid, 0.0)
         if zero_pos >= grid.size or grid[zero_pos] != 0.0:
-            raise DomainError("cumulative_integral grid must contain 0")
+            raise DomainError("CumulativeIntegral grid must contain 0")
         if even_integrand:
             grid = grid[zero_pos:]
             if grid.size < 2:
@@ -332,12 +332,3 @@ class CumulativeIntegral:
         if j == grid.size - 1 or x == grid[j]:
             return float(self._prefix[j])
         return float(self._prefix[j] + _gl_cell(self._g, grid[j], x))
-
-
-def cumulative_integral(
-    g: Callable[[float], float],
-    x_points: Sequence[float],
-    even_integrand: bool = False,
-) -> CumulativeIntegral:
-    """Build the I(x) = integral_0^x g evaluator; see CumulativeIntegral."""
-    return CumulativeIntegral(g, x_points, even_integrand=even_integrand)

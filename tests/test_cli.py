@@ -109,6 +109,25 @@ class TestCompute:
         assert out == ""
         assert "floor" in err or "refinements" in err
 
+    def test_tight_tolerance_converges(self, capsys):
+        # abs_tol is 1e-16 here, a floor the real-part integral reaches
+        code, out, _ = run_cli(
+            capsys, "compute", "--family", "beta", "--dim", "2", "--beta", "0",
+            "--method", "quadrature", "--tol", "1e-12",
+        )
+        assert code == 0
+        (rec,) = parse_json_lines(out)
+        assert abs(rec["value"] - 35.0 / (12.0 * math.pi**2)) <= 3.0 * rec["abs_error"]
+
+    def test_kernel_overflow_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "compute", "--family", "beta", "--dim", "2", "--beta", "5000",
+            "--method", "quadrature",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestMc:
     def test_deterministic_output(self, capsys):

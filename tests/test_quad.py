@@ -7,9 +7,9 @@ import pytest
 
 from sylvester.errors import DomainError, NonConvergenceError
 from sylvester.quad import (
+    CumulativeIntegral,
     DecayEnvelope,
     QuadratureConfig,
-    cumulative_integral,
     integrate_line,
     truncation_point,
 )
@@ -138,44 +138,44 @@ def test_config_validation():
 
 class TestCumulativeIntegral:
     def test_sinh_antiderivative(self):
-        evaluator = cumulative_integral(math.cosh, np.linspace(-3.0, 3.0, 61))
+        evaluator = CumulativeIntegral(math.cosh, np.linspace(-3.0, 3.0, 61))
         assert evaluator(1.0) == pytest.approx(math.sinh(1.0), abs=1e-10)
         assert evaluator(-2.5) == pytest.approx(math.sinh(-2.5), abs=1e-10)
 
     def test_constant_is_exact_at_nodes(self):
         grid = np.linspace(-2.0, 2.0, 9)
-        evaluator = cumulative_integral(lambda y: 1.0, grid)
+        evaluator = CumulativeIntegral(lambda y: 1.0, grid)
         for x in grid:
             assert evaluator(float(x)) == pytest.approx(float(x), abs=1e-15)
 
     def test_cosh_squared(self):
-        evaluator = cumulative_integral(lambda y: math.cosh(y) ** 2, np.linspace(-5.0, 5.0, 101))
+        evaluator = CumulativeIntegral(lambda y: math.cosh(y) ** 2, np.linspace(-5.0, 5.0, 101))
         exact = (math.sinh(2.0) * math.cosh(2.0) + 2.0) / 2.0
         assert evaluator(2.0) == pytest.approx(exact, abs=1e-9)
 
     def test_zero_anchor(self):
-        evaluator = cumulative_integral(math.cosh, np.linspace(-1.0, 1.0, 11))
+        evaluator = CumulativeIntegral(math.cosh, np.linspace(-1.0, 1.0, 11))
         assert evaluator(0.0) == 0.0
 
     def test_between_node_queries(self):
-        evaluator = cumulative_integral(math.cosh, np.linspace(-3.0, 3.0, 13))
+        evaluator = CumulativeIntegral(math.cosh, np.linspace(-3.0, 3.0, 13))
         assert evaluator(0.123456) == pytest.approx(math.sinh(0.123456), abs=1e-12)
 
     def test_even_integrand_mirroring_is_exact(self):
         grid = np.concatenate(([0.0], np.linspace(0.1, 4.0, 40)))
-        evaluator = cumulative_integral(lambda y: math.cosh(y) ** 2, grid, even_integrand=True)
+        evaluator = CumulativeIntegral(lambda y: math.cosh(y) ** 2, grid, even_integrand=True)
         for x in (0.05, 0.7, 2.3, 3.9):
             assert evaluator(-x) == -evaluator(x)
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
-            cumulative_integral(math.cosh, [1.0, 0.5, 2.0])
+            CumulativeIntegral(math.cosh, [1.0, 0.5, 2.0])
         with pytest.raises(DomainError):
-            cumulative_integral(math.cosh, [0.5, 1.0, 2.0])
+            CumulativeIntegral(math.cosh, [0.5, 1.0, 2.0])
         with pytest.raises(DomainError):
-            cumulative_integral(math.cosh, [0.0])
+            CumulativeIntegral(math.cosh, [0.0])
 
     def test_query_outside_hull(self):
-        evaluator = cumulative_integral(math.cosh, np.linspace(-1.0, 1.0, 11))
+        evaluator = CumulativeIntegral(math.cosh, np.linspace(-1.0, 1.0, 11))
         with pytest.raises(DomainError):
             evaluator(1.5)
