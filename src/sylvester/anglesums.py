@@ -22,16 +22,20 @@ dimension n-1 and all normalized so a full sphere is 1:
   ctilde_((alpha+1)/2) * cosh(y)^(alpha-1).
 
 The integrands are real because the imaginary part is odd in x.  The inner
-functions are exactly odd (h_imag_cdf by copysign, the cumulative inner
-integral by mirroring), so the term at -x is the exact conjugate of the term
-at x; only its real part, which is even, is integrated, over the half line.
-All powers are combined in log space: (1/2 + i*I)^(n-1) overflows directly
-once n is moderately large while the full integrand stays tame.
+functions are exactly odd (h_imag_cdf by sign mirroring, the cumulative
+inner integral by mirroring), so the term at -x is the exact conjugate of the
+term at x; only its real part, which is even, is integrated, over the half
+line.  All powers are combined in log space: (1/2 + i*I)^(n-1) overflows
+directly once n is moderately large while the full integrand stays tame.
+
+Every integrand here is a numpy expression: it maps the array of quadrature
+nodes to the array of its values, so one refinement is one call on the whole
+``(panels, 15)`` node block, and the inner integral I answers that block in
+one lookup.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Callable
 
@@ -63,9 +67,15 @@ _LOG_HALF = math.log(0.5)
 _LN2 = math.log(2.0)
 
 
-def _log_cosh(x: float) -> float:
-    a = abs(x)
-    return a + math.log1p(math.exp(-2.0 * a)) - _LN2
+def _log_cosh(x: np.ndarray) -> np.ndarray:
+    a = np.abs(x)
+    return a + np.log1p(np.exp(-2.0 * a)) - _LN2
+
+
+def _real_part(log_weight: np.ndarray, inner: np.ndarray, n: int) -> np.ndarray:
+    """Re[exp(log_weight) * (1/2 + i*inner)^(n-1)], the power taken in log space."""
+    log_modulus = log_weight + (n - 1) * np.log(np.hypot(0.5, inner))
+    return np.exp(log_modulus) * np.cos((n - 1) * np.arctan2(inner, 0.5))
 
 
 def _check_n(n: int, minimum: int) -> None:
@@ -80,24 +90,26 @@ def _check_n(n: int, minimum: int) -> None:
 
 
 def _integrate_real_part(
-    term: Callable[[float], complex],
+    integrand: Callable[[np.ndarray], np.ndarray],
     envelope: DecayEnvelope,
     cfg: QuadratureConfig,
     n: int,
     exponent: float,
     on_refinement=None,
 ) -> EvalResult:
-    """Integrate term over the line, given term(-x) == conj(term(x)) exactly.
+    """Integrate the real part of a term with term(-x) == conj(term(x)) exactly.
 
-    The real part is then even and the imaginary part cancels, so only the
-    real part is evaluated, on the half line.  ``exponent`` is the kernel
-    power named when the integrand overflows.
+    That real part, ``integrand``, is then even and the imaginary part
+    cancels, so only the half line is evaluated.  ``exponent`` is the kernel
+    power named when the integrand overflows; numpy overflow raises here
+    instead of warning, so it takes the same path as a Python OverflowError.
     """
     try:
-        result = integrate_line(
-            lambda x: term(x).real, envelope, cfg, symmetric=True, on_refinement=on_refinement
-        )
-    except OverflowError as exc:
+        with np.errstate(over="raise"):
+            result = integrate_line(
+                integrand, envelope, cfg, symmetric=True, on_refinement=on_refinement
+            )
+    except (OverflowError, FloatingPointError) as exc:
         raise OverflowBoundError(
             f"angle-sum integrand at n = {n} overflows double precision"
             f" (kernel exponent {exponent:g})"
@@ -115,10 +127,8 @@ def gaussian_angle_sum(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> EvalRe
     # substitution u = x / sqrt(n); prefactor n*sqrt(n)/sqrt(2*pi)
     log_pref = 1.5 * math.log(n) - 0.5 * math.log(2.0 * math.pi)
 
-    def term(u: float) -> complex:
-        w = complex(log_pref - 0.5 * n * u * u, 0.0)
-        w += (n - 1) * cmath.log(complex(0.5, h_imag_cdf(u)))
-        return cmath.exp(w)
+    def integrand(u: np.ndarray) -> np.ndarray:
+        return _real_part(log_pref - 0.5 * n * u * u, h_imag_cdf(u), n)
 
     # |Phi(iu)| <= (1/2)*(1+u)*exp(u^2/2), giving a sigma=1 Gaussian envelope
     envelope = DecayEnvelope(
@@ -127,7 +137,7 @@ def gaussian_angle_sum(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> EvalRe
         poly_degree=n - 1,
         log_amplitude=log_pref + (n - 1) * _LOG_HALF,
     )
-    return _integrate_real_part(term, envelope, cfg, n, exponent=n - 1)
+    return _integrate_real_part(integrand, envelope, cfg, n, exponent=n - 1)
 
 
 def _subdivided_grid(nodes: np.ndarray, factor: int) -> np.ndarray:
@@ -140,15 +150,14 @@ def _subdivided_grid(nodes: np.ndarray, factor: int) -> np.ndarray:
     base = np.unique(np.concatenate((np.array([0.0]), np.abs(nodes))))
     if factor == 1:
         return base
-    pieces = []
-    for i in range(base.size - 1):
-        lo, hi = base[i], base[i + 1]
-        if hi - lo > 1e-9 * max(hi, 1e-300):
-            pieces.append(np.linspace(lo, hi, factor + 1)[:-1])
-        else:
-            pieces.append(base[i : i + 1])
-    pieces.append(base[-1:])
-    return np.concatenate(pieces)
+    lo, hi = base[:-1], base[1:]
+    wide = hi - lo > 1e-9 * np.maximum(hi, 1e-300)
+    # row i holds lo[i] + k*(hi[i]-lo[i])/factor, k < factor, the points
+    # np.linspace(lo[i], hi[i], factor + 1)[:-1] gives; a hairline gap keeps lo[i] only
+    points = lo[:, None] + np.arange(factor) * ((hi - lo) / factor)[:, None]
+    keep = np.ones(points.shape, dtype=bool)
+    keep[~wide, 1:] = False
+    return np.concatenate((points[keep], base[-1:]))
 
 
 def _cosh_kernel_evaluation(
@@ -160,8 +169,8 @@ def _cosh_kernel_evaluation(
     rate: float,
     cfg: QuadratureConfig,
 ) -> EvalResult:
-    def g(y: float) -> float:
-        return math.exp(log_c_in + inner_exponent * _log_cosh(y))
+    def g(y: np.ndarray) -> np.ndarray:
+        return np.exp(log_c_in + inner_exponent * _log_cosh(y))
 
     holder: dict[str, CumulativeIntegral] = {}
 
@@ -171,10 +180,8 @@ def _cosh_kernel_evaluation(
 
     log_pref = math.log(n) + log_c_out
 
-    def term(x: float) -> complex:
-        w = complex(log_pref - outer_exponent * _log_cosh(x), 0.0)
-        w += (n - 1) * cmath.log(complex(0.5, holder["inner"](x)))
-        return cmath.exp(w)
+    def integrand(x: np.ndarray) -> np.ndarray:
+        return _real_part(log_pref - outer_exponent * _log_cosh(x), holder["inner"](x), n)
 
     # |I(x)| <= c_in * x * cosh(x)^max(inner_exponent, 0) makes the whole
     # integrand exponentially bounded with the stated rate
@@ -187,7 +194,7 @@ def _cosh_kernel_evaluation(
         kind="exponential", scale=1.0 / rate, poly_degree=n - 1, log_amplitude=float(log_amp)
     )
     return _integrate_real_part(
-        term, envelope, cfg, n, exponent=inner_exponent, on_refinement=rebuild
+        integrand, envelope, cfg, n, exponent=inner_exponent, on_refinement=rebuild
     )
 
 

@@ -13,6 +13,12 @@ Two pieces:
   integral_0^x g, built from 7-point Gauss-Legendre cells on a fixed grid
   with partial-cell evaluation between nodes.
 
+Integrands work on arrays: ``f`` and ``g`` map an ndarray of nodes to an
+ndarray of the same shape.  ``integrate_line`` calls ``f`` once per
+refinement on the whole ``(panels, 15)`` node block; ``CumulativeIntegral``
+calls ``g`` on ``(cells, 7)`` blocks of at most ``_BLOCK_CELLS`` cells and
+answers an array of queries in one call.
+
 Everything is a pure function of its arguments: identical inputs produce
 bit-identical results.
 """
@@ -20,7 +26,6 @@ bit-identical results.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Literal, Optional, Sequence
 
@@ -76,6 +81,10 @@ _GK_NODES, _GK_WEIGHTS, _G_WEIGHTS = _build_rules()
 # 7-point Gauss-Legendre rule reused for the cumulative evaluator
 _GL_NODES = _GK_NODES[1::2].copy()
 _GL_WEIGHTS = np.array(_WG_HALF[:-1] + (_WG_HALF[-1],) + tuple(reversed(_WG_HALF[:-1])))
+
+# Cells per call of a CumulativeIntegral integrand: bounds the (cells, 7)
+# temporaries of a build, whose grid can hold hundreds of thousands of cells.
+_BLOCK_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -192,25 +201,23 @@ def _panel_points(a: float, b: float, panels: int):
     return mids[:, None] + 0.5 * width * _GK_NODES[None, :], 0.5 * width
 
 
-def _composite_gk(f: Callable[[float], float], points: np.ndarray, half_width: float):
+def _composite_gk(f: Callable[[np.ndarray], np.ndarray], points: np.ndarray, half_width: float):
     """One composite GK(7,15) pass: (kronrod_sum, sum |K15-G7|, sum resabs)."""
-    total = 0.0
-    err = 0.0
-    resabs = 0.0
-    for row in points:
-        fv = np.array([f(float(x)) for x in row])
-        if not np.all(np.isfinite(fv)):
-            raise DomainError("integrand returned a non-finite value inside the truncated domain")
-        k15 = half_width * float(_GK_WEIGHTS @ fv)
-        g7 = half_width * float(_G_WEIGHTS @ fv)
-        total += k15
-        err += abs(k15 - g7)
-        resabs += half_width * float(_GK_WEIGHTS @ np.abs(fv))
-    return total, err, resabs
+    fv = np.asarray(f(points), dtype=float)
+    if fv.shape != points.shape:
+        raise DomainError(
+            f"integrand returned shape {fv.shape} for nodes of shape {points.shape}"
+        )
+    if not np.all(np.isfinite(fv)):
+        raise DomainError("integrand returned a non-finite value inside the truncated domain")
+    k15 = half_width * (fv @ _GK_WEIGHTS)
+    g7 = half_width * (fv @ _G_WEIGHTS)
+    resabs = half_width * (np.abs(fv) @ _GK_WEIGHTS)
+    return float(k15.sum()), float(np.abs(k15 - g7).sum()), float(resabs.sum())
 
 
 def integrate_line(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     envelope: DecayEnvelope,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     symmetric: bool = False,
@@ -218,12 +225,14 @@ def integrate_line(
 ) -> EvalResult:
     """Integrate f over the whole real line.
 
-    The envelope certifies the decay of |f| and determines where the line
-    is cut; its tail mass is folded into the error estimate.  With
-    ``symmetric=True`` the caller asserts f is even and only [0, X] is
-    evaluated (then doubled).  ``on_refinement`` is invoked with the full
-    node array before each refinement's integrand evaluations, letting
-    callers rebuild cached inner quantities at matching resolution.
+    ``f`` maps a ``(panels, 15)`` array of nodes to the array of its values
+    and is called once per refinement.  The envelope certifies the decay of
+    |f| and determines where the line is cut; its tail mass is folded into
+    the error estimate.  With ``symmetric=True`` the caller asserts f is
+    even and only [0, X] is evaluated (then doubled).  ``on_refinement`` is
+    invoked with the full node array before each refinement's integrand
+    evaluation, letting callers rebuild cached inner quantities at matching
+    resolution.
 
     Raises NonConvergenceError (carrying the best result) if the tolerance
     is not met within ``cfg.max_refinements`` refinements.
@@ -277,10 +286,20 @@ def integrate_line(
     )
 
 
-def _gl_cell(g: Callable[[float], float], a: float, b: float) -> float:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * sum(w * g(mid + half * t) for w, t in zip(_GL_WEIGHTS, _GL_NODES))
+def _gl_integrals(g: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """7-point Gauss-Legendre integrals of g over the cells [lo[i], hi[i]].
+
+    g sees at most ``_BLOCK_CELLS`` cells, as one ``(cells, 7)`` array, per call.
+    """
+    out = np.empty(lo.size)
+    for start in range(0, lo.size, _BLOCK_CELLS):
+        a = lo[start : start + _BLOCK_CELLS]
+        b = hi[start : start + _BLOCK_CELLS]
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        values = np.asarray(g(mid[:, None] + half[:, None] * _GL_NODES), dtype=float)
+        out[start : start + a.size] = half * (values @ _GL_WEIGHTS)
+    return out
 
 
 class CumulativeIntegral:
@@ -290,12 +309,13 @@ class CumulativeIntegral:
     the rule's order; queries between nodes integrate the partial cell with
     the same rule.  With ``even_integrand=True`` only the nonnegative part
     of the grid is used and I(-x) = -I(x) is enforced by mirroring, making
-    I exactly odd.
+    I exactly odd.  ``g`` maps an array of points to an array of the same
+    shape; a call takes an array of queries (or one float, giving a float).
     """
 
     def __init__(
         self,
-        g: Callable[[float], float],
+        g: Callable[[np.ndarray], np.ndarray],
         x_points: Sequence[float],
         even_integrand: bool = False,
     ):
@@ -315,20 +335,26 @@ class CumulativeIntegral:
         self._g = g
         self._grid = grid
         self._even = even_integrand
-        increments = np.array([_gl_cell(g, grid[j], grid[j + 1]) for j in range(grid.size - 1)])
-        prefix = np.concatenate(([0.0], np.cumsum(increments)))
+        prefix = np.concatenate(([0.0], np.cumsum(_gl_integrals(g, grid[:-1], grid[1:]))))
         self._prefix = prefix - prefix[zero_pos]
 
-    def __call__(self, x: float) -> float:
-        if self._even and x < 0.0:
-            return -self._lookup(-x)
-        return self._lookup(x)
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        queries = x.ravel()
+        if self._even:
+            value = self._lookup(np.abs(queries))
+            value = np.where(queries < 0.0, -value, value)
+        else:
+            value = self._lookup(queries)
+        return float(value[0]) if x.ndim == 0 else value.reshape(x.shape)
 
-    def _lookup(self, x: float) -> float:
+    def _lookup(self, x: np.ndarray) -> np.ndarray:
         grid = self._grid
-        if x < grid[0] or x > grid[-1]:
-            raise DomainError(f"query {x} outside the grid hull [{grid[0]}, {grid[-1]}]")
-        j = bisect_right(grid, x) - 1
-        if j == grid.size - 1 or x == grid[j]:
-            return float(self._prefix[j])
-        return float(self._prefix[j] + _gl_cell(self._g, grid[j], x))
+        inside = (x >= grid[0]) & (x <= grid[-1])
+        if not np.all(inside):
+            raise DomainError(f"query {x[~inside][0]} outside the grid hull [{grid[0]}, {grid[-1]}]")
+        j = np.searchsorted(grid, x, side="right") - 1
+        value = self._prefix[j]
+        between = x != grid[j]
+        value[between] += _gl_integrals(self._g, grid[j[between]], x[between])
+        return value

@@ -1,20 +1,24 @@
-"""Scalar special functions behind the simplex-probability formulas.
+"""Special functions behind the simplex-probability formulas.
 
-Everything here is a pure function of floats: log-gamma, generalized
-binomial coefficients, the normalizing constants of the beta and
-beta-prime densities, and the restriction of the standard normal CDF to
-the imaginary axis, ``Phi(iy) = 1/2 + i*h(y)`` with
+Everything here is a pure function of its arguments: log-gamma,
+generalized binomial coefficients, the normalizing constants of the beta
+and beta-prime densities (all of floats), and the restriction of the
+standard normal CDF to the imaginary axis, ``Phi(iy) = 1/2 + i*h(y)`` with
 
     h(y) = (1 / sqrt(2*pi)) * integral_0^y exp(t^2/2) dt.
 
-``h`` grows like ``exp(y^2/2)``, so it carries an explicit overflow bound
-``Y_MAX``; callers are expected to rescale their integrals instead of
-asking for larger arguments.
+``h_imag_cdf`` maps an ndarray to an ndarray of the same shape (a float to
+a float) in one piecewise pass: the power series below the crossover, the
+asymptotic expansion above it.  ``h`` grows like ``exp(y^2/2)``, so it
+carries an explicit overflow bound ``Y_MAX``; callers are expected to
+rescale their integrals instead of asking for larger arguments.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import DomainError, OverflowBoundError
 
@@ -106,51 +110,63 @@ def gen_binomial(n: float, k: float) -> float:
     return math.exp(log_gen_binomial(n, k))
 
 
-def _h_series(y: float) -> float:
-    # sum_k y^(2k+1) / ((2k+1) * 2^k * k!), all terms positive: no cancellation
-    term = y
-    total = y
+def _h_series(y: np.ndarray) -> np.ndarray:
+    # sum_k y^(2k+1) / ((2k+1) * 2^k * k!), all terms positive: no cancellation;
+    # once an element's term drops below 1e-17 of its total, later terms are
+    # below half an ulp and leave it unchanged
+    term = y.copy()
+    total = y.copy()
     y2 = y * y
     for k in range(400):
         term *= y2 * (2 * k + 1) / (2.0 * (k + 1) * (2 * k + 3))
         total += term
-        if term < 1e-17 * total:
+        if np.all(term <= 1e-17 * total):
             break
     return total / _SQRT_2PI
 
 
-def _h_asymptotic(y: float) -> float:
-    # exp(y^2/2)/(y*sqrt(2pi)) * sum_k (2k-1)!!/y^(2k), truncated at the
-    # smallest term; valid only past the crossover
+def _h_asymptotic(y: np.ndarray) -> np.ndarray:
+    # exp(y^2/2)/(y*sqrt(2pi)) * sum_k (2k-1)!!/y^(2k), truncated per element
+    # at the smallest term or at 1e-17 relative; valid only past the crossover
     y2 = y * y
-    term = 1.0
-    total = 1.0
+    term = np.ones_like(y)
+    total = np.ones_like(y)
+    active = np.ones(y.shape, dtype=bool)
     for k in range(1, 60):
         nxt = term * (2 * k - 1) / y2
-        if nxt >= term:
+        active &= nxt < term
+        if not active.any():
             break
-        term = nxt
-        total += term
-        if term < 1e-17 * total:
-            break
-    return math.exp(0.5 * y2) / (y * _SQRT_2PI) * total
+        term = np.where(active, nxt, term)
+        total = np.where(active, total + term, total)
+        active &= term >= 1e-17 * total
+    return np.exp(0.5 * y2) / (y * _SQRT_2PI) * total
 
 
-def h_imag_cdf(y: float) -> float:
+def h_imag_cdf(y):
     """Imaginary part of Phi(iy): (1/sqrt(2*pi)) * integral_0^y exp(t^2/2) dt.
 
-    Odd in y; strictly increasing. Raises OverflowBoundError for
-    |y| > Y_MAX, where exp(y^2/2) would approach the float64 range.
+    Takes an ndarray (returning one of the same shape) or a float
+    (returning a float).  Odd in y, exactly: h(-y) == -h(y) bitwise;
+    strictly increasing.  Raises DomainError for nan and
+    OverflowBoundError for |y| > Y_MAX, where exp(y^2/2) would approach
+    the float64 range.
     """
-    if math.isnan(y):
+    y = np.asarray(y, dtype=float)
+    a = np.abs(y).ravel()
+    if np.isnan(a).any():
         raise DomainError("h_imag_cdf requires a finite argument, got nan")
-    a = abs(y)
-    if a > Y_MAX:
+    if a.size and a.max() > Y_MAX:
         raise OverflowBoundError(
-            f"h_imag_cdf overflows beyond |y| = {Y_MAX}, got {y}; rescale the integral"
+            f"h_imag_cdf overflows beyond |y| = {Y_MAX}, got {y.ravel()[a.argmax()]};"
+            " rescale the integral"
         )
-    value = _h_series(a) if a <= _H_CROSSOVER else _h_asymptotic(a)
-    return math.copysign(value, y) if y != 0.0 else 0.0
+    value = np.empty_like(a)
+    series = a <= _H_CROSSOVER
+    value[series] = _h_series(a[series])
+    value[~series] = _h_asymptotic(a[~series])
+    value = np.where(y.ravel() < 0.0, -value, value)
+    return float(value[0]) if y.ndim == 0 else value.reshape(y.shape)
 
 
 def phi_imaginary(y: float) -> complex:

@@ -29,10 +29,12 @@ def known_integral_suite():
     """20 line integrands with closed-form values and certified envelopes.
 
     Returns (name, f, envelope, exact) tuples; the error-honesty criterion
-    demands |computed - exact| <= 3 * abs_error_estimate on every one.
+    demands |computed - exact| <= 3 * abs_error_estimate on every one.  Each
+    f is a numpy expression mapping an array of nodes to an array of the
+    same shape, as ``integrate_line`` requires.
     """
-    gauss = lambda x: math.exp(-0.5 * x * x)
-    sech = lambda x: 1.0 / math.cosh(x)
+    gauss = lambda x: np.exp(-0.5 * x * x)
+    sech = lambda x: 1.0 / np.cosh(x)
     env_g = lambda p=0, s=1.0, la=0.0: DecayEnvelope("gaussian", s, p, la)
     env_e = lambda rate, p=0, la=0.0: DecayEnvelope("exponential", 1.0 / rate, p, la)
     ln = math.log
@@ -42,25 +44,25 @@ def known_integral_suite():
         ("x^2*gauss", lambda x: x * x * gauss(x), env_g(2), _SQRT_2PI),
         ("x^4*gauss", lambda x: x**4 * gauss(x), env_g(4), 3.0 * _SQRT_2PI),
         ("x^6*gauss", lambda x: x**6 * gauss(x), env_g(6), 15.0 * _SQRT_2PI),
-        ("exp(-x^2)", lambda x: math.exp(-x * x), env_g(0, math.sqrt(0.5)), math.sqrt(math.pi)),
-        ("gauss(sigma=3)", lambda x: math.exp(-x * x / 18.0), env_g(0, 3.0), 3.0 * _SQRT_2PI),
-        ("cos*gauss", lambda x: math.cos(x) * gauss(x), env_g(), _SQRT_2PI * math.exp(-0.5)),
-        ("x*sin*gauss", lambda x: x * math.sin(x) * gauss(x), env_g(1), _SQRT_2PI * math.exp(-0.5)),
+        ("exp(-x^2)", lambda x: np.exp(-x * x), env_g(0, math.sqrt(0.5)), math.sqrt(math.pi)),
+        ("gauss(sigma=3)", lambda x: np.exp(-x * x / 18.0), env_g(0, 3.0), 3.0 * _SQRT_2PI),
+        ("cos*gauss", lambda x: np.cos(x) * gauss(x), env_g(), _SQRT_2PI * math.exp(-0.5)),
+        ("x*sin*gauss", lambda x: x * np.sin(x) * gauss(x), env_g(1), _SQRT_2PI * math.exp(-0.5)),
         ("(x^2-1)*gauss", lambda x: (x * x - 1.0) * gauss(x), env_g(2), 0.0),
-        ("cosh*gauss", lambda x: math.cosh(x) * gauss(x), env_g(0, math.sqrt(2.0), 1.0),
+        ("cosh*gauss", lambda x: np.cosh(x) * gauss(x), env_g(0, math.sqrt(2.0), 1.0),
          _SQRT_2PI * math.exp(0.5)),
-        ("shifted gauss", lambda x: math.exp(-0.5 * (x - 1.0) ** 2), env_g(0, math.sqrt(2.0), 0.5),
+        ("shifted gauss", lambda x: np.exp(-0.5 * (x - 1.0) ** 2), env_g(0, math.sqrt(2.0), 0.5),
          _SQRT_2PI),
         ("sech", sech, env_e(1.0, 0, ln(2.0)), math.pi),
         ("sech^2", lambda x: sech(x) ** 2, env_e(2.0, 0, ln(4.0)), 2.0),
         ("sech^3", lambda x: sech(x) ** 3, env_e(3.0, 0, ln(8.0)), 0.5 * math.pi),
         ("sech^4", lambda x: sech(x) ** 4, env_e(4.0, 0, ln(16.0)), 4.0 / 3.0),
         ("x^2*sech^2", lambda x: x * x * sech(x) ** 2, env_e(2.0, 2, ln(4.0)), math.pi**2 / 6.0),
-        ("tanh^2*sech^2", lambda x: math.tanh(x) ** 2 * sech(x) ** 2, env_e(2.0, 0, ln(4.0)),
+        ("tanh^2*sech^2", lambda x: np.tanh(x) ** 2 * sech(x) ** 2, env_e(2.0, 0, ln(4.0)),
          2.0 / 3.0),
-        ("cos*sech", lambda x: math.cos(x) * sech(x), env_e(1.0, 0, ln(2.0)),
+        ("cos*sech", lambda x: np.cos(x) * sech(x), env_e(1.0, 0, ln(2.0)),
          math.pi / math.cosh(0.5 * math.pi)),
-        ("cos(2x)*sech^2", lambda x: math.cos(2.0 * x) * sech(x) ** 2, env_e(2.0, 0, ln(4.0)),
+        ("cos(2x)*sech^2", lambda x: np.cos(2.0 * x) * sech(x) ** 2, env_e(2.0, 0, ln(4.0)),
          2.0 * math.pi / math.sinh(math.pi)),
     ]
 

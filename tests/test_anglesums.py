@@ -2,14 +2,18 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from sylvester import anglesums
 from sylvester.anglesums import (
     beta_angle_sum,
     beta_prime_angle_sum,
     gaussian_angle_sum,
 )
 from sylvester.errors import DomainError
+from sylvester.quad import CumulativeIntegral
+from sylvester.specfun import h_imag_cdf
 
 # angle sums of the regular simplex on 4 and 5 vertices
 J4_REGULAR = 0.5 - (3.0 / math.pi) * math.asin(1.0 / 3.0)
@@ -149,3 +153,47 @@ class TestSharedProperties:
             again = beta_angle_sum(n, 0.5 * (2.0 * beta + n - 1.0) - 0.5 * (n - 1.0))
             assert direct == again
 
+
+
+class TestNodeArrays:
+    """term(-x) == conj(term(x)) on the node set: the inner functions are exactly odd there.
+
+    The integrands see the (panels, 15) half-line node blocks of integrate_line;
+    their mirrors -x are the nodes the integral never evaluates.
+    """
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        blocks, inners = [], []
+        integrate_line = anglesums.integrate_line
+
+        def recording_integrate_line(f, *args, **kwargs):
+            def recording_f(x):
+                blocks.append(x.copy())
+                return f(x)
+
+            return integrate_line(recording_f, *args, **kwargs)
+
+        def recording_inner(g, grid, even_integrand=False):
+            inner = CumulativeIntegral(g, grid, even_integrand=even_integrand)
+            inners.append(inner)
+            return inner
+
+        monkeypatch.setattr(anglesums, "integrate_line", recording_integrate_line)
+        monkeypatch.setattr(anglesums, "CumulativeIntegral", recording_inner)
+        return blocks, inners
+
+    def test_gaussian_inner_function_is_exactly_odd(self, recorded):
+        blocks, _ = recorded
+        gaussian_angle_sum(6)
+        assert blocks and all(b.ndim == 2 and b.shape[1] == 15 and b.min() >= 0.0 for b in blocks)
+        for nodes in blocks:
+            assert np.array_equal(h_imag_cdf(-nodes), -h_imag_cdf(nodes))
+
+    @pytest.mark.parametrize("angle_sum, args", [(beta_angle_sum, (6, 0.5)), (beta_prime_angle_sum, (5, 3.7))])
+    def test_cumulative_inner_integral_is_exactly_odd(self, recorded, angle_sum, args):
+        blocks, inners = recorded
+        angle_sum(*args)
+        assert inners and len(blocks) == len(inners)
+        for nodes, inner in zip(blocks, inners):
+            assert np.array_equal(inner(-nodes), -inner(nodes))

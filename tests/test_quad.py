@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sylvester import quad
 from sylvester.errors import DomainError, NonConvergenceError
 from sylvester.quad import (
     CumulativeIntegral,
@@ -21,28 +22,28 @@ GAUSS_ENV = DecayEnvelope("gaussian", 1.0)
 
 
 def test_gaussian_integral():
-    res = integrate_line(lambda x: math.exp(-0.5 * x * x), GAUSS_ENV)
+    res = integrate_line(lambda x: np.exp(-0.5 * x * x), GAUSS_ENV)
     assert abs(res.value - SQRT_2PI) <= 1e-12
     assert res.method == "quadrature"
     assert res.nodes_used > 0
 
 
 def test_odd_integrand_vanishes():
-    res = integrate_line(lambda x: x * math.exp(-0.5 * x * x),
+    res = integrate_line(lambda x: x * np.exp(-0.5 * x * x),
                          DecayEnvelope("gaussian", 1.0, poly_degree=1))
     assert abs(res.value) <= 1e-12
 
 
 def test_sech_squared():
     env = DecayEnvelope("exponential", 0.5, log_amplitude=math.log(4.0))
-    res = integrate_line(lambda x: 1.0 / math.cosh(x) ** 2, env)
+    res = integrate_line(lambda x: 1.0 / np.cosh(x) ** 2, env)
     assert abs(res.value - 2.0) <= 1e-10
 
 
 def test_kinked_exponential():
     # |x| kink sits on a panel edge; the composite rule still converges
     env = DecayEnvelope("exponential", 0.5)
-    res = integrate_line(lambda x: math.exp(-2.0 * abs(x)), env)
+    res = integrate_line(lambda x: np.exp(-2.0 * np.abs(x)), env)
     assert abs(res.value - 1.0) <= 3.0 * res.abs_error_estimate
     assert abs(res.value - 1.0) <= 1e-10
 
@@ -70,7 +71,7 @@ def test_refinement_monotonicity(name, f, envelope, exact):
 
 def test_determinism():
     cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-11)
-    f = lambda x: math.cos(x) * math.exp(-0.5 * x * x)
+    f = lambda x: np.cos(x) * np.exp(-0.5 * x * x)
     first = integrate_line(f, GAUSS_ENV, cfg)
     second = integrate_line(f, GAUSS_ENV, cfg)
     assert first == second
@@ -79,10 +80,10 @@ def test_determinism():
 @pytest.mark.parametrize(
     "f,envelope",
     [
-        (lambda x: math.exp(-0.5 * x * x), GAUSS_ENV),
-        (lambda x: 1.0 / math.cosh(x) ** 2,
+        (lambda x: np.exp(-0.5 * x * x), GAUSS_ENV),
+        (lambda x: 1.0 / np.cosh(x) ** 2,
          DecayEnvelope("exponential", 0.5, log_amplitude=math.log(4.0))),
-        (lambda x: x * x * math.exp(-0.5 * x * x), DecayEnvelope("gaussian", 1.0, 2)),
+        (lambda x: x * x * np.exp(-0.5 * x * x), DecayEnvelope("gaussian", 1.0, 2)),
     ],
 )
 def test_mirroring_even_integrands(f, envelope):
@@ -94,7 +95,7 @@ def test_mirroring_even_integrands(f, envelope):
 def test_nonconvergence_carries_best_result():
     cfg = QuadratureConfig(rel_tol=1e-15, abs_tol=1e-18, max_refinements=2)
     with pytest.raises(NonConvergenceError) as info:
-        integrate_line(lambda x: 1.0 / math.cosh(x), DecayEnvelope("exponential", 1.0, 0, math.log(2.0)), cfg)
+        integrate_line(lambda x: 1.0 / np.cosh(x), DecayEnvelope("exponential", 1.0, 0, math.log(2.0)), cfg)
     best = info.value.best
     assert best is not None
     assert best.value == pytest.approx(math.pi, rel=1e-6)
@@ -104,12 +105,28 @@ def test_nonconvergence_carries_best_result():
 def test_on_refinement_sees_all_nodes():
     seen = []
     integrate_line(
-        lambda x: math.exp(-0.5 * x * x), GAUSS_ENV,
+        lambda x: np.exp(-0.5 * x * x), GAUSS_ENV,
         QuadratureConfig(rel_tol=1e-6, abs_tol=1e-8),
         on_refinement=lambda nodes: seen.append(nodes.copy()),
     )
     assert seen
     assert all(nodes.size % 15 == 0 for nodes in seen)
+
+
+def test_integrand_called_once_per_refinement_on_the_node_block():
+    shapes, refinements = [], []
+
+    def f(x):
+        shapes.append(x.shape)
+        return np.exp(-0.5 * x * x)
+
+    res = integrate_line(
+        f, GAUSS_ENV, QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14),
+        on_refinement=lambda nodes: refinements.append(nodes.size),
+    )
+    assert len(shapes) == len(refinements) >= 2
+    assert shapes == [(8 * 2**i, 15) for i in range(len(shapes))]
+    assert sum(15 * panels for panels, _ in shapes) == res.nodes_used
 
 
 def test_truncation_point_meets_target():
@@ -138,44 +155,70 @@ def test_config_validation():
 
 class TestCumulativeIntegral:
     def test_sinh_antiderivative(self):
-        evaluator = CumulativeIntegral(math.cosh, np.linspace(-3.0, 3.0, 61))
+        evaluator = CumulativeIntegral(np.cosh, np.linspace(-3.0, 3.0, 61))
         assert evaluator(1.0) == pytest.approx(math.sinh(1.0), abs=1e-10)
         assert evaluator(-2.5) == pytest.approx(math.sinh(-2.5), abs=1e-10)
 
     def test_constant_is_exact_at_nodes(self):
         grid = np.linspace(-2.0, 2.0, 9)
-        evaluator = CumulativeIntegral(lambda y: 1.0, grid)
+        evaluator = CumulativeIntegral(np.ones_like, grid)
         for x in grid:
             assert evaluator(float(x)) == pytest.approx(float(x), abs=1e-15)
 
     def test_cosh_squared(self):
-        evaluator = CumulativeIntegral(lambda y: math.cosh(y) ** 2, np.linspace(-5.0, 5.0, 101))
+        evaluator = CumulativeIntegral(lambda y: np.cosh(y) ** 2, np.linspace(-5.0, 5.0, 101))
         exact = (math.sinh(2.0) * math.cosh(2.0) + 2.0) / 2.0
         assert evaluator(2.0) == pytest.approx(exact, abs=1e-9)
 
     def test_zero_anchor(self):
-        evaluator = CumulativeIntegral(math.cosh, np.linspace(-1.0, 1.0, 11))
+        evaluator = CumulativeIntegral(np.cosh, np.linspace(-1.0, 1.0, 11))
         assert evaluator(0.0) == 0.0
 
     def test_between_node_queries(self):
-        evaluator = CumulativeIntegral(math.cosh, np.linspace(-3.0, 3.0, 13))
+        evaluator = CumulativeIntegral(np.cosh, np.linspace(-3.0, 3.0, 13))
         assert evaluator(0.123456) == pytest.approx(math.sinh(0.123456), abs=1e-12)
 
     def test_even_integrand_mirroring_is_exact(self):
         grid = np.concatenate(([0.0], np.linspace(0.1, 4.0, 40)))
-        evaluator = CumulativeIntegral(lambda y: math.cosh(y) ** 2, grid, even_integrand=True)
+        evaluator = CumulativeIntegral(lambda y: np.cosh(y) ** 2, grid, even_integrand=True)
         for x in (0.05, 0.7, 2.3, 3.9):
             assert evaluator(-x) == -evaluator(x)
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
-            CumulativeIntegral(math.cosh, [1.0, 0.5, 2.0])
+            CumulativeIntegral(np.cosh, [1.0, 0.5, 2.0])
         with pytest.raises(DomainError):
-            CumulativeIntegral(math.cosh, [0.5, 1.0, 2.0])
+            CumulativeIntegral(np.cosh, [0.5, 1.0, 2.0])
         with pytest.raises(DomainError):
-            CumulativeIntegral(math.cosh, [0.0])
+            CumulativeIntegral(np.cosh, [0.0])
+
+    def test_array_queries_match_scalar_queries(self):
+        evaluator = CumulativeIntegral(np.cosh, np.linspace(-3.0, 3.0, 13))
+        queries = np.array([[-2.9, -0.5, 0.0], [0.123456, 1.0, 3.0]])
+        values = evaluator(queries)
+        assert values.shape == queries.shape
+        assert all(values.flat[i] == evaluator(float(queries.flat[i])) for i in range(queries.size))
+
+    def test_grid_spanning_several_build_blocks(self):
+        block = quad._BLOCK_CELLS
+        cells = 2 * block + block // 2
+        grid = np.linspace(-3.0, 3.0, cells + 1)
+        seen = []
+
+        def g(y):
+            seen.append(y.shape)
+            return np.cosh(y)
+
+        evaluator = CumulativeIntegral(g, grid)
+        assert len(seen) == 3
+        assert all(rows <= block and width == 7 for rows, width in seen)
+        for boundary in (block, 2 * block):
+            nodes = grid[boundary - 2 : boundary + 3]
+            between = 0.5 * (nodes[:-1] + nodes[1:])
+            for x in np.concatenate((nodes, between)):
+                assert evaluator(float(x)) == pytest.approx(math.sinh(x), abs=1e-10)
 
     def test_query_outside_hull(self):
-        evaluator = CumulativeIntegral(math.cosh, np.linspace(-1.0, 1.0, 11))
+        evaluator = CumulativeIntegral(np.cosh, np.linspace(-1.0, 1.0, 11))
         with pytest.raises(DomainError):
             evaluator(1.5)

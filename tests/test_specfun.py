@@ -169,6 +169,32 @@ class TestImaginaryCdf:
         with pytest.raises(DomainError):
             h_imag_cdf(float("nan"))
 
+    def test_array_across_crossover_matches_erfi(self):
+        # one call covers the series (< 8.75) and the asymptotic (> 8.75) branches
+        y = np.linspace(0.5, 14.0, 271)
+        assert np.any(y < 8.75) and np.any(y > 8.75)
+        values = h_imag_cdf(y)
+        assert values.shape == y.shape
+        np.testing.assert_allclose(values, 0.5 * special.erfi(y / math.sqrt(2.0)), rtol=1e-12)
+
+    def test_array_matches_scalar_calls(self):
+        y = np.linspace(-20.0, 20.0, 81).reshape(9, 9)
+        values = h_imag_cdf(y)
+        assert values.shape == (9, 9)
+        assert all(values.flat[i] == h_imag_cdf(float(y.flat[i])) for i in range(y.size))
+
+    def test_array_with_nan_rejected(self):
+        y = np.linspace(0.0, 3.0, 15)
+        y[7] = float("nan")
+        with pytest.raises(DomainError):
+            h_imag_cdf(y)
+
+    def test_array_beyond_overflow_bound_rejected(self):
+        y = np.linspace(0.0, 30.0, 15)
+        y[3] = Y_MAX + 0.5
+        with pytest.raises(OverflowBoundError):
+            h_imag_cdf(y)
+
 
 class TestPhiImaginary:
     def test_values(self):
