@@ -42,15 +42,7 @@ from .quad import (
     QuadratureConfig,
     integrate_line,
 )
-from .specfun import (
-    Y_MAX,
-    beta_const,
-    beta_prime_const,
-    gen_binomial,
-    h_imag_cdf,
-    log_gamma,
-    phi_imaginary,
-)
+from .specfun import Y_MAX, h_imag_cdf
 
 __version__ = "0.1.0"
 
@@ -71,20 +63,15 @@ __all__ = [
     "SylvesterError",
     "Y_MAX",
     "beta_angle_sum",
-    "beta_const",
     "beta_prime_angle_sum",
-    "beta_prime_const",
     "cauchy_asymptotic",
     "closed_form_lookup",
     "estimate_cone_angle",
     "estimate_sylvester",
     "gaussian_angle_sum",
-    "gen_binomial",
     "h_imag_cdf",
     "integrate_line",
     "is_inside_simplex",
-    "log_gamma",
-    "phi_imaginary",
     "projection_experiment",
     "quadrature_probability",
     "sample_point",

@@ -128,6 +128,7 @@ def _cmd_sweep(args) -> int:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["beta", "value", "abs_error"])
     values = []
+    unresolved = 0
     for i in range(args.steps + 1):
         beta = args.beta_min + i * step
         try:
@@ -136,8 +137,18 @@ def _cmd_sweep(args) -> int:
         except DomainError as exc:
             print(f"warning: skipping beta={beta:.6g}: {exc}", file=sys.stderr)
             continue
-        values.append(result.value)
-        writer.writerow([f"{beta:.12g}", f"{result.value:.16e}", f"{result.abs_error_estimate:.3e}"])
+        value, error = result.value, result.abs_error_estimate
+        if 0.0 < error and abs(value) <= error:
+            # the error bar reaches 0, so the value cannot enter the trend (an
+            # exact 0, with abs_error 0, is resolved)
+            unresolved += 1
+            print(f"warning: skipping beta={beta:.6g}: unresolved, |value| <= abs_error {error:.3e}",
+                  file=sys.stderr)
+            continue
+        values.append(value)
+        writer.writerow([f"{beta:.12g}", f"{value:.16e}", f"{error:.3e}"])
+    if not values and unresolved:
+        raise NonConvergenceError(f"no sweep point is resolved: {unresolved} lie within abs_error of 0")
     if not values:
         raise DomainError("the whole sweep range lies outside the validity region")
     diffs = [b - a for a, b in zip(values, values[1:])]

@@ -113,19 +113,30 @@ def sample_point(dist: Distribution, rng: np.random.Generator) -> np.ndarray:
     return _sample_points(dist, rng, 1)[0]
 
 
-def _batched_inverse(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(inverses, exactly_singular_mask); singular entries get NaN inverses."""
+def _guarded_solve(a: np.ndarray, rhs: np.ndarray, norm1) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the batch a @ x = rhs; returns (x, bad).
+
+    a: (N, k, k); rhs: (N, k), or (1, k) for one right-hand side shared by
+    all systems; norm1: the 1-norm of each a, or one bound for all.  bad
+    marks systems that are singular, whose condition estimate
+    norm1 * |inv(a)|_1 exceeds 1/TAU_RANK, or whose solution is not finite.
+    """
+    singular = np.zeros(a.shape[0], dtype=bool)
     try:
-        return np.linalg.inv(matrices), np.zeros(matrices.shape[0], dtype=bool)
+        inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
-        inverses = np.full_like(matrices, np.nan)
-        singular = np.zeros(matrices.shape[0], dtype=bool)
-        for i in range(matrices.shape[0]):
+        # invert one by one; exactly singular systems keep NaN inverses
+        inv = np.full_like(a, np.nan)
+        for i in range(a.shape[0]):
             try:
-                inverses[i] = np.linalg.inv(matrices[i])
+                inv[i] = np.linalg.inv(a[i])
             except np.linalg.LinAlgError:
                 singular[i] = True
-        return inverses, singular
+    cond = norm1 * np.abs(inv).sum(axis=1).max(axis=1)
+    x = (inv @ rhs[..., None])[..., 0]
+    bad = singular | ~np.isfinite(cond) | (cond > 1.0 / TAU_RANK)
+    bad |= ~np.isfinite(x).all(axis=1)
+    return x, bad
 
 
 def _barycentric_batch(points: np.ndarray):
@@ -143,11 +154,7 @@ def _barycentric_batch(points: np.ndarray):
     rhs[:, :d] = points[:, d + 1, :]
     rhs[:, d] = 1.0
     norm1 = np.abs(a).sum(axis=1).max(axis=1)
-    inv, singular = _batched_inverse(a)
-    cond = norm1 * np.abs(inv).sum(axis=1).max(axis=1)
-    lam = (inv @ rhs[..., None])[..., 0]
-    degenerate = singular | ~np.isfinite(cond) | (cond > 1.0 / TAU_RANK)
-    degenerate |= ~np.isfinite(lam).all(axis=1)
+    lam, degenerate = _guarded_solve(a, rhs, norm1)
     tau = 1e-12 * (1.0 + norm1)
     return lam, degenerate, tau
 
@@ -197,16 +204,12 @@ def is_inside_simplex(x: Sequence[float], vertices: Sequence[Sequence[float]]) -
     a[d, :] = 1.0
     rhs = np.concatenate((x, [1.0]))
     norm1 = np.abs(a).sum(axis=0).max()
-    try:
-        cond = norm1 * np.abs(np.linalg.inv(a)).sum(axis=0).max()
-    except np.linalg.LinAlgError:
-        raise DegenerateGeometryError("vertices are affinely dependent") from None
-    if not np.isfinite(cond) or cond > 1.0 / TAU_RANK:
+    lam, bad = _guarded_solve(a[None], rhs[None], norm1)
+    if bad[0]:
         raise DegenerateGeometryError(
-            f"vertex system condition estimate {cond:.3e} exceeds {1.0 / TAU_RANK:.1e}"
+            f"vertices are affinely dependent up to the condition bound {1.0 / TAU_RANK:.1e}"
         )
-    lam = np.linalg.solve(a, rhs)
-    return bool((lam >= -1e-12 * (1.0 + norm1)).all())
+    return bool((lam[0] >= -1e-12 * (1.0 + norm1)).all())
 
 
 def estimate_sylvester(dist: Distribution, mc: McConfig) -> McResult:
@@ -330,11 +333,7 @@ def projection_experiment(vertices: Sequence[Sequence[float]], mc: McConfig) -> 
             directions = rng.standard_normal((remaining.size, n))
             directions /= np.linalg.norm(directions, axis=1, keepdims=True)
             matrices[remaining, :n, n] = directions
-            inv, singular = _batched_inverse(matrices[remaining])
-            cond = norm1 * np.abs(inv).sum(axis=1).max(axis=1)
-            solution = (inv @ rhs[None, :, None])[..., 0]
-            bad = singular | ~np.isfinite(cond) | (cond > 1.0 / TAU_RANK)
-            bad |= ~np.isfinite(solution).all(axis=1)
+            solution, bad = _guarded_solve(matrices[remaining], rhs[None, :], norm1)
             lam = solution[:, :n]
             successes += int(((lam >= -tau).all(axis=1) & ~bad).sum())
             remaining = remaining[bad]

@@ -1,9 +1,10 @@
 """Special functions behind the simplex-probability formulas.
 
-Everything here is a pure function of its arguments: log-gamma,
-generalized binomial coefficients, the normalizing constants of the beta
-and beta-prime densities (all of floats), and the restriction of the
-standard normal CDF to the imaginary axis, ``Phi(iy) = 1/2 + i*h(y)`` with
+Everything here is a pure function of its arguments: the logs of
+generalized binomial coefficients and of the normalizing constants of the
+one-dimensional beta and beta-prime densities (all of floats), and the
+restriction of the standard normal CDF to the imaginary axis,
+``Phi(iy) = 1/2 + i*h(y)`` with
 
     h(y) = (1 / sqrt(2*pi)) * integral_0^y exp(t^2/2) dt.
 
@@ -34,49 +35,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0."""
-    if not x > 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
-def beta_const(d: int, beta: float) -> float:
-    """Normalizing constant of the beta density on the unit ball in R^d.
-
-    The density is ``c * (1 - |x|^2)^beta`` with
-    ``c = Gamma(d/2 + beta + 1) / (pi^(d/2) * Gamma(beta + 1))``;
-    requires beta > -1.
-    """
-    if d < 1:
-        raise DomainError(f"beta_const requires d >= 1, got {d}")
-    if not beta > -1.0:
-        raise DomainError(f"beta_const requires beta > -1, got {beta}")
-    return math.exp(
-        math.lgamma(0.5 * d + beta + 1.0)
-        - math.lgamma(beta + 1.0)
-        - 0.5 * d * math.log(math.pi)
-    )
-
-
-def beta_prime_const(d: int, beta: float) -> float:
-    """Normalizing constant of the beta-prime density on R^d.
-
-    The density is ``c * (1 + |x|^2)^(-beta)`` with
-    ``c = Gamma(beta) / (pi^(d/2) * Gamma(beta - d/2))``;
-    requires beta > d/2.
-    """
-    if d < 1:
-        raise DomainError(f"beta_prime_const requires d >= 1, got {d}")
-    if not beta > 0.5 * d:
-        raise DomainError(f"beta_prime_const requires beta > d/2 = {0.5 * d}, got {beta}")
-    return math.exp(
-        math.lgamma(beta)
-        - math.lgamma(beta - 0.5 * d)
-        - 0.5 * d * math.log(math.pi)
-    )
-
-
 def log_half_line_beta_const(beta: float) -> float:
     """log of c_(1,beta) = Gamma(beta + 3/2) / (sqrt(pi) * Gamma(beta + 1))."""
     if not beta > -1.0:
@@ -94,20 +52,10 @@ def log_half_line_beta_prime_const(beta: float) -> float:
 def log_gen_binomial(n: float, k: float) -> float:
     """log of Gamma(n+1) / (Gamma(k+1) * Gamma(n-k+1))."""
     if not n > -1.0:
-        raise DomainError(f"gen_binomial requires n > -1, got n={n}")
+        raise DomainError(f"log_gen_binomial requires n > -1, got n={n}")
     if not (-1.0 < k < n + 1.0):
-        raise DomainError(f"gen_binomial requires -1 < k < n+1, got n={n}, k={k}")
+        raise DomainError(f"log_gen_binomial requires -1 < k < n+1, got n={n}, k={k}")
     return math.lgamma(n + 1.0) - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
-
-
-def gen_binomial(n: float, k: float) -> float:
-    """Generalized binomial coefficient through the Gamma function.
-
-    Real n and k are allowed (half-integer lower indices occur throughout
-    the closed forms); evaluated as a single exponentiated log-gamma
-    difference.
-    """
-    return math.exp(log_gen_binomial(n, k))
 
 
 def _h_series(y: np.ndarray) -> np.ndarray:
@@ -167,10 +115,3 @@ def h_imag_cdf(y):
     value[~series] = _h_asymptotic(a[~series])
     value = np.where(y.ravel() < 0.0, -value, value)
     return float(value[0]) if y.ndim == 0 else value.reshape(y.shape)
-
-
-def phi_imaginary(y: float) -> complex:
-    """Analytic continuation of the standard normal CDF at z = iy."""
-    return complex(0.5, h_imag_cdf(y))
-
-

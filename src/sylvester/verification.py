@@ -1,15 +1,18 @@
 """Cross-route verification: quadrature vs closed forms vs Monte Carlo.
 
-Backs the CLI ``verify`` subcommand.  Hard checks gate the exit code; the
-monotonicity sweeps and the heavy-tail ratio are reported only, since the
-first is a conjecture and the second is asymptotic in d.
+One table of checks backs both the CLI ``verify`` subcommand (through
+``run_suite``) and the acceptance tests: ``checks(suite)`` lists the rows in
+report order, and the suite sets their budgets.  Hard rows gate the exit
+code; the monotonicity sweeps and the heavy-tail ratio are reported only,
+since the first is a conjecture and the second is asymptotic in d.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, TextIO
+from functools import partial
+from typing import Callable, List, Optional, TextIO, Tuple
 
 import numpy as np
 
@@ -67,6 +70,19 @@ def known_integral_suite():
     ]
 
 
+@dataclass(frozen=True)
+class Check:
+    """One row of the table: ``run(seed, lookup)`` returns ``(passed, detail)``.
+
+    ``lookup`` is the closed-form registry lookup; a hard row gates the exit
+    code of ``verify``, a soft one is reported only.
+    """
+
+    name: str
+    run: Callable[[int, Callable], Tuple[bool, str]]
+    hard: bool = True
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -81,45 +97,199 @@ class CheckResult:
         return "FAIL" if self.hard else "WARN"
 
 
-class _Report:
-    def __init__(self, out: Optional[TextIO], sections):
-        self.out = out
-        self.sections = sections
-        self.checks: List[CheckResult] = []
+# Row functions take their parameters, then (seed, lookup).  They call
+# quadrature_probability, integrate_line and the Monte Carlo estimators
+# through this module's globals when they run, so a caller that replaces
+# those names (to trace them, say) sees every call.
 
-    def wants(self, section: str) -> bool:
-        return self.sections is None or section in self.sections
-
-    def add(self, name: str, passed: bool, detail: str, hard: bool = True) -> None:
-        check = CheckResult(name, bool(passed), hard, detail)
-        self.checks.append(check)
-        if self.out is not None:
-            print(f"{check.status}  {name}: {detail}", file=self.out)
-
-    def run(self, name: str, fn: Callable[[], tuple[bool, str]], hard: bool = True) -> None:
-        try:
-            passed, detail = fn()
-        except SylvesterError as exc:
-            passed, detail = False, f"error: {exc}"
-        self.add(name, passed, detail, hard)
+def _quad(dist: Distribution) -> float:
+    return quadrature_probability(dist, _VERIFY_CFG).value
 
 
-def _route_agreement(report: _Report, lookup, family: str, d: int, beta, rel_tol: float,
-                     abs_tol: float) -> None:
-    name = f"route-agreement[{family} d={d} beta={beta}]"
+def _gaussian_closed_form(d, exact, text, seed, lookup):
+    diff = abs(_quad(Distribution("gaussian", d)) - exact)
+    return diff <= 1e-8, f"|quad - {text}| = {diff:.2e} <= 1e-8"
 
-    def check():
-        entry = lookup(family, d, beta)
-        if entry is None:
-            return False, "registry entry missing"
-        quad = quadrature_probability(Distribution(family, d, beta), _VERIFY_CFG)
-        diff = abs(quad.value - entry.value)
-        bound = max(abs_tol, rel_tol * abs(entry.value), 3.0 * quad.abs_error_estimate)
-        return diff <= bound, (
-            f"closed={entry.value:.10e} quad={quad.value:.10e} |diff|={diff:.2e} bound={bound:.2e}"
+
+def _route_agreement(family, d, beta, rel_tol, abs_tol, seed, lookup):
+    entry = lookup(family, d, beta)
+    if entry is None:
+        return False, "registry entry missing"
+    quad = _quad(Distribution(family, d, beta))
+    diff = abs(quad - entry.value)
+    bound = max(abs_tol, rel_tol * abs(entry.value))
+    return diff <= bound, (
+        f"closed={entry.value:.10e} quad={quad:.10e} |diff|={diff:.2e} bound={bound:.2e}"
+    )
+
+
+def _endpoints_d1(betas, prime_betas, seed, lookup):
+    dists = [Distribution("gaussian", 1)] + [Distribution("beta", 1, b) for b in betas]
+    dists += [Distribution("beta_prime", 1, b) for b in prime_betas]
+    worst = max(abs(_quad(dist) - 1.0) for dist in dists)
+    return worst <= 1e-8, f"max |p_1 - 1| = {worst:.2e} <= 1e-8"
+
+
+def _sphere(seed, lookup):
+    worst = max(abs(_quad(Distribution("beta", d, -1.0))) for d in (2, 3, 4))
+    return worst <= 1e-6, f"max |p_d(-1)| = {worst:.2e} <= 1e-6"
+
+
+def _gaussian_limit(d, seed, lookup):
+    target = _quad(Distribution("gaussian", d))
+    (beta10, prime10), (beta100, prime100) = (
+        (abs(_quad(Distribution("beta", d, b)) - target),
+         abs(_quad(Distribution("beta_prime", d, b)) - target))
+        for b in (10.0, 100.0)
+    )
+    ok = beta100 < 0.02 and prime100 < 0.02 and beta100 < beta10 and prime100 < prime10
+    return ok, (
+        f"beta gap 100/10 = {beta100:.2e}/{beta10:.2e}, "
+        f"beta-prime gap = {prime100:.2e}/{prime10:.2e}"
+    )
+
+
+def _mc_cross(dist, trials, seed, lookup):
+    if dist.family == "gaussian":
+        truth = _quad(dist)
+    else:
+        truth = lookup(dist.family, dist.d, dist.beta).value
+    res = estimate_sylvester(dist, McConfig(trials=trials, seed=seed, workers=2))
+    diff = abs(res.estimate - truth)
+    return diff <= 4.0 * res.stderr, (
+        f"mc={res.estimate:.6f} truth={truth:.6f} |diff|={diff:.2e} 4se={4 * res.stderr:.2e}"
+    )
+
+
+def _lemma(trials, seed, lookup):
+    # projection identity vs cone angle on the regular simplex in R^4; the
+    # cone angle draws from seed + 1
+    vertices = np.eye(4)
+    cone = SimplicialCone(vertices[:3] - vertices[3])
+    proj = projection_experiment(vertices, McConfig(trials=trials, seed=seed, workers=2))
+    angle = estimate_cone_angle(cone, McConfig(trials=trials, seed=seed + 1, workers=2))
+    target = 2.0 * (0.5 - (3.0 / math.pi) * math.asin(1.0 / 3.0)) / 4.0
+    combined = 4.0 * math.hypot(proj.stderr, 2.0 * angle.stderr)
+    ok = (
+        abs(proj.estimate - 2.0 * angle.estimate) <= combined
+        and abs(proj.estimate - target) <= 4.0 * proj.stderr
+        and abs(2.0 * angle.estimate - target) <= 8.0 * angle.stderr
+    )
+    return ok, (
+        f"projection={proj.estimate:.6f} 2*angle={2 * angle.estimate:.6f} "
+        f"target={target:.6f}"
+    )
+
+
+def _reproducibility(seed, lookup):
+    dist = Distribution("gaussian", 2)
+    counts = {
+        w: estimate_sylvester(dist, McConfig(trials=50_000, seed=seed, workers=w)).successes
+        for w in (1, 2, 8)
+    }
+    return len(set(counts.values())) == 1, f"successes by workers: {counts}"
+
+
+def _honesty(seed, lookup):
+    worst = 0.0
+    cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-12)
+    for name, f, envelope, exact in known_integral_suite():
+        res = integrate_line(f, envelope, cfg)
+        err = abs(res.value - exact)
+        if res.abs_error_estimate > 0:
+            worst = max(worst, err / res.abs_error_estimate)
+        elif err > 0:
+            return False, f"{name}: zero estimate with error {err:.2e}"
+    return worst <= 3.0, f"max |error|/estimate = {worst:.3f} <= 3"
+
+
+def _monotone(family, d, low, high, points, seed, lookup):
+    # the conjecture: p rises with beta for the beta family, falls for beta-prime
+    grid = np.linspace(low, high, points)
+    diffs = np.diff([_quad(Distribution(family, d, float(b))) for b in grid])
+    span = f"over beta in [{grid[0]:.2f}, {grid[-1]:.2f}]"
+    if family == "beta":
+        return bool((diffs >= -1e-9).all()), f"min step {diffs.min():.2e} {span}"
+    return bool((diffs <= 1e-9).all()), f"max step {diffs.max():.2e} {span}"
+
+
+def _cauchy(seed, lookup):
+    ratios = [
+        _quad(Distribution("beta_prime", d, 0.5 * (d + 1))) / cauchy_asymptotic(d)
+        for d in range(2, 9)
+    ]
+    ok = all(math.isfinite(r) and r > 0.0 for r in ratios)
+    return ok, "p/asymptote " + ", ".join(f"d={d}: {r:.4f}" for d, r in enumerate(ratios, 2))
+
+
+def checks(suite: str = "basic") -> List[Check]:
+    """The cross-check table in report order.
+
+    The suite sets the budgets: ``full`` widens the route dimensions, the
+    Monte Carlo trials (1e6 instead of 1e5), the d = 1 endpoint inputs and
+    the conjecture grids.
+    """
+    if suite not in ("basic", "full"):
+        raise SylvesterError(f"unknown suite {suite!r}; expected 'basic' or 'full'")
+    full = suite == "full"
+    trials = 1_000_000 if full else 100_000
+    rows = [
+        Check(f"gaussian-closed-form[d={d}]", partial(_gaussian_closed_form, d, exact, text))
+        for d, exact, text in (
+            (2, 1.0 - (6.0 / math.pi) * math.asin(1.0 / 3.0), "1-(6/pi)asin(1/3)"),
+            (3, 0.5 - (5.0 / math.pi) * math.asin(0.25), "1/2-(5/pi)asin(1/4)"),
         )
-
-    report.run(name, check)
+    ]
+    # registry cross-checks: (family, d, beta, relative bound, absolute bound)
+    routes = [
+        ("beta", d, beta, rel_tol, abs_tol)
+        for beta, top, rel_tol, abs_tol in (
+            (0.0, 8 if full else 4, 1e-6, 0.0),
+            (1.0, 6 if full else 3, 1e-6, 0.0),
+            (-0.5, 5, 0.0, 1e-6),
+            (0.5, 4, 0.0, 1e-6),
+        )
+        for d in range(2, top + 1)
+    ]
+    routes += [("beta_prime", d, 0.5 * d + 1.0, 1e-6, 0.0) for d in range(2, 9 if full else 5)]
+    rows += [
+        Check(f"route-agreement[{family} d={d} beta={beta}]",
+              partial(_route_agreement, family, d, beta, rel_tol, abs_tol))
+        for family, d, beta, rel_tol, abs_tol in routes
+    ]
+    rows += [
+        Check("endpoints-d1", partial(
+            _endpoints_d1,
+            (-0.5, 0.0, 0.7, 2.0, 10.0) if full else (-0.5, 0.0, 0.7, 2.0),
+            (0.7, 0.75, 1.0, 2.5, 8.0) if full else (0.75, 1.0, 2.5),
+        )),
+        Check("endpoints-sphere", _sphere),
+        Check("gaussian-limit[d=2]", partial(_gaussian_limit, 2)),
+        Check("gaussian-limit[d=3]", partial(_gaussian_limit, 3)),
+    ]
+    mc_dists = [Distribution("gaussian", d) for d in (2, 3, 4)]
+    mc_dists += [Distribution("beta", d, 0.0) for d in (2, 3, 4)]
+    mc_dists += [Distribution("beta_prime", d, 0.5 * d + 1.0) for d in (2, 3, 4)]
+    rows += [
+        Check(f"mc-cross[{dist.family} d={dist.d}]", partial(_mc_cross, dist, trials))
+        for dist in mc_dists
+    ]
+    rows += [
+        Check("lemma-projection-identity", partial(_lemma, trials)),
+        Check("reproducibility", _reproducibility),
+        Check("error-honesty", _honesty),
+    ]
+    points = 30 if full else 10
+    for d in (2, 3) if full else (2,):
+        low = 0.5 * (d + 1.0 / (d + 2)) + 0.05
+        rows += [
+            Check(f"conjecture-beta-monotone[d={d}]",
+                  partial(_monotone, "beta", d, -0.9, 3.0, points), hard=False),
+            Check(f"conjecture-beta-prime-monotone[d={d}]",
+                  partial(_monotone, "beta_prime", d, low, low + 4.0, points), hard=False),
+        ]
+    rows.append(Check("cauchy-ratio", _cauchy, hard=False))
+    return rows
 
 
 def run_suite(
@@ -127,212 +297,25 @@ def run_suite(
     seed: int = 42,
     lookup=registry.lookup,
     out: Optional[TextIO] = None,
-    sections=None,
 ) -> List[CheckResult]:
-    """Run the cross-check suite; returns the individual check results.
+    """Run every row of ``checks(suite)``, printing one line per row to ``out``.
 
-    ``sections`` (a set drawn from {'gaussian', 'routes', 'endpoints',
-    'limits', 'mc', 'lemma', 'reproducibility', 'honesty', 'conjectures'})
-    restricts the run; None runs everything.  ``lookup`` injects an
-    alternative closed-form registry, which the tests use to prove a
-    corrupted registry is caught and named.
+    ``lookup`` injects an alternative closed-form registry, which the tests
+    use to prove a corrupted registry is caught and named.  A row that
+    raises a SylvesterError fails with the error as its detail.
     """
-    if suite not in ("basic", "full"):
-        raise SylvesterError(f"unknown suite {suite!r}; expected 'basic' or 'full'")
-    full = suite == "full"
-    report = _Report(out, sections)
-    mc_trials = 1_000_000 if full else 100_000
-
-    # Gaussian closed forms
-    if report.wants("gaussian"):
-        for d, exact, text in (
-            (2, 1.0 - (6.0 / math.pi) * math.asin(1.0 / 3.0), "1-(6/pi)asin(1/3)"),
-            (3, 0.5 - (5.0 / math.pi) * math.asin(0.25), "1/2-(5/pi)asin(1/4)"),
-        ):
-            def check(d=d, exact=exact, text=text):
-                res = quadrature_probability(Distribution("gaussian", d), _VERIFY_CFG)
-                diff = abs(res.value - exact)
-                return diff <= 1e-8, f"|quad - {text}| = {diff:.2e} <= 1e-8"
-
-            report.run(f"gaussian-closed-form[d={d}]", check)
-
-    # registry vs quadrature
-    if report.wants("routes"):
-        for d in range(2, 9 if full else 5):
-            _route_agreement(report, lookup, "beta", d, 0.0, rel_tol=1e-6, abs_tol=0.0)
-        for d in range(2, 7 if full else 4):
-            _route_agreement(report, lookup, "beta", d, 1.0, rel_tol=1e-6, abs_tol=0.0)
-        for d in range(2, 6):
-            _route_agreement(report, lookup, "beta", d, -0.5, rel_tol=0.0, abs_tol=1e-6)
-        for d in range(2, 5):
-            _route_agreement(report, lookup, "beta", d, 0.5, rel_tol=0.0, abs_tol=1e-6)
-        for d in range(2, 9 if full else 5):
-            _route_agreement(report, lookup, "beta_prime", d, 0.5 * d + 1.0,
-                             rel_tol=1e-6, abs_tol=0.0)
-
-    # degenerate endpoints: d = 1 across families, and the sphere limit
-    def check_d1():
-        worst = 0.0
-        for dist in (
-            [Distribution("gaussian", 1)]
-            + [Distribution("beta", 1, b) for b in (-0.5, 0.0, 0.7, 2.0)]
-            + [Distribution("beta_prime", 1, b) for b in (0.75, 1.0, 2.5)]
-        ):
-            res = quadrature_probability(dist, _VERIFY_CFG)
-            worst = max(worst, abs(res.value - 1.0))
-        return worst <= 1e-8, f"max |p_1 - 1| = {worst:.2e} <= 1e-8"
-
-    if report.wants("endpoints"):
-        report.run("endpoints-d1", check_d1)
-
-    def check_sphere():
-        worst = 0.0
-        for d in (2, 3, 4):
-            res = quadrature_probability(Distribution("beta", d, -1.0), _VERIFY_CFG)
-            worst = max(worst, abs(res.value))
-        return worst <= 1e-6, f"max |p_d(-1)| = {worst:.2e} <= 1e-6"
-
-    if report.wants("endpoints"):
-        report.run("endpoints-sphere", check_sphere)
-
-    # Gaussian limit of both families
-    for d in (2, 3) if report.wants("limits") else ():
-        def check(d=d):
-            target = quadrature_probability(Distribution("gaussian", d), _VERIFY_CFG).value
-            gaps = {}
-            for b in (10.0, 100.0):
-                gaps[b] = (
-                    abs(quadrature_probability(Distribution("beta", d, b), _VERIFY_CFG).value - target),
-                    abs(quadrature_probability(Distribution("beta_prime", d, b), _VERIFY_CFG).value - target),
-                )
-            ok = (
-                gaps[100.0][0] < 0.02
-                and gaps[100.0][1] < 0.02
-                and gaps[100.0][0] < gaps[10.0][0]
-                and gaps[100.0][1] < gaps[10.0][1]
-            )
-            return ok, (
-                f"beta gap 100/10 = {gaps[100.0][0]:.2e}/{gaps[10.0][0]:.2e}, "
-                f"beta-prime gap = {gaps[100.0][1]:.2e}/{gaps[10.0][1]:.2e}"
-            )
-
-        report.run(f"gaussian-limit[d={d}]", check)
-
-    # Monte Carlo triangulation of the deterministic routes
-    configs = [Distribution("gaussian", d) for d in (2, 3, 4)]
-    configs += [Distribution("beta", d, 0.0) for d in (2, 3, 4)]
-    configs += [Distribution("beta_prime", d, 0.5 * d + 1.0) for d in (2, 3, 4)]
-    for dist in configs if report.wants("mc") else ():
-        def check(dist=dist):
-            truth = (
-                quadrature_probability(dist, _VERIFY_CFG).value
-                if dist.family == "gaussian"
-                else lookup(dist.family, dist.d, dist.beta).value
-            )
-            res = estimate_sylvester(dist, McConfig(trials=mc_trials, seed=seed, workers=2))
-            diff = abs(res.estimate - truth)
-            return diff <= 4.0 * res.stderr, (
-                f"mc={res.estimate:.6f} truth={truth:.6f} |diff|={diff:.2e} 4se={4 * res.stderr:.2e}"
-            )
-
-        report.run(f"mc-cross[{dist.family} d={dist.d}]", check)
-
-    # projection identity vs cone angle on the regular simplex in R^4
-    def check_lemma():
-        vertices = np.eye(4)
-        cone = SimplicialCone(vertices[:3] - vertices[3])
-        proj = projection_experiment(vertices, McConfig(trials=mc_trials, seed=seed, workers=2))
-        angle = estimate_cone_angle(cone, McConfig(trials=mc_trials, seed=seed + 1, workers=2))
-        target = 2.0 * (0.5 - (3.0 / math.pi) * math.asin(1.0 / 3.0)) / 4.0
-        combined = 4.0 * math.hypot(proj.stderr, 2.0 * angle.stderr)
-        ok = (
-            abs(proj.estimate - 2.0 * angle.estimate) <= combined
-            and abs(proj.estimate - target) <= 4.0 * proj.stderr
-            and abs(2.0 * angle.estimate - target) <= 8.0 * angle.stderr
-        )
-        return ok, (
-            f"projection={proj.estimate:.6f} 2*angle={2 * angle.estimate:.6f} "
-            f"target={target:.6f}"
-        )
-
-    if report.wants("lemma"):
-        report.run("lemma-projection-identity", check_lemma)
-
-    # worker-count independence
-    def check_repro():
-        dist = Distribution("gaussian", 2)
-        counts = {
-            w: estimate_sylvester(dist, McConfig(trials=50_000, seed=seed, workers=w)).successes
-            for w in (1, 2, 8)
-        }
-        values = set(counts.values())
-        return len(values) == 1, f"successes by workers: {counts}"
-
-    if report.wants("reproducibility"):
-        report.run("reproducibility", check_repro)
-
-    # quadrature error honesty on the known-antiderivative suite
-    def check_honesty():
-        worst = 0.0
-        cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-12)
-        for name, f, envelope, exact in known_integral_suite():
-            res = integrate_line(f, envelope, cfg)
-            err = abs(res.value - exact)
-            if res.abs_error_estimate > 0:
-                worst = max(worst, err / res.abs_error_estimate)
-            elif err > 0:
-                return False, f"{name}: zero estimate with error {err:.2e}"
-        return worst <= 3.0, f"max |error|/estimate = {worst:.3f} <= 3"
-
-    if report.wants("honesty"):
-        report.run("error-honesty", check_honesty)
-
-    # conjecture sweeps (report-only)
-    points = 30 if full else 10
-    dims = (2, 3) if full else (2,)
-    for d in dims if report.wants("conjectures") else ():
-        def check_beta(d=d):
-            grid = np.linspace(-0.9, 3.0, points)
-            values = [
-                quadrature_probability(Distribution("beta", d, float(b)), _VERIFY_CFG).value
-                for b in grid
-            ]
-            diffs = np.diff(values)
-            return bool((diffs >= -1e-9).all()), (
-                f"min step {diffs.min():.2e} over beta in [{grid[0]:.2f}, {grid[-1]:.2f}]"
-            )
-
-        report.run(f"conjecture-beta-monotone[d={d}]", check_beta, hard=False)
-
-        def check_beta_prime(d=d):
-            low = 0.5 * (d + 1.0 / (d + 2)) + 0.05
-            grid = np.linspace(low, low + 4.0, points)
-            values = [
-                quadrature_probability(Distribution("beta_prime", d, float(b)), _VERIFY_CFG).value
-                for b in grid
-            ]
-            diffs = np.diff(values)
-            return bool((diffs <= 1e-9).all()), (
-                f"max step {diffs.max():.2e} over beta in [{grid[0]:.2f}, {grid[-1]:.2f}]"
-            )
-
-        report.run(f"conjecture-beta-prime-monotone[d={d}]", check_beta_prime, hard=False)
-
-    # heavy-tail (Cauchy) ratio, asymptotic in d: reported, never gated
-    def check_cauchy():
-        ratios = []
-        for d in range(2, 9):
-            p = quadrature_probability(
-                Distribution("beta_prime", d, 0.5 * (d + 1)), _VERIFY_CFG
-            ).value
-            ratios.append(f"d={d}: {p / cauchy_asymptotic(d):.4f}")
-        return True, "p/asymptote " + ", ".join(ratios)
-
-    if report.wants("conjectures"):
-        report.run("cauchy-ratio", check_cauchy, hard=False)
-
-    return report.checks
+    results = []
+    for check in checks(suite):
+        try:
+            passed, detail = check.run(seed, lookup)
+        except SylvesterError as exc:
+            passed, detail = False, f"error: {exc}"
+        result = CheckResult(check.name, bool(passed), check.hard, detail)
+        results.append(result)
+        if out is not None:
+            print(f"{result.status}  {result.name}: {detail}", file=out)
+    return results
 
 
-def hard_failures(checks: List[CheckResult]) -> List[CheckResult]:
-    return [c for c in checks if c.hard and not c.passed]
+def hard_failures(results: List[CheckResult]) -> List[CheckResult]:
+    return [r for r in results if r.hard and not r.passed]

@@ -171,22 +171,6 @@ class TestSylvesterProbability:
         res = sylvester_probability(Distribution("gaussian", d), method="quadrature", cfg=FAST_CFG)
         assert res.value == pytest.approx(expected, abs=1e-9)
 
-    def test_route_agreement_small_dimensions(self):
-        cases = (
-            [("beta", d, 0.0) for d in (2, 3, 4)]
-            + [("beta", d, 1.0) for d in (2, 3)]
-            + [("beta", d, -0.5) for d in (2, 3, 4, 5)]
-            + [("beta", d, 0.5) for d in (2, 3, 4)]
-            + [("beta_prime", d, 0.5 * d + 1.0) for d in (2, 3, 4)]
-        )
-        for family, d, beta in cases:
-            dist = Distribution(family, d, beta)
-            closed = closed_form_lookup(dist)
-            quad = quadrature_probability(dist, FAST_CFG)
-            assert abs(quad.value - closed.value) <= max(
-                1e-6, 3.0 * quad.abs_error_estimate
-            ), (family, d, beta)
-
     def test_line_universality_by_quadrature(self):
         dists = (
             [Distribution("gaussian", 1)]

@@ -15,12 +15,10 @@ from scipy import integrate, special
 from sylvester.errors import DomainError, OverflowBoundError
 from sylvester.specfun import (
     Y_MAX,
-    beta_const,
-    beta_prime_const,
-    gen_binomial,
     h_imag_cdf,
-    log_gamma,
-    phi_imaginary,
+    log_gen_binomial,
+    log_half_line_beta_const,
+    log_half_line_beta_prime_const,
 )
 
 # y -> (1/sqrt(2pi)) * int_0^y exp(t^2/2) dt, mpmath dps=40
@@ -47,57 +45,58 @@ H_REFERENCE = {
 }
 
 
-class TestLogGamma:
-    def test_classical_values(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
+def beta_const(beta):
+    return math.exp(log_half_line_beta_const(beta))
 
-    @pytest.mark.parametrize("x", [1e-3, 0.1, 1.5, 10.0, 1e3, 1e6])
-    def test_matches_scipy(self, x):
-        assert log_gamma(x) == pytest.approx(float(special.gammaln(x)), rel=1e-14)
 
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
-    def test_domain(self, x):
-        with pytest.raises(DomainError):
-            log_gamma(x)
+def beta_prime_const(beta):
+    return math.exp(log_half_line_beta_prime_const(beta))
+
+
+def gen_binomial(n, k):
+    return math.exp(log_gen_binomial(n, k))
 
 
 class TestNormalizingConstants:
+    # c (1 - x^2)^beta on [-1, 1] and c (1 + x^2)^(-beta) on the line; the
+    # one-dimensional marginal of the d-dimensional law has parameter
+    # beta + (d-1)/2 (beta family) or beta - (d-1)/2 (beta-prime family)
+
     def test_beta_values(self):
-        assert beta_const(2, 0.0) == pytest.approx(1.0 / math.pi, rel=1e-14)
-        assert beta_const(1, 0.0) == pytest.approx(0.5, rel=1e-14)
-        assert beta_const(1, 0.5) == pytest.approx(2.0 / math.pi, rel=1e-14)
+        assert beta_const(0.0) == pytest.approx(0.5, rel=1e-14)
+        assert beta_const(0.5) == pytest.approx(2.0 / math.pi, rel=1e-14)
+        assert beta_const(1.0) == pytest.approx(0.75, rel=1e-14)
 
     def test_beta_prime_values(self):
-        assert beta_prime_const(1, 1.0) == pytest.approx(1.0 / math.pi, rel=1e-14)
-        assert beta_prime_const(2, 2.0) == pytest.approx(1.0 / math.pi, rel=1e-14)
-        assert beta_prime_const(1, 1.5) == pytest.approx(0.5, rel=1e-14)
+        assert beta_prime_const(1.0) == pytest.approx(1.0 / math.pi, rel=1e-14)
+        assert beta_prime_const(1.5) == pytest.approx(0.5, rel=1e-14)
+        assert beta_prime_const(2.0) == pytest.approx(2.0 / math.pi, rel=1e-14)
 
     def test_domains(self):
         with pytest.raises(DomainError):
-            beta_const(2, -1.0)
+            log_half_line_beta_const(-1.0)
         with pytest.raises(DomainError):
-            beta_prime_const(2, 1.0)
+            log_half_line_beta_prime_const(0.5)
         with pytest.raises(DomainError):
-            beta_prime_const(3, 1.5)
+            log_half_line_beta_prime_const(0.25)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
     def test_density_integrates_to_one(self, d, beta):
-        # radial form: c * surface(S^{d-1}) * int_0^1 r^{d-1} (1-r^2)^beta dr
-        surface = 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
-        c = beta_const(d, beta)
+        # the marginal of the beta law, and a beta-prime density at b + 1 > 1/2
+        b = beta + 0.5 * (d - 1)
+        mass, _ = integrate.quad(lambda x: beta_const(b) * (1.0 - x * x) ** b, -1.0, 1.0)
+        assert mass == pytest.approx(1.0, abs=1e-8)
         mass, _ = integrate.quad(
-            lambda r: c * surface * r ** (d - 1) * (1.0 - r * r) ** beta, 0.0, 1.0
+            lambda x: beta_prime_const(b + 1.0) * (1.0 + x * x) ** -(b + 1.0), -np.inf, np.inf
         )
         assert mass == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 3.0])
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_beta_const_dominates_uniform(self, d, beta):
-        ball_volume = math.pi ** (0.5 * d) / math.gamma(0.5 * d + 1.0)
-        assert beta_const(d, beta) * ball_volume >= 1.0 - 1e-12
+        # the marginal density peaks at 0, so peak times the length of [-1, 1] is >= 1
+        assert 2.0 * beta_const(beta + 0.5 * (d - 1)) >= 1.0 - 1e-12
 
 
 class TestGenBinomial:
@@ -194,16 +193,3 @@ class TestImaginaryCdf:
         y[3] = Y_MAX + 0.5
         with pytest.raises(OverflowBoundError):
             h_imag_cdf(y)
-
-
-class TestPhiImaginary:
-    def test_values(self):
-        assert phi_imaginary(0.0) == 0.5 + 0.0j
-        z = phi_imaginary(1.0)
-        assert z.real == 0.5
-        assert z.imag == pytest.approx(0.47671913462563042, rel=1e-12)
-        assert phi_imaginary(2.0).imag == pytest.approx(1.8865612557995097, rel=1e-12)
-
-    def test_conjugate_symmetry(self):
-        for y in (0.3, 1.7, 5.0):
-            assert phi_imaginary(-y) == phi_imaginary(y).conjugate()
