@@ -63,6 +63,9 @@ N_GUARANTEED = 20
 N_MAX = 40
 _ESTIMATE_INFLATION = 8.0
 
+# each gap of the outer nodes is split this many ways for the inner integral
+_INNER_GRID_FACTOR = 4
+
 _LOG_HALF = math.log(0.5)
 _LN2 = math.log(2.0)
 
@@ -140,20 +143,19 @@ def gaussian_angle_sum(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> EvalRe
     return _integrate_real_part(integrand, envelope, cfg, n, exponent=n - 1)
 
 
-def _subdivided_grid(nodes: np.ndarray, factor: int) -> np.ndarray:
-    """Nonnegative grid through 0 and |nodes|, each gap split `factor` ways.
+def _subdivided_grid(nodes: np.ndarray) -> np.ndarray:
+    """Nonnegative grid through 0 and |nodes|, each gap split _INNER_GRID_FACTOR ways.
 
     Mirrored node pairs from a full-line panel layout land within a few ulp
     of each other; such hairline gaps are kept unsplit so the grid stays
     strictly increasing while every original node remains a grid point.
     """
     base = np.unique(np.concatenate((np.array([0.0]), np.abs(nodes))))
-    if factor == 1:
-        return base
     lo, hi = base[:-1], base[1:]
     wide = hi - lo > 1e-9 * np.maximum(hi, 1e-300)
     # row i holds lo[i] + k*(hi[i]-lo[i])/factor, k < factor, the points
     # np.linspace(lo[i], hi[i], factor + 1)[:-1] gives; a hairline gap keeps lo[i] only
+    factor = _INNER_GRID_FACTOR
     points = lo[:, None] + np.arange(factor) * ((hi - lo) / factor)[:, None]
     keep = np.ones(points.shape, dtype=bool)
     keep[~wide, 1:] = False
@@ -175,7 +177,7 @@ def _cosh_kernel_evaluation(
     holder: dict[str, CumulativeIntegral] = {}
 
     def rebuild(nodes: np.ndarray) -> None:
-        grid = _subdivided_grid(nodes, cfg.inner_grid_factor)
+        grid = _subdivided_grid(nodes)
         holder["inner"] = CumulativeIntegral(g, grid, even_integrand=True)
 
     log_pref = math.log(n) + log_c_out

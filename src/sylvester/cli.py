@@ -68,15 +68,7 @@ def _quadrature_config(tol: float) -> QuadratureConfig:
 
 
 def _distribution(args) -> Distribution:
-    family = _FAMILY_FLAGS[args.family]
-    beta = getattr(args, "beta", None)
-    if family == "gaussian":
-        if beta is not None:
-            raise DomainError("--beta is not accepted for --family gauss")
-        return Distribution(family, args.dim)
-    if beta is None:
-        raise DomainError(f"--family {args.family} requires --beta")
-    return Distribution(family, args.dim, beta)
+    return Distribution(_FAMILY_FLAGS[args.family], args.dim, getattr(args, "beta", None))
 
 
 def _default_seed(explicit: Optional[int]) -> int:

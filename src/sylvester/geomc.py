@@ -172,19 +172,17 @@ def simplex_indicators(points: np.ndarray) -> np.ndarray:
         raise DegenerateGeometryError(
             f"{int(degenerate.sum())} of {points.shape[0]} trials are numerically degenerate"
         )
-    success, conflict = _classify(lam, tau)
-    if conflict.any():
-        raise SylvesterError("two points claimed to be inside the hull of the others")
-    return success
+    return _classify(lam, tau)
 
 
-def _classify(lam: np.ndarray, tau: np.ndarray):
+def _classify(lam: np.ndarray, tau: np.ndarray) -> np.ndarray:
     # last point inside the others' hull: all coordinates nonnegative;
-    # point k inside: its coordinate is the only positive one
+    # point k inside: its coordinate is the only positive one (at most one can be)
     inside_last = (lam >= -tau[:, None]).all(axis=1)
-    positives = (lam > tau[:, None]).sum(axis=1)
-    inside_one = positives == 1
-    return inside_last | inside_one, inside_last & inside_one
+    inside_one = (lam > tau[:, None]).sum(axis=1) == 1
+    if (inside_last & inside_one).any():
+        raise SylvesterError("two points claimed to be inside the hull of the others")
+    return inside_last | inside_one
 
 
 def is_inside_simplex(x: Sequence[float], vertices: Sequence[Sequence[float]]) -> bool:
@@ -199,17 +197,12 @@ def is_inside_simplex(x: Sequence[float], vertices: Sequence[Sequence[float]]) -
     d = x.shape[0]
     if vertices.shape != (d + 1, d):
         raise DomainError(f"need {d + 1} vertices in R^{d}, got shape {vertices.shape}")
-    a = np.empty((d + 1, d + 1))
-    a[:d, :] = vertices.T
-    a[d, :] = 1.0
-    rhs = np.concatenate((x, [1.0]))
-    norm1 = np.abs(a).sum(axis=0).max()
-    lam, bad = _guarded_solve(a[None], rhs[None], norm1)
-    if bad[0]:
+    lam, degenerate, tau = _barycentric_batch(np.vstack((vertices, x))[None])
+    if degenerate[0]:
         raise DegenerateGeometryError(
             f"vertices are affinely dependent up to the condition bound {1.0 / TAU_RANK:.1e}"
         )
-    return bool((lam[0] >= -1e-12 * (1.0 + norm1)).all())
+    return bool((lam[0] >= -tau[0]).all())
 
 
 def estimate_sylvester(dist: Distribution, mc: McConfig) -> McResult:
@@ -237,10 +230,7 @@ def estimate_sylvester(dist: Distribution, mc: McConfig) -> McResult:
             raise DegenerateGeometryError(
                 f"trials stayed degenerate after {_MAX_RETRIES} resampling rounds"
             )
-        success, conflict = _classify(lam, tau)
-        if conflict.any():
-            raise SylvesterError("two points claimed to be inside the hull of the others")
-        return int(success.sum())
+        return int(_classify(lam, tau).sum())
 
     return _mc_result(_run_blocks(mc, block), mc)
 

@@ -86,6 +86,9 @@ _GL_WEIGHTS = np.array(_WG_HALF[:-1] + (_WG_HALF[-1],) + tuple(reversed(_WG_HALF
 # temporaries of a build, whose grid can hold hundreds of thousands of cells.
 _BLOCK_CELLS = 4096
 
+# The line is cut where the envelope's tail mass falls to abs_tol / margin.
+_TRUNCATION_MARGIN = 10.0
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -94,23 +97,17 @@ class QuadratureConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_refinements: int = 20
-    truncation_margin: float = 10.0
-    inner_grid_factor: int = 4
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise DomainError("rel_tol and abs_tol must be positive")
         if self.max_refinements < 1:
             raise DomainError("max_refinements must be >= 1")
-        if self.inner_grid_factor < 1:
-            raise DomainError("inner_grid_factor must be >= 1")
-        if self.truncation_margin <= 0.0:
-            raise DomainError("truncation_margin must be positive")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
 
-Method = Literal["quadrature", "closed_form", "asymptotic"]
+Method = Literal["quadrature", "closed_form"]
 
 
 @dataclass(frozen=True)
@@ -237,7 +234,7 @@ def integrate_line(
     Raises NonConvergenceError (carrying the best result) if the tolerance
     is not met within ``cfg.max_refinements`` refinements.
     """
-    log_target = math.log(cfg.abs_tol) - math.log(cfg.truncation_margin)
+    log_target = math.log(cfg.abs_tol) - math.log(_TRUNCATION_MARGIN)
     cutoff = truncation_point(envelope, log_target)
     # both half-line tails are missing regardless of the symmetric shortcut
     tail = 2.0 * math.exp(envelope.log_tail_bound(cutoff))

@@ -153,7 +153,10 @@ def _mc_cross(dist, trials, seed, lookup):
     if dist.family == "gaussian":
         truth = _quad(dist)
     else:
-        truth = lookup(dist.family, dist.d, dist.beta).value
+        entry = lookup(dist.family, dist.d, dist.beta)
+        if entry is None:
+            return False, "registry entry missing"
+        truth = entry.value
     res = estimate_sylvester(dist, McConfig(trials=trials, seed=seed, workers=2))
     diff = abs(res.estimate - truth)
     return diff <= 4.0 * res.stderr, (

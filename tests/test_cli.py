@@ -387,6 +387,19 @@ class TestVerify:
         assert [failure.name for failure in failures] == ["route-agreement[beta d=3 beta=0.0]"]
         assert "FAIL  route-agreement[beta d=3 beta=0.0]: closed=" in out.getvalue()
 
+    def test_missing_mc_entry_fails_its_row(self, monkeypatch):
+        def missing(family, d, beta):
+            if family == "beta" and d == 2 and beta == 0.0:
+                return None
+            return registry.lookup(family, d, beta)
+
+        rows = [row for row in verification.checks("basic") if row.name == "mc-cross[beta d=2]"]
+        monkeypatch.setattr(verification, "checks", lambda suite: rows)
+        results = verification.run_suite("basic", lookup=missing)
+        assert [(r.name, r.status, r.detail) for r in results] == [
+            ("mc-cross[beta d=2]", "FAIL", "registry entry missing"),
+        ]
+
     def test_row_error_fails_with_its_message(self, monkeypatch):
         def broken(seed, lookup):
             raise NonConvergenceError("no convergence")

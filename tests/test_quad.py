@@ -149,8 +149,6 @@ def test_config_validation():
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(DomainError):
         QuadratureConfig(max_refinements=0)
-    with pytest.raises(DomainError):
-        QuadratureConfig(inner_grid_factor=0)
 
 
 class TestCumulativeIntegral:
