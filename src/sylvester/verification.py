@@ -106,9 +106,12 @@ def _quad(dist: Distribution) -> float:
     return quadrature_probability(dist, _VERIFY_CFG).value
 
 
-def _gaussian_closed_form(d, exact, text, seed, lookup):
-    diff = abs(_quad(Distribution("gaussian", d)) - exact)
-    return diff <= 1e-8, f"|quad - {text}| = {diff:.2e} <= 1e-8"
+def _gaussian_closed_form(d, seed, lookup):
+    entry = lookup("gaussian", d, None)
+    if entry is None:
+        return False, "registry entry missing"
+    diff = abs(_quad(Distribution("gaussian", d)) - entry.value)
+    return diff <= 1e-8, f"|quad - ({entry.description})| = {diff:.2e} <= 1e-8"
 
 
 def _route_agreement(family, d, beta, rel_tol, abs_tol, seed, lookup):
@@ -166,12 +169,16 @@ def _mc_cross(dist, trials, seed, lookup):
 
 def _lemma(trials, seed, lookup):
     # projection identity vs cone angle on the regular simplex in R^4; the
-    # cone angle draws from seed + 1
+    # cone angle draws from seed + 1.  The projection probability is twice
+    # the vertex angle, p_2/4 for the Gaussian p_2.
+    entry = lookup("gaussian", 2, None)
+    if entry is None:
+        return False, "registry entry missing"
+    target = entry.value / 4.0
     vertices = np.eye(4)
     cone = SimplicialCone(vertices[:3] - vertices[3])
     proj = projection_experiment(vertices, McConfig(trials=trials, seed=seed, workers=2))
     angle = estimate_cone_angle(cone, McConfig(trials=trials, seed=seed + 1, workers=2))
-    target = 2.0 * (0.5 - (3.0 / math.pi) * math.asin(1.0 / 3.0)) / 4.0
     combined = 4.0 * math.hypot(proj.stderr, 2.0 * angle.stderr)
     ok = (
         abs(proj.estimate - 2.0 * angle.estimate) <= combined
@@ -237,11 +244,7 @@ def checks(suite: str = "basic") -> List[Check]:
     full = suite == "full"
     trials = 1_000_000 if full else 100_000
     rows = [
-        Check(f"gaussian-closed-form[d={d}]", partial(_gaussian_closed_form, d, exact, text))
-        for d, exact, text in (
-            (2, 1.0 - (6.0 / math.pi) * math.asin(1.0 / 3.0), "1-(6/pi)asin(1/3)"),
-            (3, 0.5 - (5.0 / math.pi) * math.asin(0.25), "1/2-(5/pi)asin(1/4)"),
-        )
+        Check(f"gaussian-closed-form[d={d}]", partial(_gaussian_closed_form, d)) for d in (2, 3)
     ]
     # registry cross-checks: (family, d, beta, relative bound, absolute bound)
     routes = [

@@ -11,6 +11,25 @@ from sylvester import registry, verification
 from sylvester.cli import main
 from sylvester.errors import NonConvergenceError, SylvesterError
 
+# Gaussian p_d, mpmath at 60 and 90 digits; printed by tests/gaussian_references.py
+GAUSSIAN_REFERENCE = {
+    4: 0.02306452484381219,
+    5: 0.0047697319556756065,
+    6: 0.0008865496591775908,
+    7: 0.00015063913973998891,
+    8: 2.3693188060964904e-05,
+    9: 3.482641062953852e-06,
+    10: 4.820152301900779e-07,
+    11: 6.319964860852434e-08,
+    12: 7.88928192740285e-09,
+    13: 9.415443191995378e-10,
+    14: 1.0781026323497076e-10,
+    15: 1.1879898469121877e-11,
+    16: 1.2631075845200892e-12,
+    17: 1.29879777740168e-13,
+    18: 1.2941861453616527e-14,
+}
+
 RECORD_FIELDS = ("family", "d", "beta", "method", "value", "abs_error", "stderr", "trials", "seed")
 
 
@@ -34,6 +53,16 @@ class TestCompute:
         assert rec["beta"] is None
         assert rec["value"] == pytest.approx(0.5 - (5.0 / math.pi) * math.asin(0.25), abs=1e-8)
         assert rec["abs_error"] is not None and rec["stderr"] is None
+
+    @pytest.mark.parametrize("d", sorted(GAUSSIAN_REFERENCE))
+    def test_gaussian_quadrature_matches_reference(self, capsys, d):
+        code, out, _ = run_cli(
+            capsys, "compute", "--family", "gauss", "--dim", str(d),
+            "--method", "quadrature", "--tol", "1e-10",
+        )
+        assert code == 0
+        (rec,) = parse_json_lines(out)
+        assert abs(rec["value"] - GAUSSIAN_REFERENCE[d]) <= 3.0 * rec["abs_error"]
 
     def test_closed_form_route(self, capsys):
         code, out, _ = run_cli(
@@ -398,6 +427,21 @@ class TestVerify:
         results = verification.run_suite("basic", lookup=missing)
         assert [(r.name, r.status, r.detail) for r in results] == [
             ("mc-cross[beta d=2]", "FAIL", "registry entry missing"),
+        ]
+
+    def test_missing_gaussian_entry_fails_its_rows(self, monkeypatch):
+        # the Gaussian closed-form rows and the lemma take their values from the registry
+        def missing(family, d, beta):
+            return None if family == "gaussian" else registry.lookup(family, d, beta)
+
+        names = [
+            "gaussian-closed-form[d=2]", "gaussian-closed-form[d=3]", "lemma-projection-identity",
+        ]
+        rows = [row for row in verification.checks("basic") if row.name in names]
+        monkeypatch.setattr(verification, "checks", lambda suite: rows)
+        results = verification.run_suite("basic", lookup=missing)
+        assert [(r.name, r.status, r.detail) for r in results] == [
+            (name, "FAIL", "registry entry missing") for name in names
         ]
 
     def test_row_error_fails_with_its_message(self, monkeypatch):

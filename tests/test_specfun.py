@@ -6,6 +6,7 @@ Frozen reference values were computed with mpmath at 40 significant digits
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,8 +33,8 @@ H_REFERENCE = {
     6.0: 4498913.1990553601,
     8.0: 4002372858145.8749,
     8.5: 232602357124216.55,
-    8.74: 1789122164683370.5,  # just below the series/asymptotic crossover
-    8.76: 2126282889664839.6,  # just above it
+    8.74: 1789122164683370.5,  # just below 8.75, the last anchor valued by the series
+    8.76: 2126282889664839.6,  # just above it, where anchor values are running sums
     9.0: 17423375841122767.0,
     12.0: 6.2230272087526717e+29,
     15.0: 1.9270818055602737e+47,
@@ -43,6 +44,9 @@ H_REFERENCE = {
     35.0: 1.1549613198777992e+264,
     37.4: 5.8240387967250826e+301,
 }
+
+# the nonzero anchors y_j = j/32 of h_imag_cdf's table
+ANCHORS = np.arange(1, round(Y_MAX * 32) + 1) / 32.0
 
 
 def beta_const(beta):
@@ -143,6 +147,35 @@ class TestImaginaryCdf:
     def test_exactly_odd(self, y):
         assert h_imag_cdf(-y) == -h_imag_cdf(y)
 
+    def test_anchor_boundaries_monotone_and_odd(self):
+        # the float just below an anchor is where the lower anchor's polynomial ends
+        below = np.nextafter(ANCHORS, 0.0)
+        assert np.all(h_imag_cdf(below) <= h_imag_cdf(ANCHORS))
+        for y in (ANCHORS, below):
+            assert np.array_equal(h_imag_cdf(-y), -h_imag_cdf(y))
+
+    def test_accuracy_against_mpmath(self):
+        # max relative error <= 8 ulp over a dense grid, every anchor and the
+        # float just below each; h'(y) = exp(y^2/2)/sqrt(2*pi) carries the
+        # anchor's reference down by the one-ulp step, whose second-order
+        # term is below 1e-25 relative
+        below = np.nextafter(ANCHORS, 0.0)
+        grid = np.linspace(0.0, Y_MAX, 2003)[1:]
+        with mpmath.workdps(30):
+            root2, root2pi = mpmath.sqrt(2), mpmath.sqrt(2 * mpmath.pi)
+
+            def reference(y):
+                return mpmath.erfi(mpmath.mpf(y) / root2) / 2
+
+            at_anchor = [reference(y) for y in ANCHORS]
+            expected = [float(reference(y)) for y in grid] + [float(r) for r in at_anchor] + [
+                float(r - mpmath.mpf(a - b) * mpmath.exp(mpmath.mpf(a) ** 2 / 2) / root2pi)
+                for r, a, b in zip(at_anchor, ANCHORS, below)
+            ]
+        values = h_imag_cdf(np.concatenate((grid, ANCHORS, below)))
+        relative = np.abs(values - expected) / np.array(expected)
+        assert relative.max() <= 8 * np.finfo(float).eps
+
     def test_strictly_increasing_on_grid(self):
         grid = np.linspace(-Y_MAX, Y_MAX, 1001)
         values = [h_imag_cdf(float(y)) for y in grid]
@@ -168,8 +201,8 @@ class TestImaginaryCdf:
         with pytest.raises(DomainError):
             h_imag_cdf(float("nan"))
 
-    def test_array_across_crossover_matches_erfi(self):
-        # one call covers the series (< 8.75) and the asymptotic (> 8.75) branches
+    def test_array_across_last_series_anchor_matches_erfi(self):
+        # one call covers anchors valued by the series (<= 8.75) and by running sums (> 8.75)
         y = np.linspace(0.5, 14.0, 271)
         assert np.any(y < 8.75) and np.any(y > 8.75)
         values = h_imag_cdf(y)
