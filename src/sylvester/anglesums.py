@@ -29,9 +29,10 @@ line.  All powers are combined in log space: (1/2 + i*I)^(n-1) overflows
 directly once n is moderately large while the full integrand stays tame.
 
 Every integrand here is a numpy expression: it maps the array of quadrature
-nodes to the array of its values, so one refinement is one call on the whole
-``(panels, 15)`` node block, and the inner integral I answers that block in
-one lookup.
+nodes to the array of its values, so one refinement is one call on all of
+that level's positive half-line nodes, and the inner integral I answers them
+in one lookup.  The grid of I is rebuilt from those nodes on every
+refinement, so the inner error shrinks with the outer step.
 """
 
 from __future__ import annotations
@@ -144,22 +145,14 @@ def gaussian_angle_sum(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> EvalRe
 
 
 def _subdivided_grid(nodes: np.ndarray) -> np.ndarray:
-    """Nonnegative grid through 0 and |nodes|, each gap split _INNER_GRID_FACTOR ways.
-
-    Mirrored node pairs from a full-line panel layout land within a few ulp
-    of each other; such hairline gaps are kept unsplit so the grid stays
-    strictly increasing while every original node remains a grid point.
-    """
-    base = np.unique(np.concatenate((np.array([0.0]), np.abs(nodes))))
+    """Grid through 0 and the increasing positive nodes, each gap split _INNER_GRID_FACTOR ways."""
+    base = np.concatenate(([0.0], nodes))
     lo, hi = base[:-1], base[1:]
-    wide = hi - lo > 1e-9 * np.maximum(hi, 1e-300)
     # row i holds lo[i] + k*(hi[i]-lo[i])/factor, k < factor, the points
-    # np.linspace(lo[i], hi[i], factor + 1)[:-1] gives; a hairline gap keeps lo[i] only
+    # np.linspace(lo[i], hi[i], factor + 1)[:-1] gives
     factor = _INNER_GRID_FACTOR
     points = lo[:, None] + np.arange(factor) * ((hi - lo) / factor)[:, None]
-    keep = np.ones(points.shape, dtype=bool)
-    keep[~wide, 1:] = False
-    return np.concatenate((points[keep], base[-1:]))
+    return np.concatenate((points.ravel(), base[-1:]))
 
 
 def _cosh_kernel_evaluation(

@@ -2,8 +2,9 @@
 
 Two pieces:
 
-* :func:`integrate_line` — composite Gauss-Kronrod (7, 15) panels on a
-  truncated interval, refined by doubling the panel count until the
+* :func:`integrate_line` — the exp-sinh map x = exp((pi/2) sinh t) of
+  each half line with the trapezoid rule in t (Takahasi & Mori's
+  double-exponential formula), refined by halving the step until the
   combined discretization + truncation + roundoff estimate meets the
   requested tolerance.  The infinite domain is cut where a caller-supplied
   decay envelope certifies that the remaining tail mass is negligible; the
@@ -15,7 +16,7 @@ Two pieces:
 
 Integrands work on arrays: ``f`` and ``g`` map an ndarray of nodes to an
 ndarray of the same shape.  ``integrate_line`` calls ``f`` once per
-refinement on the whole ``(panels, 15)`` node block; ``CumulativeIntegral``
+refinement on all of that level's nodes; ``CumulativeIntegral``
 calls ``g`` on ``(cells, 7)`` blocks of at most ``_BLOCK_CELLS`` cells and
 answers an array of queries in one call.
 
@@ -35,27 +36,13 @@ from .errors import DomainError, NonConvergenceError
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# Gauss-Kronrod (7, 15) abscissae and weights on [-1, 1]; the odd-index
-# abscissae form the embedded 7-point Gauss rule.
-_GK_NODES_HALF = (
-    0.991455371120812639206854697526329,
+# 7-point Gauss-Legendre abscissae and weights on [-1, 1], for the cumulative
+# evaluator; tabulated rather than computed so every build is bit-reproducible
+_GL_NODES_HALF = (
     0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
     0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
     0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
     0.000000000000000000000000000000000,
-)
-_WGK_HALF = (
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
 )
 _WG_HALF = (
     0.129484966168869693270611432679082,
@@ -63,24 +50,8 @@ _WG_HALF = (
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 )
-
-
-def _build_rules():
-    nodes = [-x for x in _GK_NODES_HALF[:-1]] + [0.0] + [x for x in reversed(_GK_NODES_HALF[:-1])]
-    wgk = list(_WGK_HALF[:-1]) + [_WGK_HALF[-1]] + list(reversed(_WGK_HALF[:-1]))
-    wg = [0.0] * 15
-    for i, w in enumerate(_WG_HALF[:-1]):
-        wg[2 * i + 1] = w
-        wg[13 - 2 * i] = w
-    wg[7] = _WG_HALF[-1]
-    return np.array(nodes), np.array(wgk), np.array(wg)
-
-
-_GK_NODES, _GK_WEIGHTS, _G_WEIGHTS = _build_rules()
-
-# 7-point Gauss-Legendre rule reused for the cumulative evaluator
-_GL_NODES = _GK_NODES[1::2].copy()
-_GL_WEIGHTS = np.array(_WG_HALF[:-1] + (_WG_HALF[-1],) + tuple(reversed(_WG_HALF[:-1])))
+_GL_NODES = np.array([-x for x in _GL_NODES_HALF[:-1]] + [0.0] + list(reversed(_GL_NODES_HALF[:-1])))
+_GL_WEIGHTS = np.array(_WG_HALF + tuple(reversed(_WG_HALF[:-1])))
 
 # Cells per call of a CumulativeIntegral integrand: bounds the (cells, 7)
 # temporaries of a build, whose grid can hold hundreds of thousands of cells.
@@ -88,6 +59,17 @@ _BLOCK_CELLS = 4096
 
 # The line is cut where the envelope's tail mass falls to abs_tol / margin.
 _TRUNCATION_MARGIN = 10.0
+
+# Step in t of the first exp-sinh trapezoid level; each refinement halves it.
+_FIRST_STEP = 0.5
+
+# The nodes start near x_min, chosen so that the envelope's bound at 0 caps
+# the skipped head [0, x_min] at this share of the tail target.  That bound is
+# loose when the amplitude is large (a cosh kernel's 2^rate at high beta), so
+# x_min stays above a floor that keeps the nodes, and the inner cells between
+# them, distinct; the estimate counts the head by f at the smallest node.
+_HEAD_SHARE = 1e-4
+_LOG_X_MIN_FLOOR = math.log(1e-150)
 
 
 @dataclass(frozen=True)
@@ -101,8 +83,9 @@ class QuadratureConfig:
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise DomainError("rel_tol and abs_tol must be positive")
-        if self.max_refinements < 1:
-            raise DomainError("max_refinements must be >= 1")
+        if self.max_refinements < 2:
+            # the error estimate compares two step levels
+            raise DomainError("max_refinements must be >= 2")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -191,28 +174,6 @@ def truncation_point(envelope: DecayEnvelope, log_target: float) -> float:
     return hi
 
 
-def _panel_points(a: float, b: float, panels: int):
-    """Evaluation points of the composite rule as a (panels, 15) array."""
-    width = (b - a) / panels
-    mids = a + (np.arange(panels) + 0.5) * width
-    return mids[:, None] + 0.5 * width * _GK_NODES[None, :], 0.5 * width
-
-
-def _composite_gk(f: Callable[[np.ndarray], np.ndarray], points: np.ndarray, half_width: float):
-    """One composite GK(7,15) pass: (kronrod_sum, sum |K15-G7|, sum resabs)."""
-    fv = np.asarray(f(points), dtype=float)
-    if fv.shape != points.shape:
-        raise DomainError(
-            f"integrand returned shape {fv.shape} for nodes of shape {points.shape}"
-        )
-    if not np.all(np.isfinite(fv)):
-        raise DomainError("integrand returned a non-finite value inside the truncated domain")
-    k15 = half_width * (fv @ _GK_WEIGHTS)
-    g7 = half_width * (fv @ _G_WEIGHTS)
-    resabs = half_width * (np.abs(fv) @ _GK_WEIGHTS)
-    return float(k15.sum()), float(np.abs(k15 - g7).sum()), float(resabs.sum())
-
-
 def integrate_line(
     f: Callable[[np.ndarray], np.ndarray],
     envelope: DecayEnvelope,
@@ -222,14 +183,18 @@ def integrate_line(
 ) -> EvalResult:
     """Integrate f over the whole real line.
 
-    ``f`` maps a ``(panels, 15)`` array of nodes to the array of its values
-    and is called once per refinement.  The envelope certifies the decay of
-    |f| and determines where the line is cut; its tail mass is folded into
-    the error estimate.  With ``symmetric=True`` the caller asserts f is
-    even and only [0, X] is evaluated (then doubled).  ``on_refinement`` is
-    invoked with the full node array before each refinement's integrand
-    evaluation, letting callers rebuild cached inner quantities at matching
-    resolution.
+    Each half line is mapped by x = exp((pi/2) sinh t) and integrated by the
+    trapezoid rule in t, halving the step on each refinement; the
+    discretization estimate is |S_h - S_2h|.  The envelope certifies the
+    decay of |f|: it sets the last node, the cutoff whose tail mass joins
+    the estimate, and the smallest node.
+
+    ``f`` maps an array of nodes to the array of its values and is called
+    once per refinement: on the ``(2, m)`` array of the nodes x and their
+    mirrors -x, or, with ``symmetric=True`` (the caller asserts f is even),
+    on x alone, the result then doubled.  ``on_refinement`` is invoked with
+    the same array first, letting callers rebuild cached inner quantities at
+    matching resolution; every node is evaluated afresh at every level.
 
     Raises NonConvergenceError (carrying the best result) if the tolerance
     is not met within ``cfg.max_refinements`` refinements.
@@ -238,34 +203,57 @@ def integrate_line(
     cutoff = truncation_point(envelope, log_target)
     # both half-line tails are missing regardless of the symmetric shortcut
     tail = 2.0 * math.exp(envelope.log_tail_bound(cutoff))
-    a, b, factor = (0.0, cutoff, 2.0) if symmetric else (-cutoff, cutoff, 1.0)
+    # |f| <= envelope(0) * 2^p on [0, x_min] with x_min <= 1; x_min <= cutoff
+    # keeps a node even when f is negligible everywhere
+    log_head_bound = envelope.log_value(0.0) + envelope.poly_degree * math.log(2.0)
+    log_x_min = min(
+        0.0, math.log(cutoff), max(_LOG_X_MIN_FLOOR, math.log(_HEAD_SHARE) + log_target - log_head_bound)
+    )
+    t_lo = math.asinh(log_x_min / (0.5 * math.pi))
+    t_hi = math.asinh(math.log(cutoff) / (0.5 * math.pi))
+    factor = 2.0 if symmetric else 1.0
 
-    panels = 8
+    h = _FIRST_STEP
     nodes_used = 0
     best: Optional[EvalResult] = None
     stalled = 0
-    previous_estimate = math.inf
+    previous_value = previous_estimate = math.inf
     for _ in range(cfg.max_refinements):
-        points, half_width = _panel_points(a, b, panels)
+        # t = t_hi - k*h down past t_lo: halving h keeps every node of the
+        # level before, and x comes out increasing and positive
+        t = t_hi - h * np.arange(math.ceil((t_hi - t_lo) / h), -1, -1)
+        x = np.exp(0.5 * math.pi * np.sinh(t))
+        weights = h * 0.5 * math.pi * np.cosh(t) * x
+        points = x if symmetric else np.stack((x, -x))
         if on_refinement is not None:
-            on_refinement(points.ravel())
-        total, disc, resabs = _composite_gk(f, points, half_width)
-        nodes_used += 15 * panels
-        value = factor * total
-        roundoff = 50.0 * _EPS * factor * resabs
-        estimate = factor * disc + tail + roundoff
+            on_refinement(points)
+        fv = np.asarray(f(points), dtype=float)
+        if fv.shape != points.shape:
+            raise DomainError(
+                f"integrand returned shape {fv.shape} for nodes of shape {points.shape}"
+            )
+        if not np.all(np.isfinite(fv)):
+            raise DomainError("integrand returned a non-finite value inside the truncated domain")
+        nodes_used += points.size
+        value = factor * float(np.sum(fv @ weights))
+        disc = abs(value - previous_value)
+        roundoff = 50.0 * _EPS * factor * float(np.sum(np.abs(fv) @ weights))
+        # the skipped heads [0, x[0]] on both sides, f taken at its value at x[0]
+        head = factor * float(x[0] * np.sum(np.abs(fv[..., 0])))
+        floor = tail + head + roundoff
+        estimate = disc + floor
         result = EvalResult(value, estimate, "quadrature", nodes_used)
         if best is None or estimate < best.abs_error_estimate:
             best = result
         target = max(cfg.abs_tol, cfg.rel_tol * abs(value))
         if estimate <= target:
             return result
-        if factor * disc < roundoff + tail and roundoff + tail > target:
+        if disc < floor and floor > target:
             # discretization is already below the truncation + roundoff
             # floor; further refinement cannot reach the target
             raise NonConvergenceError(
                 f"requested tolerance {target:.3e} lies below the roundoff/truncation "
-                f"floor {roundoff + tail:.3e} for this integrand",
+                f"floor {floor:.3e} for this integrand",
                 best=best,
             )
         stalled = stalled + 1 if estimate >= previous_estimate else 0
@@ -274,8 +262,8 @@ def integrate_line(
                 f"error estimate stalled at {estimate:.3e} (target {target:.3e})",
                 best=best,
             )
-        previous_estimate = estimate
-        panels *= 2
+        previous_value, previous_estimate = value, estimate
+        h *= 0.5
     raise NonConvergenceError(
         f"tolerance not met after {cfg.max_refinements} refinements "
         f"(best estimate {best.abs_error_estimate:.3e} for value {best.value:.6e})",

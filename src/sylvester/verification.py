@@ -29,18 +29,26 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def known_integral_suite():
-    """20 line integrands with closed-form values and certified envelopes.
+    """22 line integrands with closed-form values and certified envelopes.
 
     Returns (name, f, envelope, exact) tuples; the error-honesty criterion
     demands |computed - exact| <= 3 * abs_error_estimate on every one.  Each
     f is a numpy expression mapping an array of nodes to an array of the
-    same shape, as ``integrate_line`` requires.
+    same shape, as ``integrate_line`` requires.  The last two, sech^a with
+    a small, decay so slowly that their cutoff lies near 1e5; they are taken
+    in log form so no node overflows cosh.
     """
     gauss = lambda x: np.exp(-0.5 * x * x)
     sech = lambda x: 1.0 / np.cosh(x)
     env_g = lambda p=0, s=1.0, la=0.0: DecayEnvelope("gaussian", s, p, la)
     env_e = lambda rate, p=0, la=0.0: DecayEnvelope("exponential", 1.0 / rate, p, la)
     ln = math.log
+    slow_sech = lambda a: (
+        f"sech^{a}",
+        lambda x: np.exp(a * (ln(2.0) - np.logaddexp(x, -x))),
+        env_e(a, 0, a * ln(2.0)),
+        math.sqrt(math.pi) * math.gamma(0.5 * a) / math.gamma(0.5 * (a + 1.0)),
+    )
     return [
         ("gauss", gauss, env_g(), _SQRT_2PI),
         ("x*gauss", lambda x: x * gauss(x), env_g(1), 0.0),
@@ -67,6 +75,8 @@ def known_integral_suite():
          math.pi / math.cosh(0.5 * math.pi)),
         ("cos(2x)*sech^2", lambda x: np.cos(2.0 * x) * sech(x) ** 2, env_e(2.0, 0, ln(4.0)),
          2.0 * math.pi / math.sinh(math.pi)),
+        slow_sech(0.001),
+        slow_sech(0.0001),
     ]
 
 

@@ -159,6 +159,41 @@ class TestCompute:
         assert err.startswith("error:")
 
 
+# Beta-prime values at eps = 1e-2 and 1e-3 above the quadrature threshold
+# 2*beta = d + 1/(d+2), with their error estimates, from the Gauss-Kronrod
+# integrator at tol 1e-10; it converged this far from the threshold.
+BETAPRIME_NEAR_THRESHOLD = {
+    2: ((0.4835396338450688, 5.095837067931349e-13), (0.48510810729391296, 3.9319120050244185e-12)),
+    3: ((0.2340049281246716, 1.7450216710397082e-14), (0.23586304580961698, 1.898519832161166e-12)),
+    5: ((0.055485872440114735, 2.240695970111245e-14), (0.05656792302953087, 3.560182500310264e-13)),
+    8: ((0.0065435957068547155, 4.957584702156358e-15), (0.006802920033207118, 3.1557911260802455e-14)),
+}
+
+
+class TestBetaPrimeThreshold:
+    """Slow decay near the threshold: every query resolves, none passes a wrong value."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_values_near_threshold(self, capsys, d):
+        threshold = 0.5 * d + 0.5 / (d + 2)
+        records = []
+        for k in range(2, 8):
+            code, out, _ = run_cli(
+                capsys, "compute", "--family", "betaprime", "--dim", str(d),
+                "--beta", repr(threshold + 10.0**-k), "--method", "quadrature", "--tol", "1e-8",
+            )
+            assert code == 0, k
+            (rec,) = parse_json_lines(out)
+            records.append(rec)
+        if d == 1:
+            assert all(abs(rec["value"] - 1.0) <= 3.0 * rec["abs_error"] for rec in records)
+            return
+        for rec, (value, estimate) in zip(records, BETAPRIME_NEAR_THRESHOLD[d]):
+            assert abs(rec["value"] - value) <= 3.0 * (rec["abs_error"] + estimate)
+        values = [rec["value"] for rec in records]
+        assert values == sorted(values)
+
+
 class TestMc:
     def test_deterministic_output(self, capsys):
         args = ("mc", "--family", "gauss", "--dim", "2", "--trials", "20000", "--seed", "7")
