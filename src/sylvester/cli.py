@@ -1,8 +1,8 @@
 """Command-line surface: compute / mc / sweep / verify / table.
 
 Data goes to stdout (JSON lines or RFC-4180 CSV), diagnostics to stderr.
-Exit codes: 0 success, 1 verification failure, 2 domain error, 3
-non-convergence.
+Exit codes: 0 success, 1 verification failure, 2 domain error (any
+SylvesterError but non-convergence), 3 non-convergence.
 """
 
 from __future__ import annotations
@@ -15,12 +15,7 @@ import sys
 from typing import Optional
 
 from . import registry, verification
-from .errors import (
-    DegenerateGeometryError,
-    DomainError,
-    NonConvergenceError,
-    NotInRegistryError,
-)
+from .errors import DomainError, NonConvergenceError, SylvesterError
 from .geomc import McConfig, estimate_sylvester
 from .probability import Distribution, sylvester_probability
 from .quad import QuadratureConfig
@@ -237,12 +232,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (DomainError, NotInRegistryError, DegenerateGeometryError) as exc:
+    except SylvesterError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
+        return EXIT_NONCONVERGENCE if isinstance(exc, NonConvergenceError) else EXIT_DOMAIN
 
 
 if __name__ == "__main__":

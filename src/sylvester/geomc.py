@@ -1,12 +1,15 @@
 """Monte Carlo geometric oracle for simplex probabilities.
 
-Independent of the quadrature route: points are sampled by radial
-decomposition, simplex-ness is decided by barycentric coordinates, and
-solid angles of cones are estimated by uniform directions in the cone's
-linear hull.  A trial cloud of d+2 points is a simplex exactly when one
-point lies in the convex hull of the other d+1, which the sign pattern of
-a single barycentric solve decides (the two-block partition of the unique
-affine dependence has a singleton side).
+Independent of the quadrature route.  Every family samples its points in
+homogeneous coordinates: a point x is carried as a positive multiple
+(z, s) of its lifted vector (x, 1), with z standard normal and a scale s
+that sets the law, so no coordinate is ever divided by a small number.
+A trial cloud of d+2 points is a simplex exactly when one point lies in
+the convex hull of the other d+1.  That is the sign pattern of the one
+linear dependence among the d+2 lifted vectors in R^(d+1) (a singleton
+side), which one batched solve gives and which positive rescales keep
+(Stolfi, "Oriented Projective Geometry", 1991).  Solid angles of cones
+are estimated by uniform directions in the cone's linear hull.
 
 Reproducibility contract: trials are processed in fixed-size blocks and
 block i draws from a counter-based generator keyed by (seed, i), so the
@@ -23,13 +26,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, DomainError, SylvesterError
+from .errors import DegenerateGeometryError, DomainError
 from .probability import Distribution
 
 # trials per RNG block; fixed so results never depend on worker count
 BLOCK_TRIALS = 1 << 14
 
-# rank / conditioning guard: condition estimates above 1/TAU_RANK reject
+# rank / conditioning guard: condition estimates above 1/TAU_RANK reject a
+# solve, and coefficients within TAU_RANK of the largest decide no sign
 TAU_RANK = 1e-12
 
 _MAX_RETRIES = 100
@@ -74,7 +78,8 @@ def _block_generator(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=block_index << 128))
 
 
-def _run_blocks(mc: McConfig, block_fn: Callable[[int, int], int]) -> int:
+def _run_blocks(mc: McConfig, block_fn: Callable[[int, int], object]):
+    """Sum of block_fn(index, size) over the blocks; the summands may be arrays of counts."""
     sizes = [
         (i, min(BLOCK_TRIALS, mc.trials - i * BLOCK_TRIALS))
         for i in range((mc.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS)
@@ -86,103 +91,104 @@ def _run_blocks(mc: McConfig, block_fn: Callable[[int, int], int]) -> int:
         return sum(counts)
 
 
-def _sample_points(dist: Distribution, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Draw `count` points from dist as a (count, d) array.
+def _sample_lifted(dist: Distribution, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Draw `count` points from dist as (count, d+1) rows (z, s); the point is z/s.
 
-    Radial decomposition: a uniform direction times a radius R with
-    R^2 ~ BetaLaw(d/2, beta+1) for the beta family and R^2 = V/(1-V),
-    V ~ BetaLaw(d/2, beta-d/2), for beta_prime.
+    z ~ N(0, I_d) and s >= 0: s = 1 for the Gaussian; s^2 = |z|^2 + 2G with
+    G ~ Gamma(beta+1) for the beta family, so |x|^2 ~ BetaLaw(d/2, beta+1)
+    (Gamma(0) is 0, so beta = -1 gives s = |z|, the sphere); s^2 = 2G with
+    G ~ Gamma(beta-d/2) for beta_prime, so |x|^2 = V/(1-V) with
+    V ~ BetaLaw(d/2, beta-d/2).  Nothing is divided, so a heavy tail gives
+    a small s, or s = 0 (a point at infinity), never an infinite coordinate.
     """
     d = dist.d
-    if dist.family == "gaussian":
-        return rng.standard_normal((count, d))
-    directions = rng.standard_normal((count, d))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    lifted = np.ones((count, d + 1))
+    lifted[:, :d] = z = rng.standard_normal((count, d))
     if dist.family == "beta":
-        if dist.beta == -1.0:
-            return directions
-        radii = np.sqrt(rng.beta(0.5 * d, dist.beta + 1.0, size=count))
-    else:
-        v = rng.beta(0.5 * d, dist.beta - 0.5 * d, size=count)
-        radii = np.sqrt(v / (1.0 - v))
-    return directions * radii[:, None]
+        gamma = rng.standard_gamma(dist.beta + 1.0, size=count)
+        lifted[:, d] = np.sqrt((z * z).sum(axis=1) + 2.0 * gamma)
+    elif dist.family == "beta_prime":
+        lifted[:, d] = np.sqrt(2.0 * rng.standard_gamma(dist.beta - 0.5 * d, size=count))
+    return lifted
+
+
+def _sample_points(dist: Distribution, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Draw `count` points from dist as a (count, d) array: z/s of `_sample_lifted`."""
+    lifted = _sample_lifted(dist, rng, count)
+    return lifted[:, :-1] / lifted[:, -1:]
 
 
 def sample_point(dist: Distribution, rng: np.random.Generator) -> np.ndarray:
-    """One draw from dist using the supplied generator state."""
+    """One draw from dist using the supplied generator state (z/s, see `_sample_lifted`)."""
     return _sample_points(dist, rng, 1)[0]
 
 
-def _guarded_solve(a: np.ndarray, rhs: np.ndarray, norm1) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the batch a @ x = rhs; returns (x, bad).
+def _lift(points) -> np.ndarray:
+    """Affine points (..., d) as the lifted vectors (..., d+1) = (x, 1)."""
+    points = np.asarray(points, dtype=float)
+    return np.concatenate((points, np.ones(points.shape[:-1] + (1,))), axis=-1)
 
-    a: (N, k, k); rhs: (N, k), or (1, k) for one right-hand side shared by
-    all systems; norm1: the 1-norm of each a, or one bound for all.  bad
-    marks systems that are singular, whose condition estimate
-    norm1 * |inv(a)|_1 exceeds 1/TAU_RANK, or whose solution is not finite.
+
+def _barycentric_batch(lifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients lam of the last lifted vector in the first d+1; the one batched solve.
+
+    lifted: (N, d+2, d+1).  Returns (lam (N, d+1), degenerate (N,)), where
+    degenerate marks systems that are singular, whose condition estimate
+    |a|_1 |inv(a)|_1 exceeds 1/TAU_RANK, or whose solution is not finite.
     """
-    singular = np.zeros(a.shape[0], dtype=bool)
+    n_trials, m, k = lifted.shape
+    if m != k + 1:
+        raise DomainError(f"expected d+2 = {k + 1} points per trial, got {m}")
+    a = lifted[:, :k, :].transpose(0, 2, 1)
+    singular = np.zeros(n_trials, dtype=bool)
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         # invert one by one; exactly singular systems keep NaN inverses
         inv = np.full_like(a, np.nan)
-        for i in range(a.shape[0]):
+        for i in range(n_trials):
             try:
                 inv[i] = np.linalg.inv(a[i])
             except np.linalg.LinAlgError:
                 singular[i] = True
-    cond = norm1 * np.abs(inv).sum(axis=1).max(axis=1)
-    x = (inv @ rhs[..., None])[..., 0]
-    bad = singular | ~np.isfinite(cond) | (cond > 1.0 / TAU_RANK)
-    bad |= ~np.isfinite(x).all(axis=1)
-    return x, bad
+    cond = np.abs(a).sum(axis=1).max(axis=1) * np.abs(inv).sum(axis=1).max(axis=1)
+    lam = (inv @ lifted[:, k, :, None])[..., 0]
+    degenerate = singular | ~np.isfinite(cond) | (cond > 1.0 / TAU_RANK)
+    return lam, degenerate | ~np.isfinite(lam).all(axis=1)
 
 
-def _barycentric_batch(points: np.ndarray):
-    """Barycentric coordinates of the last point w.r.t. the first d+1.
+def _closed_inside(lam: np.ndarray) -> np.ndarray:
+    """Whether barycentric coordinates lam (..., k) lie in the closed simplex."""
+    return (lam >= -TAU_RANK * np.abs(lam).max(axis=-1, keepdims=True)).all(axis=-1)
 
-    points: (N, d+2, d).  Returns (lam (N, d+1), degenerate (N,), tau (N,)).
+
+def _sign_rule(lam: np.ndarray, degenerate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per trial (simplex, undecided) from the signs of sum_i lam_i v_i = v_last.
+
+    A simplex has a singleton side: exactly one lam_i is positive (point i is
+    inside the others' hull) or all are (the last point is).  A trial is
+    decided only when every |lam_i| exceeds TAU_RANK times the largest.
     """
-    n_trials, m, d = points.shape
-    if m != d + 2:
-        raise DomainError(f"expected d+2 = {d + 2} points per trial, got {m}")
-    a = np.empty((n_trials, d + 1, d + 1))
-    a[:, :d, :] = points[:, : d + 1, :].transpose(0, 2, 1)
-    a[:, d, :] = 1.0
-    rhs = np.empty((n_trials, d + 1))
-    rhs[:, :d] = points[:, d + 1, :]
-    rhs[:, d] = 1.0
-    norm1 = np.abs(a).sum(axis=1).max(axis=1)
-    lam, degenerate = _guarded_solve(a, rhs, norm1)
-    tau = 1e-12 * (1.0 + norm1)
-    return lam, degenerate, tau
+    size = np.abs(lam)
+    undecided = degenerate | (size <= TAU_RANK * size.max(axis=1, keepdims=True)).any(axis=1)
+    positive = (lam > 0).sum(axis=1)
+    return (positive == 1) | (positive == lam.shape[1]), undecided
 
 
 def simplex_indicators(points: np.ndarray) -> np.ndarray:
     """Per-trial indicator that the d+2 points form a simplex.
 
     points: (N, d+2, d).  Raises DegenerateGeometryError when any trial is
-    numerically rank-deficient (callers doing Monte Carlo resample instead;
-    this surface is for fixed, well-posed clouds).
+    undecided: numerically rank-deficient, or with a point on a facet of
+    the others' hull (callers doing Monte Carlo resample instead; this
+    surface is for fixed, well-posed clouds).
     """
-    points = np.asarray(points, dtype=float)
-    lam, degenerate, tau = _barycentric_batch(points)
-    if degenerate.any():
+    simplex, undecided = _sign_rule(*_barycentric_batch(_lift(points)))
+    if undecided.any():
         raise DegenerateGeometryError(
-            f"{int(degenerate.sum())} of {points.shape[0]} trials are numerically degenerate"
+            f"{int(undecided.sum())} of {simplex.size} trials are numerically degenerate"
         )
-    return _classify(lam, tau)
-
-
-def _classify(lam: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    # last point inside the others' hull: all coordinates nonnegative;
-    # point k inside: its coordinate is the only positive one (at most one can be)
-    inside_last = (lam >= -tau[:, None]).all(axis=1)
-    inside_one = (lam > tau[:, None]).sum(axis=1) == 1
-    if (inside_last & inside_one).any():
-        raise SylvesterError("two points claimed to be inside the hull of the others")
-    return inside_last | inside_one
+    return simplex
 
 
 def is_inside_simplex(x: Sequence[float], vertices: Sequence[Sequence[float]]) -> bool:
@@ -197,42 +203,47 @@ def is_inside_simplex(x: Sequence[float], vertices: Sequence[Sequence[float]]) -
     d = x.shape[0]
     if vertices.shape != (d + 1, d):
         raise DomainError(f"need {d + 1} vertices in R^{d}, got shape {vertices.shape}")
-    lam, degenerate, tau = _barycentric_batch(np.vstack((vertices, x))[None])
-    if degenerate[0]:
+    (lam,), (degenerate,) = _barycentric_batch(_lift(np.vstack((vertices, x)))[None])
+    if degenerate:
         raise DegenerateGeometryError(
             f"vertices are affinely dependent up to the condition bound {1.0 / TAU_RANK:.1e}"
         )
-    return bool((lam[0] >= -tau[0]).all())
+    return bool(_closed_inside(lam))
 
 
 def estimate_sylvester(dist: Distribution, mc: McConfig) -> McResult:
     """Monte Carlo estimate of the simplex probability for dist.
 
-    Per trial: draw d+2 points, succeed iff some point lies inside the
-    convex hull of the other d+1 (at most one can, which is asserted).
-    Deterministic given (seed, trials), independent of workers.
+    Per trial: draw d+2 lifted points and apply the sign rule; an undecided
+    trial is resampled.  That can move the estimate by the share resampled,
+    so more than sqrt(trials)/2 (trials times the largest binomial stderr)
+    raises DegenerateGeometryError.  Deterministic given (seed, trials) at any
+    worker count.
     """
     d = dist.d
+    limit = 0.5 * math.sqrt(mc.trials)
 
-    def block(block_index: int, size: int) -> int:
+    def draw(rng: np.random.Generator, size: int):
+        lifted = _sample_lifted(dist, rng, size * (d + 2)).reshape(size, d + 2, d + 1)
+        return _sign_rule(*_barycentric_batch(lifted))
+
+    def block(block_index: int, size: int) -> np.ndarray:
         rng = _block_generator(mc.seed, block_index)
-        pts = _sample_points(dist, rng, size * (d + 2)).reshape(size, d + 2, d)
-        lam, degenerate, tau = _barycentric_batch(pts)
-        for _ in range(_MAX_RETRIES):
-            if not degenerate.any():
-                break
-            redo = np.flatnonzero(degenerate)
-            pts[redo] = _sample_points(dist, rng, redo.size * (d + 2)).reshape(
-                redo.size, d + 2, d
-            )
-            lam[redo], degenerate[redo], tau[redo] = _barycentric_batch(pts[redo])
-        else:
-            raise DegenerateGeometryError(
-                f"trials stayed degenerate after {_MAX_RETRIES} resampling rounds"
-            )
-        return int(_classify(lam, tau).sum())
+        simplex, undecided = draw(rng, size)
+        resampled = undecided.sum()
+        while undecided.any() and resampled <= limit:
+            redo = np.flatnonzero(undecided)
+            simplex[redo], undecided[redo] = draw(rng, redo.size)
+            resampled += undecided.sum()
+        return np.array([simplex.sum(), resampled])
 
-    return _mc_result(_run_blocks(mc, block), mc)
+    successes, resampled = _run_blocks(mc, block)
+    if resampled > limit:
+        raise DegenerateGeometryError(
+            f"{resampled} numerically undecided trials to resample, more than sqrt(trials)/2 = "
+            f"{limit:.1f} of {mc.trials}: resampling could bias the estimate by over one stderr"
+        )
+    return _mc_result(int(successes), mc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,28 +317,23 @@ def projection_experiment(vertices: Sequence[Sequence[float]], mc: McConfig) -> 
     q, _ = np.linalg.qr(edges.T)
     coords = edges @ q  # (n, n)
 
-    base = np.zeros((n + 1, n + 1))
-    base[:n, :n] = coords.T
-    base[n, :n] = 1.0
-    rhs = np.zeros(n + 1)
-    rhs[n] = 1.0
-    norm1 = np.abs(base).sum(axis=0).max() + 1.0  # +1 covers the unit direction column
-    tau = 1e-12 * (1.0 + norm1)
+    # per trial the lifted vertices (coords, 1), a direction (u, 0), and the
+    # last vertex (0, 1): the projected last vertex is inside when the
+    # coefficients of the vertices lie in the closed simplex
+    template = np.zeros((n + 2, n + 1))
+    template[:n, :n] = coords
+    template[:n, n] = template[n + 1, n] = 1.0
 
     def block(block_index: int, size: int) -> int:
         rng = _block_generator(mc.seed, block_index)
+        trials = np.repeat(template[None], size, axis=0)
         successes = 0
-        remaining = np.arange(size)
-        matrices = np.broadcast_to(base, (size, n + 1, n + 1)).copy()
         for _ in range(_MAX_RETRIES):
-            directions = rng.standard_normal((remaining.size, n))
-            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-            matrices[remaining, :n, n] = directions
-            solution, bad = _guarded_solve(matrices[remaining], rhs[None, :], norm1)
-            lam = solution[:, :n]
-            successes += int(((lam >= -tau).all(axis=1) & ~bad).sum())
-            remaining = remaining[bad]
-            if remaining.size == 0:
+            trials[:, n, :n] = rng.standard_normal((trials.shape[0], n))
+            lam, bad = _barycentric_batch(trials)
+            successes += int((_closed_inside(lam[:, :n]) & ~bad).sum())
+            trials = trials[bad]
+            if trials.shape[0] == 0:
                 return successes
         raise DegenerateGeometryError(
             f"projections stayed degenerate after {_MAX_RETRIES} resampling rounds"

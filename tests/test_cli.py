@@ -1,13 +1,17 @@
 """CLI tests driven through main(argv) with captured streams."""
 
+import contextlib
 import csv
 import io
 import json
 import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sylvester import registry, verification
+from sylvester import cli, registry, verification
 from sylvester.cli import main
 from sylvester.errors import NonConvergenceError, SylvesterError
 
@@ -244,6 +248,60 @@ class TestMc:
         )
         assert code == 2
         assert "beta" in err
+
+    @pytest.mark.parametrize("d,k", [(d, k) for d in (2, 3, 5, 8) for k in (2, 3)])
+    def test_matches_quadrature_near_threshold(self, capsys, d, k):
+        threshold = 0.5 * d + 0.5 / (d + 2)
+        code, out, _ = run_cli(
+            capsys, "mc", "--family", "betaprime", "--dim", str(d),
+            "--beta", repr(threshold + 10.0**-k), "--trials", "200000",
+            "--seed", str(20240 + d), "--workers", "2",
+        )
+        assert code == 0
+        (rec,) = parse_json_lines(out)
+        value, _ = BETAPRIME_NEAR_THRESHOLD[d][k - 2]
+        assert abs(rec["value"] - value) <= 4.0 * rec["stderr"]
+
+    def test_heavy_tailed_line_is_certain(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "mc", "--family", "betaprime", "--dim", "1", "--beta", "0.6",
+            "--trials", "100000", "--seed", "1",
+        )
+        assert code == 0
+        assert parse_json_lines(out)[0]["value"] == 1.0
+
+    def test_too_many_undecided_trials_exit_2(self, capsys):
+        # beta - d/2 = 0.01: a share of the draws sit too close to infinity to decide
+        code, out, err = run_cli(
+            capsys, "mc", "--family", "betaprime", "--dim", "5", "--beta", "2.51",
+            "--trials", "100000", "--seed", "1",
+        )
+        assert code == 2 and out == ""
+        count = int(re.search(r"(\d+) numerically undecided trials", err).group(1))
+        assert count > 0.5 * math.sqrt(100_000)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        family=st.sampled_from(["gauss", "beta", "betaprime"]),
+        d=st.integers(1, 8),
+        offset=st.one_of(
+            st.floats(-8.0, -1.0).map(lambda e: 10.0**e),  # near the family's threshold
+            st.floats(0.1, 5.0),
+            st.floats(1.0, 4.0).map(lambda e: 10.0**e),  # up to 1e4
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mc_gives_a_value_or_a_typed_error(self, family, d, offset, seed):
+        argv = ["mc", "--family", family, "--dim", str(d), "--trials", "2000", "--seed", str(seed)]
+        if family != "gauss":
+            # beta > -1 for the beta family, beta > d/2 for beta-prime
+            argv += ["--beta", repr((-1.0 if family == "beta" else 0.5 * d) + offset)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2)
+        if code == 0:
+            assert 0.0 <= parse_json_lines(out.getvalue())[0]["value"] <= 1.0
 
 
 class TestSweep:
@@ -489,6 +547,15 @@ class TestVerify:
         assert [(r.status, r.detail) for r in results] == [
             ("FAIL", "error: no convergence"), ("WARN", "error: no convergence"),
         ]
+
+    def test_any_other_sylvester_error_exits_2(self, capsys, monkeypatch):
+        def boom(dist, mc):
+            raise SylvesterError("boom")
+
+        monkeypatch.setattr(cli, "estimate_sylvester", boom)
+        code, _, err = run_cli(capsys, "mc", "--family", "gauss", "--dim", "2", "--trials", "10")
+        assert code == 2
+        assert "error: boom" in err
 
     def test_exit_code_taxonomy(self, capsys):
         # argparse usage failures map to 2 as well

@@ -11,8 +11,12 @@ from sylvester.geomc import (
     BLOCK_TRIALS,
     McConfig,
     SimplicialCone,
+    _barycentric_batch,
     _block_generator,
+    _lift,
+    _sample_lifted,
     _sample_points,
+    _sign_rule,
     estimate_cone_angle,
     estimate_sylvester,
     is_inside_simplex,
@@ -72,6 +76,13 @@ class TestSampling:
         point = sample_point(Distribution("beta", 4, 2.0), _rng())
         assert point.shape == (4,)
         assert np.linalg.norm(point) <= 1.0
+
+    def test_beta_prime_lifted_rows_stay_finite_at_the_threshold(self):
+        # s^2 = 2 Gamma(1e-6) underflows to 0 for most draws: points at infinity, no inf or NaN
+        lifted = _sample_lifted(Distribution("beta_prime", 2, 1.0 + 1e-6), _rng(), 10_000)
+        assert lifted.shape == (10_000, 3)
+        assert np.isfinite(lifted).all() and (lifted[:, 2] >= 0.0).all()
+        assert (lifted[:, 2] == 0.0).any()
 
     def test_directions_are_uniform(self):
         pts = _sample_points(Distribution("beta", 2, -1.0), _rng(), 100_000)
@@ -181,6 +192,24 @@ class TestIndicators:
         cloud[0] = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)]
         with pytest.raises(DegenerateGeometryError):
             simplex_indicators(cloud)
+
+    def test_repeated_point_is_undecided(self):
+        # the last point equals the first: coordinates (1, 0, 0) tie at zero
+        cloud = np.array([[(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)]])
+        with pytest.raises(DegenerateGeometryError):
+            simplex_indicators(cloud)
+
+    def test_positive_rescale_keeps_decided_indicators(self):
+        rng = _rng(44)
+        d = 3
+        lifted = _lift(_sample_points(Distribution("gaussian", d), rng, 1_000 * (d + 2)))
+        lifted = lifted.reshape(1_000, d + 2, d + 1)
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, size=(1_000, d + 2, 1))
+        base, base_undecided = _sign_rule(*_barycentric_batch(lifted))
+        scaled, scaled_undecided = _sign_rule(*_barycentric_batch(lifted * scales))
+        decided = ~base_undecided & ~scaled_undecided
+        assert decided.sum() >= 990
+        assert (base[decided] == scaled[decided]).all()
 
 
 class TestConeAngle:
