@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from typing import Optional
 
@@ -29,6 +30,8 @@ _RECORD_FIELDS = ("family", "d", "beta", "method", "value", "abs_error", "stderr
 
 _FAMILY_FLAGS = {"gauss": "gaussian", "beta": "beta", "betaprime": "beta_prime"}
 _FAMILY_NAMES = {v: k for k, v in _FAMILY_FLAGS.items()}
+
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 
 
 def _record(family, d, beta, method, value, abs_error=None, stderr=None, trials=None, seed=None):
@@ -228,8 +231,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_numbers(argv) -> list:
+    """Write "--beta -1e-05" as "--beta=-1e-05": argparse takes "-1e-05" for an option."""
+    joined = []
+    for token in argv:
+        previous = joined[-1] if joined else ""
+        if previous.startswith("--") and "=" not in previous and _NEGATIVE_NUMBER.fullmatch(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_negative_numbers(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
     except SylvesterError as exc:

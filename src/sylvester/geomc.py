@@ -7,9 +7,10 @@ that sets the law, so no coordinate is ever divided by a small number.
 A trial cloud of d+2 points is a simplex exactly when one point lies in
 the convex hull of the other d+1.  That is the sign pattern of the one
 linear dependence among the d+2 lifted vectors in R^(d+1) (a singleton
-side), which one batched solve gives and which positive rescales keep
-(Stolfi, "Oriented Projective Geometry", 1991).  Solid angles of cones
-are estimated by uniform directions in the cone's linear hull.
+side), which positive rescales keep (Stolfi, "Oriented Projective
+Geometry", 1991).  Each trial is decided by one equilibrated batched solve,
+`_barycentric_batch`, and undecided trials are resampled by one loop,
+`_estimate`.  Solid angles of cones are estimated by uniform directions.
 
 Reproducibility contract: trials are processed in fixed-size blocks and
 block i draws from a counter-based generator keyed by (seed, i), so the
@@ -32,11 +33,10 @@ from .probability import Distribution
 # trials per RNG block; fixed so results never depend on worker count
 BLOCK_TRIALS = 1 << 14
 
-# rank / conditioning guard: condition estimates above 1/TAU_RANK reject a
-# solve, and coefficients within TAU_RANK of the largest decide no sign
+# rank / conditioning guard: an equilibrated condition estimate above 1/TAU_RANK
+# rejects a solve, a |diag R| within TAU_RANK of the largest rejects a frame,
+# and coefficients within TAU_RANK of the largest decide no sign
 TAU_RANK = 1e-12
-
-_MAX_RETRIES = 100
 
 
 @dataclass(frozen=True)
@@ -124,35 +124,38 @@ def sample_point(dist: Distribution, rng: np.random.Generator) -> np.ndarray:
 
 
 def _lift(points) -> np.ndarray:
-    """Affine points (..., d) as the lifted vectors (..., d+1) = (x, 1)."""
+    """Affine points (..., d) as the lifted vectors (..., d+1) = (x, 1), in a fresh array."""
     points = np.asarray(points, dtype=float)
+    if not np.isfinite(points).all():
+        raise DomainError("point coordinates must be finite")
     return np.concatenate((points, np.ones(points.shape[:-1] + (1,))), axis=-1)
 
 
 def _barycentric_batch(lifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients lam of the last lifted vector in the first d+1; the one batched solve.
+    """Coefficients lam of the last lifted vector in the first d+1; the one per-trial solve.
 
-    lifted: (N, d+2, d+1).  Returns (lam (N, d+1), degenerate (N,)), where
-    degenerate marks systems that are singular, whose condition estimate
-    |a|_1 |inv(a)|_1 exceeds 1/TAU_RANK, or whose solution is not finite.
+    lifted: finite (N, d+2, d+1), scaled in place (pass a fresh array): each
+    coordinate is divided by its largest |value| in the trial, a positive
+    diagonal map that keeps lam.  A second right-hand side, a p = 1, gives the
+    condition estimate |a|_1 |p|_1 / (d+1).  Returns (lam (N, d+1), degenerate
+    (N,)): exactly singular, estimate above 1/TAU_RANK, or lam not finite.
     """
     n_trials, m, k = lifted.shape
     if m != k + 1:
         raise DomainError(f"expected d+2 = {k + 1} points per trial, got {m}")
+    lifted /= np.maximum(np.abs(lifted).max(axis=1, keepdims=True), np.finfo(float).tiny)
     a = lifted[:, :k, :].transpose(0, 2, 1)
+    rhs = np.stack((lifted[:, k, :], np.ones((n_trials, k))), axis=-1)
     singular = np.zeros(n_trials, dtype=bool)
     try:
-        inv = np.linalg.inv(a)
+        solution = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
-        # invert one by one; exactly singular systems keep NaN inverses
-        inv = np.full_like(a, np.nan)
-        for i in range(n_trials):
-            try:
-                inv[i] = np.linalg.inv(a[i])
-            except np.linalg.LinAlgError:
-                singular[i] = True
-    cond = np.abs(a).sum(axis=1).max(axis=1) * np.abs(inv).sum(axis=1).max(axis=1)
-    lam = (inv @ lifted[:, k, :, None])[..., 0]
+        # only exactly singular systems raise: solve the rest with identities in their place
+        singular = np.linalg.slogdet(a)[0] == 0
+        solution = np.linalg.solve(np.where(singular[:, None, None], np.eye(k), a), rhs)
+    lam, p = solution[..., 0], solution[..., 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond = np.abs(a).sum(axis=1).max(axis=1) * np.abs(p).sum(axis=1) / k
     degenerate = singular | ~np.isfinite(cond) | (cond > 1.0 / TAU_RANK)
     return lam, degenerate | ~np.isfinite(lam).all(axis=1)
 
@@ -194,48 +197,40 @@ def simplex_indicators(points: np.ndarray) -> np.ndarray:
 def is_inside_simplex(x: Sequence[float], vertices: Sequence[Sequence[float]]) -> bool:
     """Whether x lies in the closed simplex spanned by d+1 vertices in R^d.
 
-    Solves the barycentric system; boundary points count as inside.  Raises
-    DegenerateGeometryError when the vertices are affinely dependent up to
-    the conditioning tolerance.
+    Boundary points count as inside, and a common positive scale of x and the
+    vertices keeps the answer.  Raises DomainError for non-finite input and
+    DegenerateGeometryError when `_barycentric_batch` finds the vertices degenerate.
     """
     x = np.asarray(x, dtype=float)
     vertices = np.asarray(vertices, dtype=float)
-    d = x.shape[0]
-    if vertices.shape != (d + 1, d):
-        raise DomainError(f"need {d + 1} vertices in R^{d}, got shape {vertices.shape}")
+    if x.ndim != 1 or vertices.shape != (x.size + 1, x.size):
+        raise DomainError(f"need {x.size + 1} vertices in R^{x.size}, got shape {vertices.shape}")
     (lam,), (degenerate,) = _barycentric_batch(_lift(np.vstack((vertices, x)))[None])
     if degenerate:
         raise DegenerateGeometryError(
-            f"vertices are affinely dependent up to the condition bound {1.0 / TAU_RANK:.1e}"
+            f"vertices are affinely dependent: singular, or condition estimate above {1.0 / TAU_RANK:.1e}"
         )
     return bool(_closed_inside(lam))
 
 
-def estimate_sylvester(dist: Distribution, mc: McConfig) -> McResult:
-    """Monte Carlo estimate of the simplex probability for dist.
+def _estimate(mc: McConfig, draw: Callable[[np.random.Generator, int], tuple]) -> McResult:
+    """Binomial estimate from draw(rng, size) -> per-trial (success, undecided).
 
-    Per trial: draw d+2 lifted points and apply the sign rule; an undecided
-    trial is resampled.  That can move the estimate by the share resampled,
-    so more than sqrt(trials)/2 (trials times the largest binomial stderr)
-    raises DegenerateGeometryError.  Deterministic given (seed, trials) at any
-    worker count.
+    Undecided trials are resampled, which can move the estimate by the share
+    resampled: more than sqrt(trials)/2 of them (trials times the largest binomial
+    stderr) raises DegenerateGeometryError.  A pure function of (seed, trials).
     """
-    d = dist.d
     limit = 0.5 * math.sqrt(mc.trials)
-
-    def draw(rng: np.random.Generator, size: int):
-        lifted = _sample_lifted(dist, rng, size * (d + 2)).reshape(size, d + 2, d + 1)
-        return _sign_rule(*_barycentric_batch(lifted))
 
     def block(block_index: int, size: int) -> np.ndarray:
         rng = _block_generator(mc.seed, block_index)
-        simplex, undecided = draw(rng, size)
+        success, undecided = draw(rng, size)
         resampled = undecided.sum()
         while undecided.any() and resampled <= limit:
             redo = np.flatnonzero(undecided)
-            simplex[redo], undecided[redo] = draw(rng, redo.size)
+            success[redo], undecided[redo] = draw(rng, redo.size)
             resampled += undecided.sum()
-        return np.array([simplex.sum(), resampled])
+        return np.array([success.sum(), resampled])
 
     successes, resampled = _run_blocks(mc, block)
     if resampled > limit:
@@ -244,6 +239,26 @@ def estimate_sylvester(dist: Distribution, mc: McConfig) -> McResult:
             f"{limit:.1f} of {mc.trials}: resampling could bias the estimate by over one stderr"
         )
     return _mc_result(int(successes), mc)
+
+
+def estimate_sylvester(dist: Distribution, mc: McConfig) -> McResult:
+    """Monte Carlo estimate of the simplex probability for dist: the sign rule on d+2 lifted points."""
+    d = dist.d
+
+    def draw(rng: np.random.Generator, size: int):
+        lifted = _sample_lifted(dist, rng, size * (d + 2)).reshape(size, d + 2, d + 1)
+        return _sign_rule(*_barycentric_batch(lifted))
+
+    return _estimate(mc, draw)
+
+
+def _frame(vectors: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """QR of vectors.T, q spanning the k rows; a |diag r| within TAU_RANK of the largest raises."""
+    q, r = np.linalg.qr(vectors.T)
+    diag = np.abs(np.diag(r))
+    if diag.min() <= TAU_RANK * diag.max():
+        raise DegenerateGeometryError(f"{what} are numerically dependent")
+    return q, r
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,21 +286,16 @@ def estimate_cone_angle(cone: SimplicialCone, mc: McConfig) -> McResult:
     covered by the cone: sample uniform directions in that hull and test
     membership through the generator coordinates.
     """
-    gens = cone.generators
-    k = gens.shape[0]
-    # orthonormal basis of the linear hull; R holds generator coordinates
-    _, r = np.linalg.qr(gens.T)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= TAU_RANK * max(diag.max(), 1.0):
-        raise DegenerateGeometryError("cone generators are numerically dependent")
-    tau = 1e-12 * (1.0 + np.abs(r).sum(axis=0).max())
+    # generator coordinates in a basis of the hull: one triangular solve per block
+    _, r = _frame(cone.generators, "cone generators")
+    k = r.shape[0]
 
     def block(block_index: int, size: int) -> int:
         rng = _block_generator(mc.seed, block_index)
         directions = rng.standard_normal((size, k))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
         coords = np.linalg.solve(r, directions.T).T
-        return int(((coords >= -tau).all(axis=1)).sum())
+        return int(_closed_inside(coords).sum())
 
     return _mc_result(_run_blocks(mc, block), mc)
 
@@ -310,11 +320,8 @@ def projection_experiment(vertices: Sequence[Sequence[float]], mc: McConfig) -> 
     if vertices.shape[1] < n:
         raise DomainError(f"{n + 1} vertices cannot span an {n}-simplex in R^{vertices.shape[1]}")
     edges = vertices[:n] - vertices[n]
-    singular_values = np.linalg.svd(edges, compute_uv=False)
-    if singular_values.min() <= TAU_RANK * max(singular_values.max(), 1.0):
-        raise DegenerateGeometryError("vertices are not in general position")
     # intrinsic coordinates of the vertices; the last one sits at the origin
-    q, _ = np.linalg.qr(edges.T)
+    q, _ = _frame(edges, "simplex vertices")
     coords = edges @ q  # (n, n)
 
     # per trial the lifted vertices (coords, 1), a direction (u, 0), and the
@@ -324,19 +331,10 @@ def projection_experiment(vertices: Sequence[Sequence[float]], mc: McConfig) -> 
     template[:n, :n] = coords
     template[:n, n] = template[n + 1, n] = 1.0
 
-    def block(block_index: int, size: int) -> int:
-        rng = _block_generator(mc.seed, block_index)
+    def draw(rng: np.random.Generator, size: int):
         trials = np.repeat(template[None], size, axis=0)
-        successes = 0
-        for _ in range(_MAX_RETRIES):
-            trials[:, n, :n] = rng.standard_normal((trials.shape[0], n))
-            lam, bad = _barycentric_batch(trials)
-            successes += int((_closed_inside(lam[:, :n]) & ~bad).sum())
-            trials = trials[bad]
-            if trials.shape[0] == 0:
-                return successes
-        raise DegenerateGeometryError(
-            f"projections stayed degenerate after {_MAX_RETRIES} resampling rounds"
-        )
+        trials[:, n, :n] = rng.standard_normal((size, n))
+        lam, degenerate = _barycentric_batch(trials)
+        return _closed_inside(lam[:, :n]), degenerate
 
-    return _mc_result(_run_blocks(mc, block), mc)
+    return _estimate(mc, draw)

@@ -8,7 +8,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sylvester import cli, registry, verification
@@ -108,6 +108,14 @@ class TestCompute:
         assert code == 2
         assert out == ""
         assert "2*beta > d + 1/(d+2)" in err
+
+    def test_negative_beta_in_scientific_notation(self, capsys):
+        # argparse alone takes "-1e-05" for an option and exits
+        code, out, _ = run_cli(capsys, "compute", "--family", "beta", "--dim", "2", "--beta", "-1e-05")
+        assert code == 0
+        (rec,) = parse_json_lines(out)
+        assert rec["beta"] == -1e-05
+        assert 0.0 < rec["value"] < 35.0 / (12.0 * math.pi**2)
 
     def test_quadrature_method_flag(self, capsys):
         code, out, _ = run_cli(
@@ -281,6 +289,7 @@ class TestMc:
         assert count > 0.5 * math.sqrt(100_000)
 
     @settings(max_examples=100, deadline=None)
+    @example(family="beta", d=1, offset=0.99999, seed=0)  # beta = -1.0000000000065512e-05
     @given(
         family=st.sampled_from(["gauss", "beta", "betaprime"]),
         d=st.integers(1, 8),
@@ -330,6 +339,14 @@ class TestSweep:
         assert len(data) == 4  # the remaining grid points all evaluate
         values = [float(row.split(",")[1]) for row in data]
         assert values == sorted(values, reverse=True)
+
+    def test_negative_beta_min_in_scientific_notation(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--family", "beta", "--dim", "2",
+            "--beta-min", "-1e-05", "--beta-max", "1", "--steps", "1",
+        )
+        assert code == 0
+        assert out.splitlines()[1].startswith("-1e-05,")
 
     def test_whole_range_invalid_exits_2(self, capsys):
         code, _, err = run_cli(

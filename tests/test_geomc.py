@@ -1,11 +1,16 @@
 """Monte Carlo oracle tests: sampling laws, hull tests, reproducibility."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from sylvester import geomc
 from sylvester.errors import DegenerateGeometryError, DomainError
 from sylvester.geomc import (
     BLOCK_TRIALS,
@@ -32,9 +37,46 @@ J5_REGULAR = 0.25 - (5.0 / (2.0 * math.pi)) * math.asin(0.25)
 # two-sided asymptotic Kolmogorov-Smirnov critical value at the 0.1% level
 KS_CRITICAL = 1.9495
 
+# common scales of a cloud: every decision is invariant under them
+SCALES = (1.0, 1e12, 1e-300, 1e300)
+
+# a coordinate at any scale 1e-300 ... 1e300, or not finite
+COORDINATE = st.one_of(
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-1.0, 1.0), st.integers(-300, 300)),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
 
 def _rng(seed=123):
     return _block_generator(seed, 0)
+
+
+def _exact_det(rows) -> Fraction:
+    """Determinant by Gaussian elimination over the rationals."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for j in range(len(m)):
+        pivot = next((i for i in range(j, len(m)) if m[i][j]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != j:
+            m[j], m[pivot], det = m[pivot], m[j], -det
+        det *= m[j][j]
+        for i in range(j + 1, len(m)):
+            factor = m[i][j] / m[j][j]
+            m[i] = [x - factor * y for x, y in zip(m[i], m[j])]
+    return det
+
+
+def _exact_signs(trial) -> np.ndarray:
+    """Exact signs of lam in sum_i lam_i v_i = v_last, from the maximal minors of the lifted vectors.
+
+    c_i = (-1)^i det(V without row i) spans the dependence sum_i c_i v_i = 0,
+    so lam_i = -c_i / c_last.
+    """
+    rows = trial.tolist()
+    minors = [(-1) ** i * _exact_det(rows[:i] + rows[i + 1:]) for i in range(len(rows))]
+    return np.array([-np.sign(c) * np.sign(minors[-1]) for c in minors[:-1]], dtype=float)
 
 
 class TestSampling:
@@ -95,10 +137,16 @@ class TestInsideSimplex:
     TRIANGLE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
 
     def test_interior(self):
-        assert is_inside_simplex((0.25, 0.25), self.TRIANGLE)
+        for c in SCALES:
+            vertices, x = c * np.array(self.TRIANGLE), (0.25 * c, 0.25 * c)
+            assert is_inside_simplex(x, vertices), c
+            assert simplex_indicators(np.vstack((vertices, x))[None]).tolist() == [True], c
 
     def test_exterior(self):
-        assert not is_inside_simplex((1.0, 1.0), self.TRIANGLE)
+        for c in SCALES:
+            vertices, x = c * np.array(self.TRIANGLE), (c, c)
+            assert not is_inside_simplex(x, vertices), c
+            assert simplex_indicators(np.vstack((vertices, x))[None]).tolist() == [False], c
 
     def test_vertex_counts_as_inside(self):
         assert is_inside_simplex((0.0, 0.0), self.TRIANGLE)
@@ -205,11 +253,71 @@ class TestIndicators:
         lifted = _lift(_sample_points(Distribution("gaussian", d), rng, 1_000 * (d + 2)))
         lifted = lifted.reshape(1_000, d + 2, d + 1)
         scales = 10.0 ** rng.uniform(-3.0, 3.0, size=(1_000, d + 2, 1))
-        base, base_undecided = _sign_rule(*_barycentric_batch(lifted))
+        base, base_undecided = _sign_rule(*_barycentric_batch(lifted.copy()))
         scaled, scaled_undecided = _sign_rule(*_barycentric_batch(lifted * scales))
         decided = ~base_undecided & ~scaled_undecided
         assert decided.sum() >= 990
         assert (base[decided] == scaled[decided]).all()
+
+    def test_decided_signs_match_exact_arithmetic(self):
+        rng = _rng(46)
+        trials = []
+        # beta-prime draws just above beta = d/2: many points lie near infinity
+        for d in (2, 3, 5):
+            for excess in (0.01, 0.02):
+                lifted = _sample_lifted(Distribution("beta_prime", d, 0.5 * d + excess), rng, 50 * (d + 2))
+                trials += list(lifted.reshape(50, d + 2, d + 1))
+        # clouds within 1e-16 ... 1e-9 of a random affine hyperplane
+        for d in (2, 3, 4):
+            for _ in range(33):
+                normal = rng.standard_normal(d)
+                normal /= np.linalg.norm(normal)
+                points = rng.standard_normal((d + 2, d))
+                heights = rng.choice((-1.0, 1.0), d + 2) * 10.0 ** rng.uniform(-16.0, -9.0, d + 2)
+                points += np.outer(heights + rng.standard_normal() - points @ normal, normal)
+                trials.append(_lift(points))
+        decided = 0
+        for trial in trials:
+            lam, degenerate = _barycentric_batch(trial[None].copy())
+            (simplex,), (undecided,) = _sign_rule(lam, degenerate)
+            if undecided:
+                continue
+            decided += 1
+            signs = _exact_signs(trial)
+            assert (np.sign(lam[0]) == signs).all()
+            assert simplex == ((signs > 0).sum() in (1, signs.size))
+        assert decided >= 150
+
+    def test_exactly_singular_systems_leave_the_rest_of_the_batch_alone(self):
+        rng = _rng(47)
+        lifted = _lift(rng.standard_normal((1_000, 4, 2)))
+        # three collinear integer points; coordinate maxima of 4 keep the equilibrated system exact
+        start = rng.integers(-4, 1, size=(10, 1, 2))
+        step = rng.integers(0, 3, size=(10, 1, 2))
+        collinear = start + step * np.arange(3)[:, None]
+        singular = _lift(np.concatenate((collinear, np.full((10, 1, 2), 4.0)), axis=1))
+        mask = np.zeros(1_010, dtype=bool)
+        mask[rng.choice(1_010, size=10, replace=False)] = True
+        batch = np.empty((1_010, 4, 3))
+        batch[mask], batch[~mask] = singular, lifted
+        lam, degenerate = _barycentric_batch(batch)
+        base_lam, base_degenerate = _barycentric_batch(lifted.copy())
+        assert not base_degenerate.any()
+        assert (degenerate == mask).all()
+        assert lam[~mask].tobytes() == base_lam.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(1, 4), data=st.data())
+    def test_any_coordinates_give_bools_or_a_typed_error(self, d, data):
+        size = d * (d + 2)
+        cloud = np.array(data.draw(st.lists(COORDINATE, min_size=size, max_size=size))).reshape(1, d + 2, d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                flags = simplex_indicators(cloud)
+            except (DomainError, DegenerateGeometryError):
+                return
+        assert flags.dtype == bool and flags.shape == (1,)
 
 
 class TestConeAngle:
@@ -232,6 +340,14 @@ class TestConeAngle:
         cone = SimplicialCone(np.array([[1.0, 0.0], [2.0, 0.0]]))
         with pytest.raises(DegenerateGeometryError):
             estimate_cone_angle(cone, McConfig(trials=100, seed=1))
+
+    def test_scaled_generators_give_the_same_count(self):
+        e = np.eye(4)
+        counts = {
+            estimate_cone_angle(SimplicialCone(c * (e[1:] - e[0])), McConfig(trials=20_000, seed=24)).successes
+            for c in (1.0, 2.0**-50, 2.0**50)
+        }
+        assert len(counts) == 1
 
     def test_generator_validation(self):
         with pytest.raises(DomainError):
@@ -260,11 +376,20 @@ class TestProjectionExperiment:
             projection_experiment(np.array([[0.0], [1.0]]), McConfig(trials=10, seed=1))
 
     def test_general_position_required(self):
-        vertices = np.array(
-            [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]  # collinear triangle in R^2
-        )
-        with pytest.raises(DegenerateGeometryError):
-            projection_experiment(vertices, McConfig(trials=10, seed=1))
+        for third in ((2.0, 0.0), (2.0, 1e-14)):  # collinear and nearly collinear triangles in R^2
+            with pytest.raises(DegenerateGeometryError):
+                projection_experiment(np.array([[0.0, 0.0], [1.0, 0.0], third]), McConfig(trials=10, seed=1))
+
+    def test_undecided_trials_exceed_the_resampling_bound(self, monkeypatch):
+        solve = geomc._barycentric_batch
+
+        def undecided(lifted):
+            lam, degenerate = solve(lifted)
+            return lam, np.ones_like(degenerate)
+
+        monkeypatch.setattr(geomc, "_barycentric_batch", undecided)
+        with pytest.raises(DegenerateGeometryError, match=r"sqrt\(trials\)/2"):
+            projection_experiment(np.eye(3), McConfig(trials=1_000, seed=1))
 
 
 class TestMcConfig:
