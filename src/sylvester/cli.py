@@ -141,10 +141,8 @@ def _cmd_sweep(args) -> int:
         raise NonConvergenceError(f"no sweep point is resolved: {unresolved} lie within abs_error of 0")
     if not values:
         raise DomainError("the whole sweep range lies outside the validity region")
-    diffs = [b - a for a, b in zip(values, values[1:])]
-    direction = "non-decreasing" if family == "beta" else "non-increasing"
-    monotone = all(d >= -1e-9 for d in diffs) if family == "beta" else all(d <= 1e-9 for d in diffs)
-    print(f"# monotone {direction}: {str(monotone).lower()}")
+    monotone, trend, _ = verification.conjecture_trend(family, values)
+    print(f"# monotone {trend}: {str(monotone).lower()}")
     return EXIT_OK
 
 
@@ -231,6 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: the handlers read sylvester_probability and estimate_sylvester as
+# module globals when they run, so a caller that replaces those names sees every call
+_PARSER = build_parser()
+
+
 def _join_negative_numbers(argv) -> list:
     """Write "--beta -1e-05" as "--beta=-1e-05": argparse takes "-1e-05" for an option."""
     joined = []
@@ -244,7 +247,7 @@ def _join_negative_numbers(argv) -> list:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(_join_negative_numbers(sys.argv[1:] if argv is None else argv))
+    args = _PARSER.parse_args(_join_negative_numbers(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
     except SylvesterError as exc:

@@ -67,19 +67,13 @@ class McResult:
     seed: int
 
 
-def _mc_result(successes: int, mc: McConfig) -> McResult:
-    estimate = successes / mc.trials
-    stderr = math.sqrt(estimate * (1.0 - estimate) / mc.trials)
-    return McResult(estimate, stderr, successes, mc.trials, mc.seed)
-
-
 def _block_generator(seed: int, block_index: int) -> np.random.Generator:
     # disjoint 2^128-state windows of one Philox stream per block
     return np.random.Generator(np.random.Philox(key=seed, counter=block_index << 128))
 
 
 def _run_blocks(mc: McConfig, block_fn: Callable[[int, int], object]):
-    """Sum of block_fn(index, size) over the blocks; the summands may be arrays of counts."""
+    """Sum of the count arrays block_fn(index, size) over the blocks."""
     sizes = [
         (i, min(BLOCK_TRIALS, mc.trials - i * BLOCK_TRIALS))
         for i in range((mc.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS)
@@ -232,13 +226,15 @@ def _estimate(mc: McConfig, draw: Callable[[np.random.Generator, int], tuple]) -
             resampled += undecided.sum()
         return np.array([success.sum(), resampled])
 
-    successes, resampled = _run_blocks(mc, block)
+    successes, resampled = map(int, _run_blocks(mc, block))
     if resampled > limit:
         raise DegenerateGeometryError(
             f"{resampled} numerically undecided trials to resample, more than sqrt(trials)/2 = "
             f"{limit:.1f} of {mc.trials}: resampling could bias the estimate by over one stderr"
         )
-    return _mc_result(int(successes), mc)
+    estimate = successes / mc.trials
+    stderr = math.sqrt(estimate * (1.0 - estimate) / mc.trials)
+    return McResult(estimate, stderr, successes, mc.trials, mc.seed)
 
 
 def estimate_sylvester(dist: Distribution, mc: McConfig) -> McResult:
@@ -290,14 +286,13 @@ def estimate_cone_angle(cone: SimplicialCone, mc: McConfig) -> McResult:
     _, r = _frame(cone.generators, "cone generators")
     k = r.shape[0]
 
-    def block(block_index: int, size: int) -> int:
-        rng = _block_generator(mc.seed, block_index)
+    def draw(rng: np.random.Generator, size: int):
         directions = rng.standard_normal((size, k))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
         coords = np.linalg.solve(r, directions.T).T
-        return int(_closed_inside(coords).sum())
+        return _closed_inside(coords), np.zeros(size, dtype=bool)
 
-    return _mc_result(_run_blocks(mc, block), mc)
+    return _estimate(mc, draw)
 
 
 def projection_experiment(vertices: Sequence[Sequence[float]], mc: McConfig) -> McResult:

@@ -8,8 +8,11 @@ angle sum of an (d+1)-dimensional random simplex:
     beta_prime:  2 * (beta-prime angle sum at parameter beta + 1/2)
 
 Dispatch is between the closed-form registry (exact expressions) and the
-deterministic quadrature route; both are always available as independent
-cross-checks of each other.
+deterministic quadrature route.  The registry is the one source of exact
+values: every method reads it on the line (d = 1, where the probability is
+1 for every law), and otherwise ``auto`` and ``closed_form`` read it first.
+``quadrature_probability`` is the pure integral route, so the two stay
+independent cross-checks of each other.
 """
 
 from __future__ import annotations
@@ -94,11 +97,6 @@ def quadrature_probability(
     if dist.family == "gaussian":
         angle = gaussian_angle_sum(n, cfg)
     elif dist.family == "beta":
-        if dist.d == 1 and dist.beta < -0.5:
-            raise DomainError(
-                "quadrature for the beta family at d = 1 requires beta >= -1/2 "
-                "(the angle-sum identity region); the closed-form route covers d = 1"
-            )
         angle = beta_angle_sum(n, dist.beta - 0.5, cfg)
     else:
         threshold = dist.d + 1.0 / (dist.d + 2)
@@ -126,11 +124,13 @@ def sylvester_probability(
 
     method='auto' prefers the exact closed form when the registry has the
     key and falls back to quadrature; the explicit methods force one route
-    (closed_form raises NotInRegistryError when absent).
+    (closed_form raises NotInRegistryError when absent), except on the line,
+    which every method answers from the registry.
     """
     if method not in ("auto", "quadrature", "closed_form"):
         raise DomainError(f"unknown method {method!r}")
-    if method in ("auto", "closed_form"):
+    # the line is 1 for every law: of three points one lies between the others
+    if method != "quadrature" or dist.d == 1:
         result = closed_form_lookup(dist)
         if result is not None:
             return result

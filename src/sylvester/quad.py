@@ -63,6 +63,10 @@ _TRUNCATION_MARGIN = 10.0
 # Step in t of the first exp-sinh trapezoid level; each refinement halves it.
 _FIRST_STEP = 0.5
 
+# Step levels tried before NonConvergenceError, the last with step 2^-20; the
+# first level has no estimate, since the estimate compares two levels.
+_MAX_REFINEMENTS = 20
+
 # The nodes start near x_min, chosen so that the envelope's bound at 0 caps
 # the skipped head [0, x_min] at this share of the tail target.  That bound is
 # loose when the amplitude is large (a cosh kernel's 2^rate at high beta), so
@@ -74,18 +78,14 @@ _LOG_X_MIN_FLOOR = math.log(1e-150)
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and refinement policy; fully determines a result."""
+    """Tolerances; they fully determine a result."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_refinements: int = 20
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise DomainError("rel_tol and abs_tol must be positive")
-        if self.max_refinements < 2:
-            # the error estimate compares two step levels
-            raise DomainError("max_refinements must be >= 2")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -197,7 +197,7 @@ def integrate_line(
     matching resolution; every node is evaluated afresh at every level.
 
     Raises NonConvergenceError (carrying the best result) if the tolerance
-    is not met within ``cfg.max_refinements`` refinements.
+    is not met within ``_MAX_REFINEMENTS`` refinements.
     """
     log_target = math.log(cfg.abs_tol) - math.log(_TRUNCATION_MARGIN)
     cutoff = truncation_point(envelope, log_target)
@@ -218,7 +218,7 @@ def integrate_line(
     best: Optional[EvalResult] = None
     stalled = 0
     previous_value = previous_estimate = math.inf
-    for _ in range(cfg.max_refinements):
+    for _ in range(_MAX_REFINEMENTS):
         # t = t_hi - k*h down past t_lo: halving h keeps every node of the
         # level before, and x comes out increasing and positive
         t = t_hi - h * np.arange(math.ceil((t_hi - t_lo) / h), -1, -1)
@@ -265,7 +265,7 @@ def integrate_line(
         previous_value, previous_estimate = value, estimate
         h *= 0.5
     raise NonConvergenceError(
-        f"tolerance not met after {cfg.max_refinements} refinements "
+        f"tolerance not met after {_MAX_REFINEMENTS} refinements "
         f"(best estimate {best.abs_error_estimate:.3e} for value {best.value:.6e})",
         best=best,
     )

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from sylvester import cli, registry, verification
 from sylvester.cli import main
 from sylvester.errors import NonConvergenceError, SylvesterError
+from sylvester.probability import Distribution, quadrature_probability
+from sylvester.quad import QuadratureConfig
 
 # Gaussian p_d, mpmath at 60 and 90 digits; printed by tests/gaussian_references.py
 GAUSSIAN_REFERENCE = {
@@ -127,6 +129,20 @@ class TestCompute:
         assert rec["method"] == "quadrature"
         assert rec["value"] == pytest.approx(35.0 / (12.0 * math.pi**2), rel=1e-7)
 
+    @pytest.mark.parametrize(
+        "family,beta", [("betaprime", "42.726"), ("betaprime", "7179.648"), ("beta", "-0.7")]
+    )
+    def test_line_is_exactly_one_under_every_method(self, capsys, family, beta):
+        # the line is answered from the registry: no integral that can exceed 1 or overflow
+        code, out, _ = run_cli(
+            capsys, "compute", "--family", family, "--dim", "1", "--beta", beta,
+            "--method", "quadrature", "--tol", "1e-8",
+        )
+        assert code == 0
+        (rec,) = parse_json_lines(out)
+        assert rec["value"] == 1.0
+        assert rec["method"] == "closed_form"
+
     def test_closed_form_miss_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "compute", "--family", "beta", "--dim", "2", "--beta", "0.25",
@@ -188,6 +204,13 @@ class TestBetaPrimeThreshold:
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
     def test_values_near_threshold(self, capsys, d):
         threshold = 0.5 * d + 0.5 / (d + 2)
+        if d == 1:
+            # compute answers the line from the registry, so integrate n = 3 directly
+            cfg = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-12)
+            for k in range(2, 8):
+                res = quadrature_probability(Distribution("beta_prime", 1, threshold + 10.0**-k), cfg)
+                assert abs(res.value - 1.0) <= 3.0 * res.abs_error_estimate, k
+            return
         records = []
         for k in range(2, 8):
             code, out, _ = run_cli(
@@ -197,9 +220,6 @@ class TestBetaPrimeThreshold:
             assert code == 0, k
             (rec,) = parse_json_lines(out)
             records.append(rec)
-        if d == 1:
-            assert all(abs(rec["value"] - 1.0) <= 3.0 * rec["abs_error"] for rec in records)
-            return
         for rec, (value, estimate) in zip(records, BETAPRIME_NEAR_THRESHOLD[d]):
             assert abs(rec["value"] - value) <= 3.0 * (rec["abs_error"] + estimate)
         values = [rec["value"] for rec in records]

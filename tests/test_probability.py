@@ -239,7 +239,7 @@ class TestPrecisionEnvelope:
     def test_beyond_band_is_honest_about_cancellation(self):
         # at n = 26 the closed form is ~4e-25 while cancellation leaves
         # ~1e-21 of noise; the inflated estimate must admit that
-        cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-16, max_refinements=22)
+        cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-16)
         res = quadrature_probability(Distribution("beta", 24, 0.0), cfg)
         truth = closed_form_lookup(Distribution("beta", 24, 0.0)).value
         assert abs(res.value - truth) <= 3.0 * res.abs_error_estimate
