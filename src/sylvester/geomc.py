@@ -8,8 +8,10 @@ A trial cloud of d+2 points is a simplex exactly when one point lies in
 the convex hull of the other d+1.  That is the sign pattern of the one
 linear dependence among the d+2 lifted vectors in R^(d+1) (a singleton
 side), which positive rescales keep (Stolfi, "Oriented Projective
-Geometry", 1991).  Each trial is decided by one equilibrated batched solve,
-`_barycentric_batch`, and undecided trials are resampled by one loop,
+Geometry", 1991).  Each trial is decided by one equilibrated Householder QR,
+`_barycentric_batch`, run across a whole block at once with the trials on
+the last axis: every step is one numpy operation over all trials, and no
+step mixes two trials.  Undecided trials are resampled by one loop,
 `_estimate`.  Solid angles of cones are estimated by uniform directions.
 
 Reproducibility contract: trials are processed in fixed-size blocks and
@@ -33,9 +35,15 @@ from .probability import Distribution
 # trials per RNG block; fixed so results never depend on worker count
 BLOCK_TRIALS = 1 << 14
 
-# rank / conditioning guard: an equilibrated condition estimate above 1/TAU_RANK
-# rejects a solve, a |diag R| within TAU_RANK of the largest rejects a frame,
-# and coefficients within TAU_RANK of the largest decide no sign
+# values in one row of the batched QR's work array, d+3 per trial, so a
+# sub-block holds _QR_ROW_VALUES // (d+3) trials: each QR step works on a few
+# such 384 KB rows, which stay in a 2 MB L2 cache, and rows this long keep
+# numpy's per-call cost, and the GIL hand-offs between workers, small
+_QR_ROW_VALUES = 49152
+
+# rank / conditioning guard: a |diag R| within TAU_RANK of the largest rejects
+# a solve or a frame, an equilibrated condition estimate above 1/TAU_RANK
+# rejects a solve, and coefficients within TAU_RANK of the largest decide no sign
 TAU_RANK = 1e-12
 
 
@@ -128,35 +136,88 @@ def _lift(points) -> np.ndarray:
 def _barycentric_batch(lifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients lam of the last lifted vector in the first d+1; the one per-trial solve.
 
-    lifted: finite (N, d+2, d+1), scaled in place (pass a fresh array): each
-    coordinate is divided by its largest |value| in the trial, a positive
-    diagonal map that keeps lam.  A second right-hand side, a p = 1, gives the
-    condition estimate |a|_1 |p|_1 / (d+1).  Returns (lam (N, d+1), degenerate
-    (N,)): exactly singular, estimate above 1/TAU_RANK, or lam not finite.
+    lifted: finite (N, d+2, d+1), left unchanged.  The trials are copied, one
+    sub-block at a time, to a (coordinate, vector, trial) array, so that every
+    step is one numpy operation along the trial axis and no step mixes two
+    trials.  Each coordinate is divided by its largest |value| in the trial,
+    a positive diagonal map that keeps lam.  One Householder QR per trial then
+    solves for lam and for a second right-hand side, a p = 1, which gives the
+    condition estimate |a|_1 |p|_1 / (d+1).  Returns (lam (N, d+1),
+    degenerate (N,)): rank-deficient (some |r_jj| within TAU_RANK of the
+    largest, as in `_frame`), estimate above 1/TAU_RANK, or lam not finite.
     """
     n_trials, m, k = lifted.shape
-    if m != k + 1:
-        raise DomainError(f"expected d+2 = {k + 1} points per trial, got {m}")
-    lifted /= np.maximum(np.abs(lifted).max(axis=1, keepdims=True), np.finfo(float).tiny)
-    a = lifted[:, :k, :].transpose(0, 2, 1)
-    rhs = np.stack((lifted[:, k, :], np.ones((n_trials, k))), axis=-1)
-    singular = np.zeros(n_trials, dtype=bool)
-    try:
-        solution = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:
-        # only exactly singular systems raise: solve the rest with identities in their place
-        singular = np.linalg.slogdet(a)[0] == 0
-        solution = np.linalg.solve(np.where(singular[:, None, None], np.eye(k), a), rhs)
-    lam, p = solution[..., 0], solution[..., 1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        cond = np.abs(a).sum(axis=1).max(axis=1) * np.abs(p).sum(axis=1) / k
-    degenerate = singular | ~np.isfinite(cond) | (cond > 1.0 / TAU_RANK)
-    return lam, degenerate | ~np.isfinite(lam).all(axis=1)
+    lam = np.empty((k, n_trials))
+    degenerate = np.empty(n_trials, dtype=bool)
+    step = _QR_ROW_VALUES // (k + 2)
+    # columns: the first d+1 vectors (the matrix a), the last vector, the ones
+    work = np.empty((k, k + 2, min(n_trials, step)))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for start in range(0, n_trials, step):
+            stop = min(start + step, n_trials)
+            block = work[:, :, : stop - start]
+            for j in range(m):  # 2-D transposes: about twice as fast as one 3-D transpose at d = 20
+                block[:, j] = lifted[start:stop, j].T
+            block[:, m] = 1.0
+            degenerate[start:stop] = _qr_solve(block, lam[:, start:stop])
+    return lam.T, degenerate
+
+
+def _qr_solve(w: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Solve a lam = b and a p = 1 for w = [a | b | 1], (k, k+2, trials), in place.
+
+    Writes lam (k, trials) and returns the degenerate flags of
+    `_barycentric_batch`.  Sums over the short axes are accumulated row by
+    row, in the same order for every trial.
+    """
+    k, _, size = w.shape
+    scratch = np.empty((k + 1, size))
+    # equilibrate each coordinate over the d+2 vectors; sum |a| down each column
+    col_sums = np.zeros((k, size))
+    for row in w:
+        mag = np.abs(row[: k + 1], out=scratch)
+        scale = np.maximum(mag.max(axis=0), np.finfo(float).tiny)
+        row[: k + 1] /= scale
+        mag[:k] /= scale
+        col_sums += mag[:k]
+    # d reflections: column j onto -alpha e_j, with v = x + alpha e_j in place of x
+    diag = np.empty((k, size))
+    for j in range(k - 1):
+        x, rest = w[j:, j], w[j:, j + 1:]
+        squares = x[0] * x[0]
+        for xi in x[1:]:
+            squares += xi * xi
+        alpha = np.copysign(np.sqrt(squares), x[0])
+        np.negative(alpha, out=diag[j])
+        x[0] += alpha
+        alpha *= x[0]  # v.v / 2
+        product = scratch[: rest.shape[1]]
+        dot = x[0] * rest[0]
+        for xi, row in zip(x[1:], rest[1:]):
+            dot += np.multiply(xi, row, out=product)
+        dot /= alpha
+        for xi, row in zip(x, rest):
+            row -= np.multiply(xi, dot, out=product)
+    diag[k - 1] = w[k - 1, k - 1]
+    # back substitution, column by column, for both right-hand sides
+    solution = w[:, k:]
+    for i in range(k - 1, -1, -1):
+        solution[i] /= diag[i]
+        solution[:i] -= w[:i, i, None] * solution[i]
+    lam[...] = solution[:, 0]
+    p_sum = np.abs(solution[0, 1])
+    for p_i in solution[1:, 1]:
+        p_sum += np.abs(p_i)
+    cond = col_sums.max(axis=0) * p_sum / k
+    diag_size = np.abs(diag)
+    rank_deficient = (diag_size <= TAU_RANK * diag_size.max(axis=0)).any(axis=0)
+    return rank_deficient | ~np.isfinite(cond) | (cond > 1.0 / TAU_RANK) | ~np.isfinite(lam).all(axis=0)
 
 
 def _closed_inside(lam: np.ndarray) -> np.ndarray:
     """Whether barycentric coordinates lam (..., k) lie in the closed simplex."""
-    return (lam >= -TAU_RANK * np.abs(lam).max(axis=-1, keepdims=True)).all(axis=-1)
+    coords = np.moveaxis(lam, -1, 0)
+    return (coords >= -TAU_RANK * np.abs(coords).max(axis=0)).all(axis=0)
 
 
 def _sign_rule(lam: np.ndarray, degenerate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -166,20 +227,25 @@ def _sign_rule(lam: np.ndarray, degenerate: np.ndarray) -> tuple[np.ndarray, np.
     inside the others' hull) or all are (the last point is).  A trial is
     decided only when every |lam_i| exceeds TAU_RANK times the largest.
     """
-    size = np.abs(lam)
-    undecided = degenerate | (size <= TAU_RANK * size.max(axis=1, keepdims=True)).any(axis=1)
-    positive = (lam > 0).sum(axis=1)
-    return (positive == 1) | (positive == lam.shape[1]), undecided
+    coords = lam.T  # (d+1, N): trials on the last axis
+    size = np.abs(coords)
+    undecided = degenerate | (size <= TAU_RANK * size.max(axis=0)).any(axis=0)
+    positive = np.count_nonzero(coords > 0, axis=0)
+    return (positive == 1) | (positive == coords.shape[0]), undecided
 
 
 def simplex_indicators(points: np.ndarray) -> np.ndarray:
     """Per-trial indicator that the d+2 points form a simplex.
 
-    points: (N, d+2, d).  Raises DegenerateGeometryError when any trial is
-    undecided: numerically rank-deficient, or with a point on a facet of
-    the others' hull (callers doing Monte Carlo resample instead; this
-    surface is for fixed, well-posed clouds).
+    points: (N, d+2, d) with d >= 1; any other shape raises DomainError.  Raises
+    DegenerateGeometryError when any trial is undecided: numerically
+    rank-deficient, or with a point on a facet of the others' hull (callers
+    doing Monte Carlo resample instead; this surface is for fixed, well-posed
+    clouds).
     """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 3 or points.shape[2] < 1 or points.shape[1] != points.shape[2] + 2:
+        raise DomainError(f"expected clouds of shape (N, d+2, d), got {points.shape}")
     simplex, undecided = _sign_rule(*_barycentric_batch(_lift(points)))
     if undecided.any():
         raise DegenerateGeometryError(

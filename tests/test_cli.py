@@ -560,12 +560,14 @@ class TestVerify:
         ]
 
     def test_missing_gaussian_entry_fails_its_rows(self, monkeypatch):
-        # the Gaussian closed-form rows and the lemma take their values from the registry
+        # the Gaussian closed-form rows, the Monte Carlo rows at d = 2, 3 and the lemma
+        # take their values from the registry
         def missing(family, d, beta):
             return None if family == "gaussian" else registry.lookup(family, d, beta)
 
         names = [
-            "gaussian-closed-form[d=2]", "gaussian-closed-form[d=3]", "lemma-projection-identity",
+            "gaussian-closed-form[d=2]", "gaussian-closed-form[d=3]",
+            "mc-cross[gaussian d=2]", "mc-cross[gaussian d=3]", "lemma-projection-identity",
         ]
         rows = [row for row in verification.checks("basic") if row.name in names]
         monkeypatch.setattr(verification, "checks", lambda suite: rows)

@@ -306,6 +306,11 @@ class TestIndicators:
         assert (degenerate == mask).all()
         assert lam[~mask].tobytes() == base_lam.tobytes()
 
+    def test_cloud_without_the_trial_axis_is_a_domain_error(self):
+        for points in (np.random.rand(4, 2), np.zeros((3, 4, 3)), np.zeros((2, 2, 0))):
+            with pytest.raises(DomainError, match=r"\(N, d\+2, d\)"):
+                simplex_indicators(points)
+
     @settings(max_examples=200, deadline=None)
     @given(d=st.integers(1, 4), data=st.data())
     def test_any_coordinates_give_bools_or_a_typed_error(self, d, data):
@@ -318,6 +323,86 @@ class TestIndicators:
             except (DomainError, DegenerateGeometryError):
                 return
         assert flags.dtype == bool and flags.shape == (1,)
+
+
+def _oracle(lifted):
+    """lam, the condition estimate and the degenerate flags by np.linalg.solve on the equilibrated system."""
+    k = lifted.shape[2]
+    scaled = lifted / np.maximum(np.abs(lifted).max(axis=1, keepdims=True), np.finfo(float).tiny)
+    a = scaled[:, :k, :].transpose(0, 2, 1)
+    rhs = np.stack((scaled[:, k, :], np.ones((lifted.shape[0], k))), axis=-1)
+    solution = np.linalg.solve(a, rhs)
+    lam, p = solution[..., 0], solution[..., 1]
+    cond = np.abs(a).sum(axis=1).max(axis=1) * np.abs(p).sum(axis=1) / k
+    return lam, cond, ~np.isfinite(cond) | (cond > 1.0 / geomc.TAU_RANK)
+
+
+class TestBarycentricKernel:
+    FAMILIES = (("gaussian", lambda d: None), ("beta", lambda d: 0.0), ("beta", lambda d: -0.5),
+                ("beta_prime", lambda d: 0.5 * d + 1.0), ("beta_prime", lambda d: 0.5 * d + 0.05))
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_matches_lapack_solve(self, d):
+        rng = _rng(48 + d)
+        for family, beta in self.FAMILIES:
+            lifted = _sample_lifted(Distribution(family, d, beta(d)), rng, 2_000 * (d + 2))
+            lifted = lifted.reshape(2_000, d + 2, d + 1)
+            lam, degenerate = _barycentric_batch(lifted)
+            ref_lam, cond, ref_degenerate = _oracle(lifted)
+            well = cond < 1e8
+            assert well.sum() >= 1_500, (family, d)
+            assert not degenerate[well].any()
+            scale = np.abs(ref_lam[well]).max(axis=1, keepdims=True)
+            assert (np.abs(lam[well] - ref_lam[well]) <= 1e-9 * scale).all(), (family, d)
+            simplex, undecided = _sign_rule(lam, degenerate)
+            ref_simplex, ref_undecided = _sign_rule(ref_lam, ref_degenerate)
+            both = ~undecided & ~ref_undecided
+            assert (np.sign(lam[both]) == np.sign(ref_lam[both])).all(), (family, d)
+            assert (simplex[both] == ref_simplex[both]).all(), (family, d)
+
+    def test_results_do_not_depend_on_position(self):
+        # beta-prime close to the threshold: points at infinity and undecided trials
+        d = 3
+        step = geomc._QR_ROW_VALUES // (d + 3)  # trials per sub-block
+        count = 4 * step + 100
+        lifted = _sample_lifted(Distribution("beta_prime", d, 0.5 * d + 0.01), _rng(49), count * (d + 2))
+        lifted = lifted.reshape(count, d + 2, d + 1)
+        lam, degenerate = _barycentric_batch(lifted)
+        assert degenerate.any() and not degenerate.all()
+        order = _rng(50).permutation(count)
+        shuffled = lifted[order]
+        for sizes in ((1, 2047, 2048, 2049), (1, step - 1, step, step + 1), (BLOCK_TRIALS,)):
+            start = 0
+            for size in sizes + (count - sum(sizes),):
+                part = order[start:start + size]
+                part_lam, part_degenerate = _barycentric_batch(shuffled[start:start + size])
+                assert part_lam.tobytes() == lam[part].tobytes(), size
+                assert (part_degenerate == degenerate[part]).all(), size
+                start += size
+
+    def test_points_at_infinity_and_exactly_singular_systems(self):
+        d = 3
+        rng = _rng(51)
+        lifted = _lift(rng.standard_normal((600, d + 2, d)))
+        # one point at infinity, (z, 0), per trial: the systems stay regular
+        lifted[np.arange(600), rng.integers(0, d + 2, 600), d] = 0.0
+        singular = np.zeros(600, dtype=bool)
+        singular[rng.choice(600, size=60, replace=False)] = True
+        rows = np.flatnonzero(singular)
+        # all points at infinity: a zero coordinate row, consistent and singular
+        lifted[rows[:20], :, d] = 0.0
+        # a repeated point at infinity among the first d+1
+        repeated = np.zeros((20, d + 1))
+        repeated[:, :d] = rng.standard_normal((20, d))
+        lifted[rows[20:40], 0] = lifted[rows[20:40], 1] = repeated
+        # d+2 collinear points with integer coordinates: consistent and singular
+        start, step = rng.integers(-3, 4, size=(2, 20, 1, d))
+        lifted[rows[40:]] = _lift(start + step * np.arange(d + 2)[:, None])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam, degenerate = _barycentric_batch(lifted)
+            _sign_rule(lam, degenerate)
+        assert (degenerate == singular).all()
 
 
 class TestConeAngle:
