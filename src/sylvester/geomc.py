@@ -9,10 +9,13 @@ the convex hull of the other d+1.  That is the sign pattern of the one
 linear dependence among the d+2 lifted vectors in R^(d+1) (a singleton
 side), which positive rescales keep (Stolfi, "Oriented Projective
 Geometry", 1991).  Each trial is decided by one equilibrated Householder QR,
-`_barycentric_batch`, run across a whole block at once with the trials on
-the last axis: every step is one numpy operation over all trials, and no
-step mixes two trials.  Undecided trials are resampled by one loop,
-`_estimate`.  Solid angles of cones are estimated by uniform directions.
+`_solve`, run across a whole block at once with the trials on the last
+axis: every step is one numpy operation over all trials, and no step mixes
+two trials.  `_sample` draws a block straight into the QR's work arrays,
+one contiguous (coordinate, vector, trial) array per sub-block, in the same
+stream order as a row of (z, s) per point, so the layout changes no seeded
+count.  Undecided trials are resampled by one loop, `_estimate`.  Solid
+angles of cones are estimated by uniform directions.
 
 Reproducibility contract: trials are processed in fixed-size blocks and
 block i draws from a counter-based generator keyed by (seed, i), so the
@@ -93,25 +96,106 @@ def _run_blocks(mc: McConfig, block_fn: Callable[[int, int], object]):
         return sum(counts)
 
 
-def _sample_lifted(dist: Distribution, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Draw `count` points from dist as (count, d+1) rows (z, s); the point is z/s.
+def _sub_blocks(k: int, size: int) -> list[np.ndarray]:
+    """Empty work arrays of `_qr_solve` for `size` trials of k coordinates.
 
-    z ~ N(0, I_d) and s >= 0: s = 1 for the Gaussian; s^2 = |z|^2 + 2G with
-    G ~ Gamma(beta+1) for the beta family, so |x|^2 ~ BetaLaw(d/2, beta+1)
-    (Gamma(0) is 0, so beta = -1 gives s = |z|, the sphere); s^2 = 2G with
-    G ~ Gamma(beta-d/2) for beta_prime, so |x|^2 = V/(1-V) with
-    V ~ BetaLaw(d/2, beta-d/2).  Nothing is divided, so a heavy tail gives
-    a small s, or s = 0 (a point at infinity), never an infinite coordinate.
+    One contiguous (coordinate, vector, trial) array (k, k+2, n) per sub-block
+    of _QR_ROW_VALUES // (k+2) trials, in trial order (one empty block for no
+    trials).  All are cut from one allocation, which the allocator keeps
+    and reuses from block to block; separate sub-block arrays were handed
+    back to the system and paged in afresh for every block.
+    """
+    step = _QR_ROW_VALUES // (k + 2)
+    buffer = np.empty((size, k, k + 2))
+    return [buffer[start:start + step].reshape(k, k + 2, -1) for start in range(0, max(size, 1), step)]
+
+
+def _spans(blocks: list[np.ndarray]):
+    """Each sub-block with the slice of the trials it holds."""
+    start = 0
+    for w in blocks:
+        yield w, slice(start, start + w.shape[-1])
+        start += w.shape[-1]
+
+
+def _sample(dist: Distribution, rng: np.random.Generator, blocks: list[np.ndarray], vectors: int) -> None:
+    """Draw `vectors` points of dist per trial into the columns w[:d+1, :vectors] of each block w.
+
+    A point is written as the column (z, s), coordinates first and trials on
+    the last axis, and the point is z/s.  z ~ N(0, I_d) and s >= 0: s = 1
+    for the Gaussian; s^2 = |z|^2 + 2G with G ~ Gamma(beta+1) for the beta
+    family, so |x|^2 ~ BetaLaw(d/2, beta+1) (Gamma(0) is 0, so beta = -1
+    gives s = |z|, the sphere); s^2 = 2G with G ~ Gamma(beta-d/2) for
+    beta_prime, so |x|^2 = V/(1-V) with V ~ BetaLaw(d/2, beta-d/2).  Nothing
+    is divided, so a heavy tail gives a small s, or s = 0 (a point at
+    infinity), never an infinite coordinate.
+
+    The layout leaves the stream, and so every seeded count, as it was:
+    first the normals, point j of trial t in row t*vectors + j, drawn one
+    sub-block at a time into one reused buffer, then every gamma; |z|^2 is
+    summed in the order of numpy's row sum.
     """
     d = dist.d
-    lifted = np.ones((count, d + 1))
-    lifted[:, :d] = z = rng.standard_normal((count, d))
-    if dist.family == "beta":
-        gamma = rng.standard_gamma(dist.beta + 1.0, size=count)
-        lifted[:, d] = np.sqrt((z * z).sum(axis=1) + 2.0 * gamma)
-    elif dist.family == "beta_prime":
-        lifted[:, d] = np.sqrt(2.0 * rng.standard_gamma(dist.beta - 0.5 * d, size=count))
-    return lifted
+    normals = np.empty(max(w.shape[-1] for w in blocks) * vectors * d)
+    for w in blocks:
+        z = normals[: w.shape[-1] * vectors * d].reshape(-1, vectors, d)
+        rng.standard_normal(out=z)
+        points = w[: d + 1, :vectors]
+        for j in range(vectors):  # 2-D transposes: 1.4 to 2.5 times as fast as one 3-D transpose at d >= 8
+            points[:d, j] = z[:, j].T
+        s = points[d]
+        if dist.family == "gaussian":
+            s[...] = 1.0
+        elif dist.family == "beta":  # |z|^2 now, 2G once every normal is drawn
+            _sum_of_squares(points[:d], s)
+    if dist.family == "gaussian":
+        return
+    shape = dist.beta + 1.0 if dist.family == "beta" else dist.beta - 0.5 * d
+    size = sum(w.shape[-1] for w in blocks)
+    twice_gamma = rng.standard_gamma(shape, size=size * vectors).reshape(size, vectors)
+    twice_gamma *= 2.0
+    for w, trials in _spans(blocks):
+        s = w[d, :vectors]
+        if dist.family == "beta":
+            s += twice_gamma[trials].T
+            np.sqrt(s, out=s)
+        else:
+            np.sqrt(twice_gamma[trials].T, out=s)
+
+
+def _sum_of_squares(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the sum of rows[i]**2 over the first axis to out, in numpy's pairwise order.
+
+    numpy sums a contiguous axis of fewer than 8 terms in turn, up to 128
+    terms as 8 interleaved partial sums, and longer ones as two halves, so
+    out equals (z * z).sum(axis=-1) of the columns z, bit for bit, at every
+    length, with the trials kept on the last axis.
+    """
+    n = len(rows)
+    if n < 8:
+        np.multiply(rows[0], rows[0], out=out)
+        for row in rows[1:]:
+            out += row * row
+    elif n <= 128:
+        partial = rows[:8] * rows[:8]
+        for start in range(8, n - n % 8, 8):
+            partial += rows[start:start + 8] * rows[start:start + 8]
+        np.add((partial[0] + partial[1]) + (partial[2] + partial[3]),
+               (partial[4] + partial[5]) + (partial[6] + partial[7]), out=out)
+        for row in rows[n - n % 8:]:
+            out += row * row
+    else:
+        half = n // 2 - n // 2 % 8
+        np.add(_sum_of_squares(rows[:half], np.empty_like(out)),
+               _sum_of_squares(rows[half:], np.empty_like(out)), out=out)
+    return out
+
+
+def _sample_lifted(dist: Distribution, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Draw `count` points from dist as (count, d+1) rows (z, s) of `_sample`; the point is z/s."""
+    columns = np.empty((dist.d + 1, 1, count))
+    _sample(dist, rng, [columns], 1)
+    return columns[:, 0].T
 
 
 def _sample_points(dist: Distribution, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -121,7 +205,7 @@ def _sample_points(dist: Distribution, rng: np.random.Generator, count: int) -> 
 
 
 def sample_point(dist: Distribution, rng: np.random.Generator) -> np.ndarray:
-    """One draw from dist using the supplied generator state (z/s, see `_sample_lifted`)."""
+    """One draw from dist using the supplied generator state (z/s, see `_sample`)."""
     return _sample_points(dist, rng, 1)[0]
 
 
@@ -134,43 +218,59 @@ def _lift(points) -> np.ndarray:
 
 
 def _barycentric_batch(lifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients lam of the last lifted vector in the first d+1; the one per-trial solve.
+    """Coefficients lam of the last lifted vector in the first d+1, by `_solve`.
 
-    lifted: finite (N, d+2, d+1), left unchanged.  The trials are copied, one
-    sub-block at a time, to a (coordinate, vector, trial) array, so that every
-    step is one numpy operation along the trial axis and no step mixes two
-    trials.  Each coordinate is divided by its largest |value| in the trial,
-    a positive diagonal map that keeps lam.  One Householder QR per trial then
-    solves for lam and for a second right-hand side, a p = 1, which gives the
-    condition estimate |a|_1 |p|_1 / (d+1).  Returns (lam (N, d+1),
-    degenerate (N,)): rank-deficient (some |r_jj| within TAU_RANK of the
-    largest, as in `_frame`), estimate above 1/TAU_RANK, or lam not finite.
+    lifted: finite (N, d+2, d+1), left unchanged; it is copied one sub-block
+    at a time into one work array of `_sub_blocks`, so a large batch costs
+    no second copy of itself.  Returns (lam (N, d+1), degenerate (N,)).
     """
     n_trials, m, k = lifted.shape
+    step = _QR_ROW_VALUES // (k + 2)
     lam = np.empty((k, n_trials))
     degenerate = np.empty(n_trials, dtype=bool)
-    step = _QR_ROW_VALUES // (k + 2)
-    # columns: the first d+1 vectors (the matrix a), the last vector, the ones
-    work = np.empty((k, k + 2, min(n_trials, step)))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for start in range(0, n_trials, step):
-            stop = min(start + step, n_trials)
-            block = work[:, :, : stop - start]
-            for j in range(m):  # 2-D transposes: about twice as fast as one 3-D transpose at d = 20
-                block[:, j] = lifted[start:stop, j].T
-            block[:, m] = 1.0
-            degenerate[start:stop] = _qr_solve(block, lam[:, start:stop])
+    (work,) = _sub_blocks(k, min(step, n_trials))
+    for start in range(0, n_trials, step):
+        trials = slice(start, start + step)
+        w = work[:, :, : min(step, n_trials - start)]
+        for j in range(m):  # 2-D transposes: about twice as fast as one 3-D transpose at d = 20
+            w[:, j] = lifted[trials, j].T
+        lam[:, trials], degenerate[trials] = _solve([w])
     return lam.T, degenerate
 
 
-def _qr_solve(w: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Solve a lam = b and a p = 1 for w = [a | b | 1], (k, k+2, trials), in place.
+def _solve(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The one per-trial solve of every Monte Carlo caller, over the work arrays of `_sub_blocks`.
 
-    Writes lam (k, trials) and returns the degenerate flags of
-    `_barycentric_batch`.  Sums over the short axes are accumulated row by
-    row, in the same order for every trial.
+    Each block w holds, per trial, the first d+1 lifted vectors (the matrix a)
+    and the last vector b as its first k+1 columns; it is overwritten.  Each
+    coordinate is divided by its largest |value| in the trial, a positive
+    diagonal map that keeps lam in a lam = b.  One Householder QR per trial
+    then solves for lam and for a second right-hand side, a p = 1, which
+    gives the condition estimate |a|_1 |p|_1 / (d+1).  Every step is one
+    numpy operation along the trial axis and no step mixes two trials.
+    Returns (lam (d+1, N), degenerate (N,)): rank-deficient (some |r_jj|
+    within TAU_RANK of the largest, as in `_frame`), estimate above
+    1/TAU_RANK, or lam not finite.
+    """
+    k = blocks[0].shape[0]
+    size = sum(w.shape[-1] for w in blocks)
+    lam = np.empty((k, size))
+    degenerate = np.empty(size, dtype=bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for w, trials in _spans(blocks):
+            degenerate[trials] = _qr_solve(w, lam[:, trials])
+    return lam, degenerate
+
+
+def _qr_solve(w: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Solve a lam = b and a p = 1 for w = [a | b | .], (k, k+2, trials), in place.
+
+    Fills the last column with the ones, writes lam (k, trials) and returns
+    the degenerate flags of `_solve`.  Sums over the short axes are
+    accumulated row by row, in the same order for every trial.
     """
     k, _, size = w.shape
+    w[:, k + 1] = 1.0
     scratch = np.empty((k + 1, size))
     # equilibrate each coordinate over the d+2 vectors; sum |a| down each column
     col_sums = np.zeros((k, size))
@@ -214,9 +314,8 @@ def _qr_solve(w: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return rank_deficient | ~np.isfinite(cond) | (cond > 1.0 / TAU_RANK) | ~np.isfinite(lam).all(axis=0)
 
 
-def _closed_inside(lam: np.ndarray) -> np.ndarray:
-    """Whether barycentric coordinates lam (..., k) lie in the closed simplex."""
-    coords = np.moveaxis(lam, -1, 0)
+def _closed_inside(coords: np.ndarray) -> np.ndarray:
+    """Whether barycentric coordinates (k, ...), trials last, lie in the closed simplex."""
     return (coords >= -TAU_RANK * np.abs(coords).max(axis=0)).all(axis=0)
 
 
@@ -308,8 +407,10 @@ def estimate_sylvester(dist: Distribution, mc: McConfig) -> McResult:
     d = dist.d
 
     def draw(rng: np.random.Generator, size: int):
-        lifted = _sample_lifted(dist, rng, size * (d + 2)).reshape(size, d + 2, d + 1)
-        return _sign_rule(*_barycentric_batch(lifted))
+        blocks = _sub_blocks(d + 1, size)
+        _sample(dist, rng, blocks, d + 2)
+        lam, degenerate = _solve(blocks)
+        return _sign_rule(lam.T, degenerate)
 
     return _estimate(mc, draw)
 
@@ -353,9 +454,9 @@ def estimate_cone_angle(cone: SimplicialCone, mc: McConfig) -> McResult:
     k = r.shape[0]
 
     def draw(rng: np.random.Generator, size: int):
-        directions = rng.standard_normal((size, k))
-        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-        coords = np.linalg.solve(r, directions.T).T
+        directions = rng.standard_normal((size, k)).T
+        norms = np.sqrt(_sum_of_squares(directions, np.empty(size)))
+        coords = np.linalg.solve(r, directions / norms)
         return _closed_inside(coords), np.zeros(size, dtype=bool)
 
     return _estimate(mc, draw)
@@ -386,16 +487,20 @@ def projection_experiment(vertices: Sequence[Sequence[float]], mc: McConfig) -> 
     coords = edges @ q  # (n, n)
 
     # per trial the lifted vertices (coords, 1), a direction (u, 0), and the
-    # last vertex (0, 1): the projected last vertex is inside when the
-    # coefficients of the vertices lie in the closed simplex
-    template = np.zeros((n + 2, n + 1))
-    template[:n, :n] = coords
-    template[:n, n] = template[n + 1, n] = 1.0
+    # last vertex (0, 1), as the (coordinate, vector) columns of `_solve`: the
+    # projected last vertex is inside when the coefficients of the vertices
+    # lie in the closed simplex; only the direction is drawn per trial
+    template = np.zeros((n + 1, n + 2, 1))
+    template[:n, :n, 0] = coords.T
+    template[n, :n, 0] = template[n, n + 1, 0] = 1.0
 
     def draw(rng: np.random.Generator, size: int):
-        trials = np.repeat(template[None], size, axis=0)
-        trials[:, n, :n] = rng.standard_normal((size, n))
-        lam, degenerate = _barycentric_batch(trials)
-        return _closed_inside(lam[:, :n]), degenerate
+        directions = rng.standard_normal((size, n))
+        blocks = _sub_blocks(n + 1, size)
+        for w, trials in _spans(blocks):
+            w[:, : n + 2] = template
+            w[:n, n] = directions[trials].T
+        lam, degenerate = _solve(blocks)
+        return _closed_inside(lam[:n]), degenerate
 
     return _estimate(mc, draw)

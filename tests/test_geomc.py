@@ -19,9 +19,11 @@ from sylvester.geomc import (
     _barycentric_batch,
     _block_generator,
     _lift,
+    _sample,
     _sample_lifted,
     _sample_points,
     _sign_rule,
+    _sub_blocks,
     estimate_cone_angle,
     estimate_sylvester,
     is_inside_simplex,
@@ -79,6 +81,48 @@ def _exact_signs(trial) -> np.ndarray:
     return np.array([-np.sign(c) * np.sign(minors[-1]) for c in minors[:-1]], dtype=float)
 
 
+def _reference_rows(dist, rng, count) -> np.ndarray:
+    """(count, d+1) rows (z, s) by the row formula: every normal, then every gamma, numpy's row sum."""
+    d = dist.d
+    z = rng.standard_normal((count, d))
+    if dist.family == "gaussian":
+        s = np.ones(count)
+    elif dist.family == "beta":
+        s = np.sqrt((z * z).sum(axis=1) + 2.0 * rng.standard_gamma(dist.beta + 1.0, size=count))
+    else:
+        s = np.sqrt(2.0 * rng.standard_gamma(dist.beta - 0.5 * d, size=count))
+    return np.column_stack((z, s))
+
+
+def _layout_rows(blocks, vectors) -> np.ndarray:
+    """The points of the work arrays as (trials * vectors, d+1) rows, in trial order."""
+    return np.concatenate([w[:, :vectors].transpose(2, 1, 0) for w in blocks]).reshape(-1, blocks[0].shape[0])
+
+
+def _reference_successes(mc, draw) -> int:
+    """Successes of `_estimate`'s resampling loop, run block by block in the test."""
+    successes = 0
+    for index, start in enumerate(range(0, mc.trials, BLOCK_TRIALS)):
+        rng = _block_generator(mc.seed, index)
+        success, undecided = draw(rng, min(BLOCK_TRIALS, mc.trials - start))
+        while undecided.any():
+            redo = np.flatnonzero(undecided)
+            success[redo], undecided[redo] = draw(rng, redo.size)
+        successes += int(success.sum())
+    return successes
+
+
+def _closed_inside_rows(coords) -> np.ndarray:
+    """Whether rows of barycentric coordinates (N, k) lie in the closed simplex."""
+    return (coords >= -geomc.TAU_RANK * np.abs(coords).max(axis=1, keepdims=True)).all(axis=1)
+
+
+# every family, with the sphere (beta = -1) and beta-prime just above its threshold (some s = 0)
+FAMILIES = (("gaussian", lambda d: None), ("beta", lambda d: 0.0), ("beta", lambda d: -1.0),
+            ("beta", lambda d: 2.5), ("beta_prime", lambda d: 0.5 * d + 1.0),
+            ("beta_prime", lambda d: 0.5 * d + 0.01))
+
+
 class TestSampling:
     def test_beta_support(self):
         pts = _sample_points(Distribution("beta", 3, 0.5), _rng(), 100_000)
@@ -132,6 +176,24 @@ class TestSampling:
         statistic = stats.kstest(angles, stats.uniform(-math.pi, 2 * math.pi).cdf).statistic
         assert statistic < KS_CRITICAL / math.sqrt(pts.shape[0])
 
+    @pytest.mark.parametrize("d", [*range(1, 13), 20, 38])
+    def test_layout_holds_the_row_formula(self, d):
+        # byte for byte, with |z|^2 summed by rows in numpy's order (interleaved from d = 8 on);
+        # two sub-blocks and a short third one
+        size = 2 * (geomc._QR_ROW_VALUES // (d + 3)) + 37
+        for family, beta in FAMILIES:
+            if d == 1 and beta(d) == -1.0:
+                continue  # the sphere needs d >= 2
+            dist = Distribution(family, d, beta(d))
+            blocks = _sub_blocks(d + 1, size)
+            _sample(dist, _rng(60 + d), blocks, d + 2)
+            rows = _layout_rows(blocks, d + 2)
+            assert rows.tobytes() == _reference_rows(dist, _rng(60 + d), size * (d + 2)).tobytes(), (family, d)
+            if family == "beta_prime" and beta(d) < 0.5 * d + 0.1:
+                assert (rows[:, d] == 0.0).any()
+            lifted = _sample_lifted(dist, _rng(60 + d), 1_000)
+            assert lifted.tobytes() == _reference_rows(dist, _rng(60 + d), 1_000).tobytes(), (family, d)
+
 
 class TestInsideSimplex:
     TRIANGLE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
@@ -158,6 +220,17 @@ class TestInsideSimplex:
     def test_shape_validation(self):
         with pytest.raises(DomainError):
             is_inside_simplex((0.5, 0.5), [(0.0, 0.0), (1.0, 0.0)])
+
+
+def _every_trial_undecided(monkeypatch):
+    """Make the one kernel of every Monte Carlo caller flag every trial degenerate."""
+    solve = geomc._solve
+
+    def undecided(blocks):
+        lam, degenerate = solve(blocks)
+        return lam, np.ones_like(degenerate)
+
+    monkeypatch.setattr(geomc, "_solve", undecided)
 
 
 class TestEstimateSylvester:
@@ -196,6 +269,24 @@ class TestEstimateSylvester:
             for workers in (1, 2, 8)
         }
         assert len(set(counts.values())) == 1
+
+    def test_undecided_trials_exceed_the_resampling_bound(self, monkeypatch):
+        _every_trial_undecided(monkeypatch)
+        with pytest.raises(DegenerateGeometryError, match=r"sqrt\(trials\)/2"):
+            estimate_sylvester(Distribution("gaussian", 2), McConfig(trials=1_000, seed=1))
+
+    @pytest.mark.parametrize("family, d, beta", [("gaussian", 2, None), ("beta", 5, 0.0), ("beta_prime", 4, 3.0)])
+    def test_count_matches_rows_through_the_batch_solve(self, family, d, beta):
+        # the second block is a short one, and neither block is a whole number of sub-blocks
+        dist = Distribution(family, d, beta)
+
+        def draw(rng, size):
+            lifted = _reference_rows(dist, rng, size * (d + 2)).reshape(size, d + 2, d + 1)
+            return _sign_rule(*_barycentric_batch(lifted))
+
+        for seed in (20242, 1, 7):
+            mc = McConfig(trials=BLOCK_TRIALS + 5_000, seed=seed)
+            assert estimate_sylvester(dist, mc).successes == _reference_successes(mc, draw), seed
 
     def test_estimate_consistency_fields(self):
         res = estimate_sylvester(Distribution("beta_prime", 2, 2.0), McConfig(trials=50_000, seed=4))
@@ -434,6 +525,21 @@ class TestConeAngle:
         }
         assert len(counts) == 1
 
+    def test_count_matches_the_row_formula(self):
+        e = np.eye(4)
+        cone = SimplicialCone(e[1:] - e[0])
+        _, r = np.linalg.qr(cone.generators.T)
+
+        def draw(rng, size):
+            directions = rng.standard_normal((size, 3))
+            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+            coords = np.linalg.solve(r, directions.T).T
+            return _closed_inside_rows(coords), np.zeros(size, dtype=bool)
+
+        for seed in (31, 32, 501):
+            mc = McConfig(trials=BLOCK_TRIALS + 5_000, seed=seed)
+            assert estimate_cone_angle(cone, mc).successes == _reference_successes(mc, draw), seed
+
     def test_generator_validation(self):
         with pytest.raises(DomainError):
             SimplicialCone(np.ones((3, 2)))
@@ -466,15 +572,28 @@ class TestProjectionExperiment:
                 projection_experiment(np.array([[0.0, 0.0], [1.0, 0.0], third]), McConfig(trials=10, seed=1))
 
     def test_undecided_trials_exceed_the_resampling_bound(self, monkeypatch):
-        solve = geomc._barycentric_batch
-
-        def undecided(lifted):
-            lam, degenerate = solve(lifted)
-            return lam, np.ones_like(degenerate)
-
-        monkeypatch.setattr(geomc, "_barycentric_batch", undecided)
+        _every_trial_undecided(monkeypatch)
         with pytest.raises(DegenerateGeometryError, match=r"sqrt\(trials\)/2"):
             projection_experiment(np.eye(3), McConfig(trials=1_000, seed=1))
+
+    @pytest.mark.parametrize("vertices", [np.eye(4), np.eye(5)])
+    def test_count_matches_repeated_template_rows(self, vertices):
+        n = vertices.shape[0] - 1
+        edges = vertices[:n] - vertices[n]
+        q, _ = np.linalg.qr(edges.T)
+        template = np.zeros((n + 2, n + 1))
+        template[:n, :n] = edges @ q
+        template[:n, n] = template[n + 1, n] = 1.0
+
+        def draw(rng, size):
+            trials = np.repeat(template[None], size, axis=0)
+            trials[:, n, :n] = rng.standard_normal((size, n))
+            lam, degenerate = _barycentric_batch(trials)
+            return _closed_inside_rows(lam[:, :n]), degenerate
+
+        for seed in (31, 32, 501):
+            mc = McConfig(trials=BLOCK_TRIALS + 5_000, seed=seed)
+            assert projection_experiment(vertices, mc).successes == _reference_successes(mc, draw), seed
 
 
 class TestMcConfig:
