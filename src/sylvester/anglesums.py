@@ -30,9 +30,10 @@ directly once n is moderately large while the full integrand stays tame.
 
 Every integrand here is a numpy expression: it maps the array of quadrature
 nodes to the array of its values, so one refinement is one call on all of
-that level's positive half-line nodes, and the inner integral I answers them
-in one lookup.  The grid of I is rebuilt from those nodes on every
-refinement, so the inner error shrinks with the outer step.
+that level's positive half-line nodes.  The cosh-kernel integrand builds I
+from the nodes it is handed (each gap split _INNER_GRID_FACTOR ways) and
+answers them in one lookup, so the inner error shrinks with the outer step
+and the integrand is a pure function of its argument.
 """
 
 from __future__ import annotations
@@ -99,7 +100,6 @@ def _integrate_real_part(
     cfg: QuadratureConfig,
     n: int,
     exponent: float,
-    on_refinement=None,
 ) -> EvalResult:
     """Integrate the real part of a term with term(-x) == conj(term(x)) exactly.
 
@@ -110,9 +110,7 @@ def _integrate_real_part(
     """
     try:
         with np.errstate(over="raise"):
-            result = integrate_line(
-                integrand, envelope, cfg, symmetric=True, on_refinement=on_refinement
-            )
+            result = integrate_line(integrand, envelope, cfg, symmetric=True)
     except (OverflowError, FloatingPointError) as exc:
         raise OverflowBoundError(
             f"angle-sum integrand at n = {n} overflows double precision"
@@ -161,25 +159,20 @@ def _cosh_kernel_evaluation(
     outer_exponent: float,
     log_c_in: float,
     inner_exponent: float,
-    rate: float,
     cfg: QuadratureConfig,
 ) -> EvalResult:
     def g(y: np.ndarray) -> np.ndarray:
         return np.exp(log_c_in + inner_exponent * _log_cosh(y))
 
-    holder: dict[str, CumulativeIntegral] = {}
-
-    def rebuild(nodes: np.ndarray) -> None:
-        grid = _subdivided_grid(nodes)
-        holder["inner"] = CumulativeIntegral(g, grid, even_integrand=True)
-
     log_pref = math.log(n) + log_c_out
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        return _real_part(log_pref - outer_exponent * _log_cosh(x), holder["inner"](x), n)
+        inner = CumulativeIntegral(g, _subdivided_grid(x), even_integrand=True)
+        return _real_part(log_pref - outer_exponent * _log_cosh(x), inner(x), n)
 
-    # |I(x)| <= c_in * x * cosh(x)^max(inner_exponent, 0) makes the whole
-    # integrand exponentially bounded with the stated rate
+    # |I(x)| <= c_in * x * cosh(x)^max(inner_exponent, 0) bounds the integrand
+    # by a degree n-1 polynomial times cosh(x)^-rate <= 2^rate * exp(-rate * x)
+    rate = outer_exponent - (n - 1) * max(inner_exponent, 0.0)
     log_amp = (
         log_pref
         + (n - 1) * np.logaddexp(_LOG_HALF, log_c_in)
@@ -188,9 +181,7 @@ def _cosh_kernel_evaluation(
     envelope = DecayEnvelope(
         kind="exponential", scale=1.0 / rate, poly_degree=n - 1, log_amplitude=float(log_amp)
     )
-    return _integrate_real_part(
-        integrand, envelope, cfg, n, exponent=inner_exponent, on_refinement=rebuild
-    )
+    return _integrate_real_part(integrand, envelope, cfg, n, exponent=inner_exponent)
 
 
 def beta_angle_sum(n: int, beta: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> EvalResult:
@@ -212,7 +203,6 @@ def beta_angle_sum(n: int, beta: float, cfg: QuadratureConfig = DEFAULT_CONFIG) 
         outer_exponent=alpha * n + 2.0,
         log_c_in=log_half_line_beta_const(0.5 * (alpha - 1.0)),
         inner_exponent=alpha,
-        rate=alpha + 2.0,
         cfg=cfg,
     )
 
@@ -229,13 +219,11 @@ def beta_prime_angle_sum(
             f" (else the integral does not converge), got {beta}"
         )
     alpha = 2.0 * beta - n + 1.0
-    rate = alpha + n - 2.0 if alpha >= 1.0 else alpha * n - 1.0
     return _cosh_kernel_evaluation(
         n,
         log_c_out=log_half_line_beta_prime_const(0.5 * alpha * n),
         outer_exponent=alpha * n - 1.0,
         log_c_in=log_half_line_beta_prime_const(0.5 * (alpha + 1.0)),
         inner_exponent=alpha - 1.0,
-        rate=rate,
         cfg=cfg,
     )

@@ -84,8 +84,9 @@ class QuadratureConfig:
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise DomainError("rel_tol and abs_tol must be positive")
+        # rel_tol >= 1 or an infinite abs_tol would accept any value, a negative one too
+        if not (0.0 < self.rel_tol < 1.0 and 0.0 < self.abs_tol < math.inf):
+            raise DomainError("rel_tol must lie in (0, 1) and abs_tol be finite and positive")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -192,9 +193,9 @@ def integrate_line(
     ``f`` maps an array of nodes to the array of its values and is called
     once per refinement: on the ``(2, m)`` array of the nodes x and their
     mirrors -x, or, with ``symmetric=True`` (the caller asserts f is even),
-    on x alone, the result then doubled.  ``on_refinement`` is invoked with
-    the same array first, letting callers rebuild cached inner quantities at
-    matching resolution; every node is evaluated afresh at every level.
+    on x alone, the result then doubled; every node is evaluated afresh at
+    every level.  ``on_refinement``, called with the same array first, has no
+    caller in the package; only ``perfbench/layers.py`` still passes it.
 
     Raises NonConvergenceError (carrying the best result) if the tolerance
     is not met within ``_MAX_REFINEMENTS`` refinements.

@@ -40,12 +40,16 @@ _SERIES_ANCHORS = 281
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
+# math.lgamma(x) ~ x*(log(x) - 1) passes the float64 maximum near x = 2.556e305
+_LGAMMA_ARG_MAX = 2.5e305
 
 
 def log_half_line_beta_const(beta: float) -> float:
     """log of c_(1,beta) = Gamma(beta + 3/2) / (sqrt(pi) * Gamma(beta + 1))."""
     if not beta > -1.0:
         raise DomainError(f"one-dimensional beta constant requires beta > -1, got {beta}")
+    if not beta < _LGAMMA_ARG_MAX:
+        raise OverflowBoundError(f"beta constant c_(1,{beta:g}) overflows double precision")
     return math.lgamma(beta + 1.5) - math.lgamma(beta + 1.0) - _LOG_SQRT_PI
 
 
@@ -53,6 +57,8 @@ def log_half_line_beta_prime_const(beta: float) -> float:
     """log of ctilde_(1,beta) = Gamma(beta) / (sqrt(pi) * Gamma(beta - 1/2))."""
     if not beta > 0.5:
         raise DomainError(f"one-dimensional beta-prime constant requires beta > 1/2, got {beta}")
+    if not beta < _LGAMMA_ARG_MAX:
+        raise OverflowBoundError(f"beta-prime constant ctilde_(1,{beta:g}) overflows double precision")
     return math.lgamma(beta) - math.lgamma(beta - 0.5) - _LOG_SQRT_PI
 
 

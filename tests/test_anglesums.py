@@ -1,5 +1,6 @@
 """Angle-sum evaluator tests against closed forms and frozen references."""
 
+import inspect
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from sylvester.anglesums import (
     beta_prime_angle_sum,
     gaussian_angle_sum,
 )
-from sylvester.errors import DomainError
+from sylvester.errors import DomainError, OverflowBoundError
 from sylvester.quad import CumulativeIntegral
 from sylvester.specfun import h_imag_cdf
 
@@ -198,3 +199,70 @@ class TestNodeArrays:
         assert inners and len(blocks) == len(inners)
         for nodes, inner in zip(blocks, inners):
             assert np.array_equal(inner(-nodes), -inner(nodes))
+
+
+class _Stop(Exception):
+    """Raised by the recording integrate_line once it has seen its arguments."""
+
+
+class TestIntegrandNeedsNoCallback:
+    """The integrands are pure functions of their nodes, and the cosh kernel derives its decay rate."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        recorded = []
+        signature = inspect.signature(anglesums.integrate_line)
+
+        def recording_integrate_line(*args, **kwargs):
+            recorded.append(signature.bind(*args, **kwargs).arguments)
+            raise _Stop
+
+        monkeypatch.setattr(anglesums, "integrate_line", recording_integrate_line)
+
+        def envelope_of(angle_sum, *args):
+            with pytest.raises(_Stop):
+                angle_sum(*args)
+            return recorded[-1]["envelope"]
+
+        return recorded, envelope_of
+
+    @pytest.mark.parametrize(
+        "angle_sum, args",
+        [(gaussian_angle_sum, (6,)), (beta_angle_sum, (6, 0.5)), (beta_prime_angle_sum, (5, 3.7))],
+        ids=["gaussian", "beta", "beta-prime"],
+    )
+    def test_no_route_passes_on_refinement(self, calls, angle_sum, args):
+        recorded, envelope_of = calls
+        envelope_of(angle_sum, *args)
+        assert recorded and all("on_refinement" not in arguments for arguments in recorded)
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_beta_rate_is_alpha_plus_two(self, calls, n):
+        _, envelope_of = calls
+        for beta in (-1.0 if n == 3 else -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 10.0, 1e3, 1e6):
+            alpha = 2.0 * beta + n - 1.0
+            rate = 1.0 / envelope_of(beta_angle_sum, n, beta).scale
+            assert rate == pytest.approx(alpha + 2.0, rel=1e-12, abs=0.0), beta
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_beta_prime_rate_follows_both_branches(self, calls, n):
+        _, envelope_of = calls
+        threshold = 0.5 * (n - 1) + 0.5 / n
+        # alpha = 2*beta - n + 1 crosses 1 at beta = n/2
+        betas = (threshold + 1e-4, threshold + 1e-2, 0.5 * n - 1e-3, 0.5 * n, 0.5 * n + 1e-3,
+                 0.5 * n + 3.3, 3.0 * n, 1e3, 1e6)
+        for beta in betas:
+            alpha = 2.0 * beta - n + 1.0
+            expected = alpha + n - 2.0 if alpha >= 1.0 else alpha * n - 1.0
+            rate = 1.0 / envelope_of(beta_prime_angle_sum, n, beta).scale
+            assert rate == pytest.approx(expected, rel=1e-12, abs=0.0), beta
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("beta", [1e306, 1e307, 1e308])
+@pytest.mark.parametrize("n", [4, 40])
+def test_huge_beta_is_a_typed_overflow(n, beta):
+    with pytest.raises(OverflowBoundError, match="overflows double precision"):
+        beta_angle_sum(n, beta)
+    with pytest.raises(OverflowBoundError, match="overflows double precision"):
+        beta_prime_angle_sum(n, beta)

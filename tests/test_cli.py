@@ -186,6 +186,28 @@ class TestCompute:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ["quadrature", "auto"])
+    @pytest.mark.parametrize("beta", ["1e306", "1e307", "1e308"])
+    @pytest.mark.parametrize("family", ["beta", "betaprime"])
+    def test_huge_beta_exits_2(self, capsys, family, beta, method):
+        # the kernel constants overflow (at 1e308, alpha itself is inf)
+        code, out, err = run_cli(
+            capsys, "compute", "--family", family, "--dim", "2", "--beta", beta, "--method", method,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "overflows double precision" in err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "1", "1e300"])
+    def test_meaningless_tolerance_exits_2(self, capsys, tol):
+        # tol 1e300 once printed a negative probability with exit 0, tol inf
+        # an "Infinity" error that is not JSON
+        code, out, err = run_cli(capsys, "compute", "--family", "gauss", "--dim", "4", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert "rel_tol" in err
+
 
 # Beta-prime values at eps = 1e-2 and 1e-3 above the quadrature threshold
 # 2*beta = d + 1/(d+2), with their error estimates, from the Gauss-Kronrod
@@ -374,6 +396,17 @@ class TestSweep:
             "--beta-min", "0.2", "--beta-max", "0.9", "--steps", "3",
         )
         assert code == 2
+        assert "validity region" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family", ["beta", "betaprime"])
+    def test_huge_betas_are_skipped_as_overflows(self, capsys, family):
+        code, _, err = run_cli(
+            capsys, "sweep", "--family", family, "--dim", "2",
+            "--beta-min", "1e306", "--beta-max", "1e308", "--steps", "2",
+        )
+        assert code == 2
+        assert err.count("overflows double precision") == 3
         assert "validity region" in err
 
     def test_single_step_matches_compute_endpoints(self, capsys):

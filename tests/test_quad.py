@@ -163,6 +163,12 @@ def test_envelope_validation():
 def test_config_validation():
     with pytest.raises(DomainError):
         QuadratureConfig(rel_tol=0.0)
+    # a tolerance that accepts any value is refused like a nonpositive one
+    for rel_tol, abs_tol in ((math.inf, 1e-12), (math.nan, 1e-12), (1.0, 1e-12),
+                             (1e-8, math.inf), (1e-8, math.nan), (1e-8, 0.0)):
+        with pytest.raises(DomainError):
+            QuadratureConfig(rel_tol=rel_tol, abs_tol=abs_tol)
+    QuadratureConfig(rel_tol=0.999, abs_tol=1e300)
 
 
 class TestCumulativeIntegral:

@@ -84,6 +84,19 @@ class TestNormalizingConstants:
         with pytest.raises(DomainError):
             log_half_line_beta_prime_const(0.25)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", [1e306, 1e307, 1e308, math.inf])
+    def test_overflow_is_typed(self, beta):
+        # lgamma overflows from about 2.5e305; at inf the ratio would be nan
+        with pytest.raises(OverflowBoundError, match="overflows double precision"):
+            log_half_line_beta_const(beta)
+        with pytest.raises(OverflowBoundError, match="overflows double precision"):
+            log_half_line_beta_prime_const(beta)
+
+    def test_finite_below_the_overflow_limit(self):
+        assert math.isfinite(log_half_line_beta_const(2.4e305))
+        assert math.isfinite(log_half_line_beta_prime_const(2.4e305))
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
     def test_density_integrates_to_one(self, d, beta):
