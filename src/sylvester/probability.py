@@ -12,7 +12,9 @@ deterministic quadrature route.  The registry is the one source of exact
 values: every method reads it on the line (d = 1, where the probability is
 1 for every law), and otherwise ``auto`` and ``closed_form`` read it first.
 ``quadrature_probability`` is the pure integral route, so the two stay
-independent cross-checks of each other.
+independent cross-checks of each other.  A closed-form result carries the
+registry's error bar, which the registry works out from each row's own
+terms; this module asserts no precision of its own.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ Family = Literal["gaussian", "beta", "beta_prime"]
 
 FAMILIES = ("gaussian", "beta", "beta_prime")
 
-# closed forms are exact expressions; their float evaluation is correct to
-# a few ulp through the log-gamma chain
-_CLOSED_FORM_RELATIVE_ERROR = 5e-15
+# the largest dimension any route accepts: at d = 10**6 every closed form has
+# underflowed to 0, and past it the log-space forms lose their error bars
+MAX_DIMENSION = 10**6
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,7 @@ class Distribution:
     beta > -1; beta = -1 denotes the uniform-on-sphere limit and needs
     d >= 2 (on the line that limit is two atoms and the simplex event
     degenerates).  beta_prime family: density prop. to (1+|x|^2)^(-beta),
-    beta > d/2.
+    beta > d/2.  Every family takes 1 <= d <= MAX_DIMENSION = 10**6.
     """
 
     family: Family
@@ -55,6 +57,8 @@ class Distribution:
             raise DomainError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if not (isinstance(self.d, int) and self.d >= 1):
             raise DomainError(f"dimension d must be an integer >= 1, got {self.d!r}")
+        if self.d > MAX_DIMENSION:
+            raise DomainError("dimension d must be at most 10**6: no route keeps its error bar beyond it")
         if self.family == "gaussian":
             if self.beta is not None:
                 raise DomainError("gaussian distribution takes no beta parameter")
@@ -81,12 +85,7 @@ def closed_form_lookup(dist: Distribution) -> Optional[EvalResult]:
     entry = registry.lookup(dist.family, dist.d, dist.beta)
     if entry is None:
         return None
-    return EvalResult(
-        entry.value,
-        abs(entry.value) * _CLOSED_FORM_RELATIVE_ERROR,
-        "closed_form",
-        nodes_used=0,
-    )
+    return EvalResult(entry.value, entry.abs_error, "closed_form", nodes_used=0)
 
 
 def quadrature_probability(

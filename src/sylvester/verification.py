@@ -4,7 +4,9 @@ One table of checks backs both the CLI ``verify`` subcommand (through
 ``run_suite``) and the acceptance tests: ``checks(suite)`` lists the rows in
 report order, and the suite sets their budgets.  Every row that compares
 quadrature with an exact value runs ``_agreement``, which reads that value
-from the registry lookup.  Hard rows gate the exit code; the monotonicity
+from the registry lookup; the Gaussian-limit rows read their target there
+too, and the registry alone decides which Monte Carlo rows have an exact
+truth.  Hard rows gate the exit code; the monotonicity
 sweeps and the heavy-tail ratio are reported only, since the first is a
 conjecture and the second is asymptotic in d.
 """
@@ -135,7 +137,10 @@ def _agreement(dists, rel_tol, abs_tol, seed, lookup):
 
 
 def _gaussian_limit(d, seed, lookup):
-    target = _quad(Distribution("gaussian", d))
+    entry = lookup("gaussian", d, None)
+    if entry is None:
+        return False, "registry entry missing"
+    target = entry.value
     (beta10, prime10), (beta100, prime100) = (
         (abs(_quad(Distribution("beta", d, b)) - target),
          abs(_quad(Distribution("beta_prime", d, b)) - target))
@@ -281,12 +286,13 @@ def checks(suite: str = "basic") -> List[Check]:
         Check("gaussian-limit[d=3]", partial(_gaussian_limit, 3)),
     ]
     # Monte Carlo against the registry, or against quadrature where it has no row
-    mc_dists = [(Distribution("gaussian", d), d < 4) for d in (2, 3, 4)]
-    mc_dists += [(Distribution("beta", d, 0.0), True) for d in (2, 3, 4)]
-    mc_dists += [(Distribution("beta_prime", d, 0.5 * d + 1.0), True) for d in (2, 3, 4)]
+    mc_dists = [Distribution("gaussian", d) for d in (2, 3, 4)]
+    mc_dists += [Distribution("beta", d, 0.0) for d in (2, 3, 4)]
+    mc_dists += [Distribution("beta_prime", d, 0.5 * d + 1.0) for d in (2, 3, 4)]
     rows += [
-        Check(f"mc-cross[{dist.family} d={dist.d}]", partial(_mc_cross, dist, trials, exact))
-        for dist, exact in mc_dists
+        Check(f"mc-cross[{dist.family} d={dist.d}]",
+              partial(_mc_cross, dist, trials, registry.lookup(dist.family, dist.d, dist.beta) is not None))
+        for dist in mc_dists
     ]
     rows += [
         Check("lemma-projection-identity", partial(_lemma, trials)),

@@ -49,6 +49,11 @@ def parse_json_lines(out):
     return [json.loads(line) for line in out.strip().splitlines()]
 
 
+def _half_plus_one(d):
+    """--beta for the beta-prime closed form d/2 + 1; 1e308 where d/2 is no float."""
+    return repr(0.5 * d + 1.0) if d < 10**300 else "1e308"
+
+
 class TestCompute:
     def test_gaussian_d3(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "--family", "gauss", "--dim", "3")
@@ -207,6 +212,58 @@ class TestCompute:
         assert code == 2
         assert out == ""
         assert "rel_tol" in err
+
+    @pytest.mark.parametrize("d", [10**6 + 1, 10**16, 10**200, 10**400], ids=["1e6+1", "1e16", "1e200", "1e400"])
+    @pytest.mark.parametrize("family,beta", [("beta", "-1"), ("beta", "0"), ("beta", "1"), ("betaprime", None)])
+    def test_dimension_cap(self, capsys, family, beta, d):
+        # beyond d = 10**6 the log-space closed forms lose their error bars, and
+        # past 10**308 d is no float: every method refuses it with exit 2
+        argv = ["compute", "--family", family, "--dim", str(d), "--beta", beta or _half_plus_one(d)]
+        for method in ("auto", "closed-form", "quadrature"):
+            code, out, err = run_cli(capsys, *argv, "--method", method)
+            assert (code, out) == (2, "")
+            assert "at most 10**6" in err
+
+    @pytest.mark.parametrize("family,beta", [("beta", "-1"), ("beta", "0"), ("beta", "1"), ("betaprime", "500001.0")])
+    def test_largest_dimension_underflows_honestly(self, capsys, family, beta):
+        code, out, _ = run_cli(capsys, "compute", "--family", family, "--dim", str(10**6), "--beta", beta)
+        assert code == 0
+        (rec,) = parse_json_lines(out)
+        # the exact value is positive but below the smallest subnormal, except at the
+        # sphere limit, where it is exactly 0
+        assert (rec["method"], rec["value"]) == ("closed_form", 0.0)
+        assert rec["abs_error"] == (0.0 if beta == "-1" else math.ulp(0.0))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(["gauss", "beta", "betaprime"]),
+        d=st.one_of(
+            st.integers(-2, 40),
+            st.integers(41, 3000),
+            st.integers(10**6 - 2, 10**6 + 2),
+            st.integers(6, 400).map(lambda k: 10**k),
+        ),
+        beta=st.one_of(
+            st.none(),
+            st.sampled_from([-1.0, 0.0, 1.0, "d/2 + 1", math.nan, math.inf, 1e308]),
+            st.floats(-8.0, 12.0).map(lambda e: 10.0**e),
+        ),
+        method=st.sampled_from(["auto", "quadrature", "closed-form"]),
+        tol=st.sampled_from(["1e-4", "1e-6", "1e-8", "1e-10", "0"]),
+    )
+    def test_compute_gives_a_value_or_a_typed_error(self, family, d, beta, method, tol):
+        argv = ["compute", "--family", family, "--dim", str(d), "--method", method, "--tol", tol]
+        if beta is not None:
+            argv += ["--beta", _half_plus_one(d) if beta == "d/2 + 1" else repr(beta)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2, 3)
+        if code == 0:
+            (rec,) = parse_json_lines(out.getvalue())
+            if rec["method"] == "closed_form":
+                assert 0.0 <= rec["value"] <= 1.0
+                assert math.isfinite(rec["abs_error"]) and rec["abs_error"] >= 0.0
 
 
 # Beta-prime values at eps = 1e-2 and 1e-3 above the quadrature threshold
@@ -593,13 +650,14 @@ class TestVerify:
         ]
 
     def test_missing_gaussian_entry_fails_its_rows(self, monkeypatch):
-        # the Gaussian closed-form rows, the Monte Carlo rows at d = 2, 3 and the lemma
-        # take their values from the registry
+        # the Gaussian closed-form rows, the Gaussian-limit rows, the Monte Carlo rows
+        # at d = 2, 3 and the lemma take their values from the registry
         def missing(family, d, beta):
             return None if family == "gaussian" else registry.lookup(family, d, beta)
 
         names = [
             "gaussian-closed-form[d=2]", "gaussian-closed-form[d=3]",
+            "gaussian-limit[d=2]", "gaussian-limit[d=3]",
             "mc-cross[gaussian d=2]", "mc-cross[gaussian d=3]", "lemma-projection-identity",
         ]
         rows = [row for row in verification.checks("basic") if row.name in names]

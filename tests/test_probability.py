@@ -147,6 +147,85 @@ class TestClosedFormLookup:
         assert closed_form_lookup(Distribution("beta_prime", 3, 3.0)) is None
 
 
+def _mp_binomial(mp, n, k):
+    return mp.exp(mp.loggamma(n + 1) - mp.loggamma(k + 1) - mp.loggamma(n - k + 1))
+
+
+def _mp_every_dimension(mp, key, d):
+    """The every-dimension closed forms, evaluated in mpmath."""
+    if key == "uniform ball":
+        m = d + 1
+        return (d + 2) / mp.mpf(2) ** d * _mp_binomial(mp, m, mp.mpf(m) / 2) ** m / _mp_binomial(
+            mp, m * m, mp.mpf(m * m) / 2
+        )
+    if key == "linear weight":
+        m = d + 2
+        return (
+            2 * mp.pi * m * (m * m + 1) * (m * m + d + 4) / ((d + 5) * mp.mpf(2) ** (m * (2 * d + 5)))
+            * _mp_binomial(mp, d + 3, mp.mpf(d + 3) / 2) ** (d + 1)
+            * _mp_binomial(mp, m * m, mp.mpf(m * m) / 2)
+        )
+    return 4 * (2 * d + 3) / _mp_binomial(mp, 2 * d + 4, d + 2)
+
+
+def _mp_few_dimensions(mp):
+    """(family, beta, d) -> the few-dimension closed forms, evaluated in mpmath."""
+    pi, third = mp.pi, mp.mpf(1) / 3
+    return {
+        ("gaussian", None, 2): 1 - 6 / pi * mp.asin(third),
+        ("gaussian", None, 3): mp.mpf(1) / 2 - 5 / pi * mp.asin(mp.mpf(1) / 4),
+        ("beta", -0.5, 2): mp.mpf(1) / 4,
+        ("beta", -0.5, 3): 539 / (144 * pi**2) - third,
+        ("beta", -0.5, 4): mp.mpf(25411) / 3670016,
+        ("beta", -0.5, 5): third + 113537407 / (24192000 * pi**4) - 2144238917 / (570810240 * pi**2),
+        ("beta", 0.5, 2): mp.mpf(401) / 1280,
+        ("beta", 0.5, 3): 1692197 / (423360 * pi**2) - third,
+        ("beta", 0.5, 4): mp.mpf(112433094897) / 8598524526592,
+    }
+
+
+ERROR_BAR_DIMS = list(range(2, 40)) + [50, 60, 80, 100, 120, 150, 180, 200, 250, 300]
+EVERY_DIMENSION_KEYS = {
+    "uniform ball": lambda d: Distribution("beta", d, 0.0),
+    "linear weight": lambda d: Distribution("beta", d, 1.0),
+    "heavy tail": lambda d: Distribution("beta_prime", d, 0.5 * d + 1.0),
+}
+
+
+class TestClosedFormErrorBars:
+    """Each closed form's error bar covers its float against a 60-digit evaluation."""
+
+    @pytest.mark.parametrize("key", sorted(EVERY_DIMENSION_KEYS))
+    def test_every_dimension_forms(self, key):
+        mp = pytest.importorskip("mpmath").mp
+        with mp.workdps(60):
+            for d in ERROR_BAR_DIMS:
+                res = closed_form_lookup(EVERY_DIMENSION_KEYS[key](d))
+                exact = _mp_every_dimension(mp, key, d)
+                assert abs(mp.mpf(res.value) - exact) <= res.abs_error_estimate, (key, d)
+                if d <= 200:
+                    assert 0.0 < res.abs_error_estimate <= 1e-9 * res.value, (key, d)
+
+    def test_few_dimension_forms(self):
+        mp = pytest.importorskip("mpmath").mp
+        with mp.workdps(60):
+            for (family, beta, d), exact in _mp_few_dimensions(mp).items():
+                res = closed_form_lookup(Distribution(family, d, beta))
+                assert abs(mp.mpf(res.value) - exact) <= res.abs_error_estimate, (family, beta, d)
+                assert 0.0 < res.abs_error_estimate <= 1e-11 * res.value, (family, beta, d)
+
+    def test_exact_rows_keep_a_zero_bar(self):
+        assert closed_form_lookup(Distribution("gaussian", 1)).abs_error_estimate == 0.0
+        for d in (2, 3, 300):
+            res = closed_form_lookup(Distribution("beta", d, -1.0))
+            assert (res.value, res.abs_error_estimate) == (0.0, 0.0)
+
+    def test_underflow_keeps_a_positive_bar(self):
+        # the uniform ball at d = 300 is positive but below the smallest subnormal
+        res = closed_form_lookup(Distribution("beta", 300, 0.0))
+        assert (res.value, res.abs_error_estimate) == (0.0, math.ulp(0.0))
+
+
 class TestSylvesterProbability:
     def test_auto_prefers_closed_form(self):
         res = sylvester_probability(Distribution("beta", 2, 0.0))
