@@ -2,7 +2,8 @@
 
 Data goes to stdout (JSON lines or RFC-4180 CSV), diagnostics to stderr.
 Exit codes: 0 success, 1 verification failure, 2 domain error (any
-SylvesterError but non-convergence), 3 non-convergence.
+SylvesterError but non-convergence), 3 non-convergence, which includes a
+value whose error bar excludes every probability in [0, 1].
 """
 
 from __future__ import annotations
@@ -65,6 +66,11 @@ def _quadrature_config(tol: float) -> QuadratureConfig:
     return QuadratureConfig(rel_tol=tol, abs_tol=tol * 1e-4)
 
 
+def _bar_misses_unit_interval(value: float, error: float) -> bool:
+    """Whether [value - error, value + error] holds no probability."""
+    return value + error < 0.0 or value - error > 1.0
+
+
 def _distribution(args) -> Distribution:
     return Distribution(_FAMILY_FLAGS[args.family], args.dim, getattr(args, "beta", None))
 
@@ -85,6 +91,11 @@ def _cmd_compute(args) -> int:
     dist = _distribution(args)
     method = {"auto": "auto", "quadrature": "quadrature", "closed-form": "closed_form"}[args.method]
     result = sylvester_probability(dist, method=method, cfg=_quadrature_config(args.tol))
+    if _bar_misses_unit_interval(result.value, result.abs_error_estimate):
+        raise NonConvergenceError(
+            f"value {result.value:.6e} with abs_error {result.abs_error_estimate:.3e} excludes"
+            " every probability in [0, 1]"
+        )
     rec = _record(
         dist.family, dist.d, dist.beta, result.method, result.value,
         abs_error=result.abs_error_estimate,
@@ -128,6 +139,11 @@ def _cmd_sweep(args) -> int:
             print(f"warning: skipping beta={beta:.6g}: {exc}", file=sys.stderr)
             continue
         value, error = result.value, result.abs_error_estimate
+        if _bar_misses_unit_interval(value, error):
+            unresolved += 1
+            print(f"warning: skipping beta={beta:.6g}: value {value:.6e} with abs_error {error:.3e}"
+                  " excludes [0, 1]", file=sys.stderr)
+            continue
         if 0.0 < error and abs(value) <= error:
             # the error bar reaches 0, so the value cannot enter the trend (an
             # exact 0, with abs_error 0, is resolved)
@@ -138,7 +154,9 @@ def _cmd_sweep(args) -> int:
         values.append(value)
         writer.writerow([f"{beta:.12g}", f"{value:.16e}", f"{error:.3e}"])
     if not values and unresolved:
-        raise NonConvergenceError(f"no sweep point is resolved: {unresolved} lie within abs_error of 0")
+        raise NonConvergenceError(
+            f"no sweep point is resolved: {unresolved} lie within abs_error of 0 or exclude [0, 1]"
+        )
     if not values:
         raise DomainError("the whole sweep range lies outside the validity region")
     monotone, trend, _ = verification.conjecture_trend(family, values)

@@ -44,6 +44,13 @@ BLOCK_TRIALS = 1 << 14
 # numpy's per-call cost, and the GIL hand-offs between workers, small
 _QR_ROW_VALUES = 49152
 
+# largest dimension d (simplex dimension for projection_experiment) Monte
+# Carlo accepts: one block's work arrays hold BLOCK_TRIALS*(d+1)*(d+3)
+# floats, 210 MB at d = 38 but 5.3 GB at d = 200, and the whole block must be
+# resident, since its gammas follow all its normals in the stream; nor does
+# Monte Carlo see a single success past d ~ 12 at any practical budget
+_MAX_DIMENSION = 38
+
 # rank / conditioning guard: a |diag R| within TAU_RANK of the largest rejects
 # a solve or a frame, an equilibrated condition estimate above 1/TAU_RANK
 # rejects a solve, and coefficients within TAU_RANK of the largest decide no sign
@@ -81,6 +88,14 @@ class McResult:
 def _block_generator(seed: int, block_index: int) -> np.random.Generator:
     # disjoint 2^128-state windows of one Philox stream per block
     return np.random.Generator(np.random.Philox(key=seed, counter=block_index << 128))
+
+
+def _check_dimension(d: int, what: str) -> None:
+    if d > _MAX_DIMENSION:
+        raise DomainError(
+            f"Monte Carlo accepts {what} <= {_MAX_DIMENSION}, got {d}: a block of {BLOCK_TRIALS}"
+            f" trials would take {BLOCK_TRIALS * (d + 1) * (d + 3) * 8 / 1e9:.3g} GB"
+        )
 
 
 def _run_blocks(mc: McConfig, block_fn: Callable[[int, int], object]):
@@ -403,8 +418,12 @@ def _estimate(mc: McConfig, draw: Callable[[np.random.Generator, int], tuple]) -
 
 
 def estimate_sylvester(dist: Distribution, mc: McConfig) -> McResult:
-    """Monte Carlo estimate of the simplex probability for dist: the sign rule on d+2 lifted points."""
+    """Monte Carlo estimate of the simplex probability for dist: the sign rule on d+2 lifted points.
+
+    Raises DomainError for d > 38, before any array exists.
+    """
     d = dist.d
+    _check_dimension(d, "dimension d")
 
     def draw(rng: np.random.Generator, size: int):
         blocks = _sub_blocks(d + 1, size)
@@ -465,7 +484,7 @@ def estimate_cone_angle(cone: SimplicialCone, mc: McConfig) -> McResult:
 def projection_experiment(vertices: Sequence[Sequence[float]], mc: McConfig) -> McResult:
     """Probability that a uniform projection maps the last vertex inside.
 
-    vertices: the n+1 points of an n-dimensional simplex (n >= 2), possibly
+    vertices: the n+1 points of an n-dimensional simplex (2 <= n <= 38), possibly
     embedded in a higher-dimensional space; the experiment runs inside the
     simplex's affine hull, where the identity is non-trivial.  Per trial,
     draw U uniform on the hull's unit sphere, project everything onto the
@@ -479,6 +498,7 @@ def projection_experiment(vertices: Sequence[Sequence[float]], mc: McConfig) -> 
     n = vertices.shape[0] - 1  # intrinsic simplex dimension
     if n < 2:
         raise DomainError("a 1-dimensional simplex would project onto a point; need n >= 2")
+    _check_dimension(n, "simplex dimension n")
     if vertices.shape[1] < n:
         raise DomainError(f"{n + 1} vertices cannot span an {n}-simplex in R^{vertices.shape[1]}")
     edges = vertices[:n] - vertices[n]

@@ -10,15 +10,16 @@ restriction of the standard normal CDF to the imaginary axis,
 
 ``h_imag_cdf`` maps an ndarray to an ndarray of the same shape (a float to
 a float) from a table built once at import: anchors y_j = j/32 on
-[0, Y_MAX], each with its value h(y_j) and the 20 positive Taylor
-coefficients of the increment towards the next anchor.  A call finds
-each argument's anchor and runs one 20-step Horner pass over the whole
-array, with no convergence loop.  Its relative error is at most 6 ulp
-against mpmath over [0, Y_MAX].  The table holds 1,201 anchors of 22
-floats (206 KiB) and takes about 1.5 ms to build.  ``h`` grows like
-``exp(y^2/2)``, so it carries an explicit overflow bound ``Y_MAX``;
-callers are expected to rescale their integrals instead of asking for
-larger arguments.
+[0, Y_MAX], each with the 20 positive Taylor coefficients of the increment
+towards the next anchor, and the anchor values h(y_j), which are the
+running sums of those increments from h(0) = 0.  A call finds each
+argument's anchor and runs one 20-step Horner pass over the whole array,
+with no convergence loop.  Its relative error measures at most 2.6 eps
+against mpmath over [0, Y_MAX].  The table holds 1,201 anchors of 20
+coefficients and 1,202 values (197 KiB) and takes about 0.2 ms to build.
+``h`` grows like ``exp(y^2/2)``, so it carries an explicit overflow bound
+``Y_MAX``; callers are expected to rescale their integrals instead of
+asking for larger arguments.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ Y_MAX = 37.5
 # h_imag_cdf's table: anchors y_j = j/32, each with 20 Taylor coefficients
 _ANCHORS_PER_UNIT = 32
 _TERMS = 20
-# anchors 0..280, y <= 8.75, take their value from the power series
-_SERIES_ANCHORS = 281
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
@@ -71,23 +70,8 @@ def log_gen_binomial(n: float, k: float) -> float:
     return math.lgamma(n + 1.0) - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
 
 
-def _h_series(y: np.ndarray) -> np.ndarray:
-    # sum_k y^(2k+1) / ((2k+1) * 2^k * k!), all terms positive: no cancellation;
-    # once an element's term drops below 1e-17 of its total, later terms are
-    # below half an ulp and leave it unchanged
-    term = y.copy()
-    total = y.copy()
-    y2 = y * y
-    for k in range(400):
-        term *= y2 * (2 * k + 1) / (2.0 * (k + 1) * (2 * k + 3))
-        total += term
-        if np.all(term <= 1e-17 * total):
-            break
-    return total / _SQRT_2PI
-
-
-def _anchor_table() -> np.ndarray:
-    """Column j: H_j = h(y_j), H_(j+1), then the increment's coefficients.
+def _anchor_table() -> tuple[np.ndarray, np.ndarray]:
+    """The anchor values H (one past the last anchor) and the coefficient block C.
 
     With y_j = j/32 and u = 32*s in [0, 1),
 
@@ -97,15 +81,14 @@ def _anchor_table() -> np.ndarray:
     where exp(y*t + t^2/2) = sum_k a_k t^k with (k+1)*a_(k+1) = y*a_k + a_(k-1)
     and C_(m,j) = exp(y_j^2/2)/sqrt(2*pi) * a_(m-1) / (m * 32^m).  Every
     coefficient is positive, and the 21st term is below 1e-17 of the sum at
-    y = Y_MAX.  The series gives H_j up to y = 8.75 (about 100 terms there);
-    above, H_j is the running sum of whole-step increments, which grow
-    geometrically, so rounding does not pile up.
+    y = Y_MAX.  One rule gives every anchor value: H_0 = h(0) = 0, and H_j is
+    the running sum of the whole-step increments sum_m C_(m,i), i < j.  The
+    increments are positive and grow, so rounding does not pile up.
     """
     step = 1.0 / _ANCHORS_PER_UNIT
     y = np.arange(round(Y_MAX * _ANCHORS_PER_UNIT) + 1) * step
-    table = np.empty((_TERMS + 2, y.size))
     # b_k = a_k * step^k stays below 2 where a_k alone would reach 7e12
-    b = table[2:]
+    b = np.empty((_TERMS, y.size))
     b[0] = 1.0
     b[1] = y * step
     for k in range(1, _TERMS - 1):
@@ -113,16 +96,10 @@ def _anchor_table() -> np.ndarray:
     # y_j^2 is exact, so exp(y_j^2/2) is rounded once
     b *= np.exp(0.5 * y * y) * (step / _SQRT_2PI)
     b /= np.arange(1, _TERMS + 1)[:, None]
-    values = np.empty(y.size + 1)
-    values[:_SERIES_ANCHORS] = _h_series(y[:_SERIES_ANCHORS])
-    last = _SERIES_ANCHORS - 1
-    values[last:] = np.cumsum(np.concatenate(([values[last]], b[:, last:].sum(axis=0))))
-    table[0] = values[:-1]
-    table[1] = values[1:]
-    return table
+    return np.concatenate(([0.0], np.cumsum(b.sum(axis=0)))), b
 
 
-_TABLE = _anchor_table()
+_H, _COEFFS = _anchor_table()
 
 
 def h_imag_cdf(y):
@@ -149,11 +126,11 @@ def h_imag_cdf(y):
     j = scaled.astype(np.intp)
     u = scaled - j
     # one take per coefficient row: faster than one 2-D gather, and never
-    # holds 22 copies of the argument array
-    acc = _TABLE[-1].take(j)
-    for coef in _TABLE[-2:1:-1]:
+    # holds 20 copies of the argument array
+    acc = _COEFFS[-1].take(j)
+    for coef in _COEFFS[-2::-1]:
         acc *= u
         acc += coef.take(j)
-    value = np.minimum(_TABLE[0].take(j) + u * acc, _TABLE[1].take(j))
+    value = np.minimum(_H.take(j) + u * acc, _H[1:].take(j))
     value = np.where(y.ravel() < 0.0, -value, value)
     return float(value[0]) if y.ndim == 0 else value.reshape(y.shape)

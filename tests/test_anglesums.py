@@ -53,6 +53,11 @@ class TestGaussianAngleSum:
         with pytest.raises(DomainError):
             gaussian_angle_sum(41)
 
+    @pytest.mark.parametrize("n", [4.0, "4", None])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(DomainError, match="must be an integer"):
+            gaussian_angle_sum(n)
+
 
 class TestBetaAngleSum:
     def test_uniform_ball_case(self):

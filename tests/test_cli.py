@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sylvester import cli, registry, verification
+from sylvester import cli, geomc, registry, verification
 from sylvester.cli import main
 from sylvester.errors import NonConvergenceError, SylvesterError
 from sylvester.probability import Distribution, quadrature_probability
@@ -234,6 +234,17 @@ class TestCompute:
         assert (rec["method"], rec["value"]) == ("closed_form", 0.0)
         assert rec["abs_error"] == (0.0 if beta == "-1" else math.ulp(0.0))
 
+    @pytest.mark.parametrize("d,beta,tol", [("24", "0", "1e-3"), ("16", "1", "0.5")])
+    def test_error_bar_below_zero_exits_3(self, capsys, d, beta, tol):
+        # -1.04e-6 +- 7.3e-7 and -7.23e-5 +- 2.30e-5: no probability lies within either bar
+        code, out, err = run_cli(
+            capsys, "compute", "--family", "beta", "--dim", d, "--beta", beta,
+            "--method", "quadrature", "--tol", tol,
+        )
+        assert (code, out) == (3, "")
+        value, error = map(float, re.search(r"value (\S+) with abs_error (\S+) excludes", err).groups())
+        assert value + error < 0.0
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         family=st.sampled_from(["gauss", "beta", "betaprime"]),
@@ -264,6 +275,9 @@ class TestCompute:
             if rec["method"] == "closed_form":
                 assert 0.0 <= rec["value"] <= 1.0
                 assert math.isfinite(rec["abs_error"]) and rec["abs_error"] >= 0.0
+            else:  # the error bar overlaps [0, 1]
+                assert rec["value"] + rec["abs_error"] >= 0.0
+                assert rec["value"] - rec["abs_error"] <= 1.0
 
 
 # Beta-prime values at eps = 1e-2 and 1e-3 above the quadrature threshold
@@ -303,6 +317,14 @@ class TestBetaPrimeThreshold:
             assert abs(rec["value"] - value) <= 3.0 * (rec["abs_error"] + estimate)
         values = [rec["value"] for rec in records]
         assert values == sorted(values)
+
+
+def _refuse_work_arrays(monkeypatch):
+    """Make any Monte Carlo block allocation fail the test."""
+    def refuse(k, size):
+        raise AssertionError(f"a work array of {size} trials was allocated at k = {k}")
+
+    monkeypatch.setattr(geomc, "_sub_blocks", refuse)
 
 
 class TestMc:
@@ -348,6 +370,19 @@ class TestMc:
         )
         assert parse_json_lines(out)[0]["seed"] == 3
 
+    def test_non_integer_env_seed_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("SYLVESTER_SEED", "seven")
+        code, out, err = run_cli(capsys, "mc", "--family", "gauss", "--dim", "2", "--trials", "10")
+        assert (code, out) == (2, "")
+        assert "SYLVESTER_SEED must be an integer" in err
+
+    @pytest.mark.parametrize("d", [39, 200, 10**6])
+    def test_large_dimension_exits_2_before_any_block(self, capsys, monkeypatch, d):
+        _refuse_work_arrays(monkeypatch)
+        code, out, err = run_cli(capsys, "mc", "--family", "gauss", "--dim", str(d), "--trials", "1")
+        assert (code, out) == (2, "")
+        assert "Monte Carlo accepts dimension d <= 38" in err
+
     def test_invalid_distribution_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "mc", "--family", "betaprime", "--dim", "4", "--beta", "1.5",
@@ -391,7 +426,7 @@ class TestMc:
     @example(family="beta", d=1, offset=0.99999, seed=0)  # beta = -1.0000000000065512e-05
     @given(
         family=st.sampled_from(["gauss", "beta", "betaprime"]),
-        d=st.integers(1, 8),
+        d=st.one_of(st.integers(1, 8), st.integers(39, 10**6)),
         offset=st.one_of(
             st.floats(-8.0, -1.0).map(lambda e: 10.0**e),  # near the family's threshold
             st.floats(0.1, 5.0),
@@ -405,9 +440,14 @@ class TestMc:
             # beta > -1 for the beta family, beta > d/2 for beta-prime
             argv += ["--beta", repr((-1.0 if family == "beta" else 0.5 * d) + offset)]
         out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), \
+                pytest.MonkeyPatch.context() as monkeypatch:
+            if d > 38:  # refused before any block is allocated
+                _refuse_work_arrays(monkeypatch)
             code = main(argv)
         assert code in (0, 2)
+        if d > 38:
+            assert code == 2
         if code == 0:
             assert 0.0 <= parse_json_lines(out.getvalue())[0]["value"] <= 1.0
 
@@ -503,6 +543,39 @@ class TestSweep:
         lines = out.strip().splitlines()
         assert [row.split(",")[0] for row in lines[1:-1]] == ["5.7", "10.7", "15.7", "20.7"]
         assert lines[-1] == "# monotone non-decreasing: true"
+
+    def test_point_whose_error_bar_excludes_probabilities_is_skipped(self, capsys):
+        # at tol 0.5, d = 16: beta = 0.5 and 1.5 give -7.8e-5 +- 6.0e-5 and -6.4e-5 +- 6.1e-5,
+        # beta = 1 is the closed form and beta = 2 is unresolved
+        code, out, err = run_cli(
+            capsys, "sweep", "--family", "beta", "--dim", "16",
+            "--beta-min", "0.5", "--beta-max", "2", "--steps", "3", "--tol", "0.5",
+        )
+        assert code == 0
+        assert err.count("excludes [0, 1]") == 2
+        assert "skipping beta=0.5: value" in err and "skipping beta=1.5: value" in err
+        lines = out.strip().splitlines()
+        assert [row.split(",")[0] for row in lines[1:-1]] == ["1"]
+
+    def test_only_points_excluding_probabilities_exits_3(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--family", "beta", "--dim", "16",
+            "--beta-min", "0.5", "--beta-max", "0.75", "--steps", "1", "--tol", "0.5",
+        )
+        assert code == 3
+        assert out.strip() == "beta,value,abs_error"
+        assert err.count("excludes [0, 1]") == 2
+        assert "no sweep point is resolved" in err
+
+    @pytest.mark.parametrize(
+        "bounds,message",
+        [(("--beta-min", "0", "--beta-max", "1", "--steps", "0"), "--steps must be >= 1"),
+         (("--beta-min", "1", "--beta-max", "0.5", "--steps", "2"), "--beta-max must be >= --beta-min")],
+    )
+    def test_malformed_grid_exits_2(self, capsys, bounds, message):
+        code, out, err = run_cli(capsys, "sweep", "--family", "beta", "--dim", "2", *bounds)
+        assert (code, out) == (2, "")
+        assert message in err
 
     def test_exact_zero_is_resolved(self, capsys):
         # the sphere limit beta = -1 is exactly 0 with abs_error 0

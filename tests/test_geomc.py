@@ -195,6 +195,15 @@ class TestSampling:
             assert lifted.tobytes() == _reference_rows(dist, _rng(60 + d), 1_000).tobytes(), (family, d)
 
 
+class TestSumOfSquares:
+    @pytest.mark.parametrize("n", [129, 200, 1000])
+    def test_long_rows_match_numpy_pairwise_sum(self, n):
+        # above 128 terms numpy splits the sum into halves; the trials stay on the last axis
+        z = _rng(n).standard_normal((50, n))
+        out = geomc._sum_of_squares(np.ascontiguousarray(z.T), np.empty(50))
+        assert out.tobytes() == (z * z).sum(axis=-1).tobytes()
+
+
 class TestInsideSimplex:
     TRIANGLE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
 
@@ -220,6 +229,14 @@ class TestInsideSimplex:
     def test_shape_validation(self):
         with pytest.raises(DomainError):
             is_inside_simplex((0.5, 0.5), [(0.0, 0.0), (1.0, 0.0)])
+
+
+def _refuse_work_arrays(monkeypatch):
+    """Make any Monte Carlo block allocation fail the test."""
+    def refuse(k, size):
+        raise AssertionError(f"a work array of {size} trials was allocated at k = {k}")
+
+    monkeypatch.setattr(geomc, "_sub_blocks", refuse)
 
 
 def _every_trial_undecided(monkeypatch):
@@ -287,6 +304,10 @@ class TestEstimateSylvester:
         for seed in (20242, 1, 7):
             mc = McConfig(trials=BLOCK_TRIALS + 5_000, seed=seed)
             assert estimate_sylvester(dist, mc).successes == _reference_successes(mc, draw), seed
+
+    def test_largest_dimension_runs(self):
+        res = estimate_sylvester(Distribution("gaussian", 38), McConfig(trials=3, seed=1))
+        assert res.trials == 3 and res.successes == 0
 
     def test_estimate_consistency_fields(self):
         res = estimate_sylvester(Distribution("beta_prime", 2, 2.0), McConfig(trials=50_000, seed=4))
@@ -543,6 +564,12 @@ class TestConeAngle:
     def test_generator_validation(self):
         with pytest.raises(DomainError):
             SimplicialCone(np.ones((3, 2)))
+        with pytest.raises(DomainError, match=r"\(k, m\) array"):
+            SimplicialCone(np.ones(3))
+        with pytest.raises(DomainError, match="1 <= k <= m"):
+            SimplicialCone(np.ones((0, 2)))
+        with pytest.raises(DomainError, match="finite"):
+            SimplicialCone(np.array([[1.0, 0.0], [0.0, np.inf]]))
 
 
 class TestProjectionExperiment:
@@ -565,6 +592,24 @@ class TestProjectionExperiment:
     def test_line_rejected(self):
         with pytest.raises(DomainError):
             projection_experiment(np.array([[0.0], [1.0]]), McConfig(trials=10, seed=1))
+
+    @pytest.mark.parametrize(
+        "vertices,message",
+        [(np.ones(3), "2-d array"), (np.ones((1, 3)), "2-d array"),
+         (np.array([[0.0, 0.0], [1.0, 0.0], [0.0, np.nan]]), "2-d array"),
+         (np.eye(4)[:, :2], "cannot span")],
+    )
+    def test_vertex_validation(self, vertices, message):
+        with pytest.raises(DomainError, match=message):
+            projection_experiment(vertices, McConfig(trials=10, seed=1))
+
+    def test_large_simplex_refused_before_any_block(self, monkeypatch):
+        _refuse_work_arrays(monkeypatch)
+        with pytest.raises(DomainError, match="simplex dimension n <= 38"):
+            projection_experiment(np.eye(40), McConfig(trials=1, seed=1))
+
+    def test_largest_simplex_runs(self):
+        assert projection_experiment(np.eye(39), McConfig(trials=3, seed=1)).trials == 3
 
     def test_general_position_required(self):
         for third in ((2.0, 0.0), (2.0, 1e-14)):  # collinear and nearly collinear triangles in R^2

@@ -315,12 +315,26 @@ class TestPrecisionEnvelope:
         truth = closed_form_lookup(Distribution("beta", d, 0.0)).value
         assert abs(res.value - truth) <= 3.0 * res.abs_error_estimate
 
-    def test_beyond_band_is_honest_about_cancellation(self):
+    @pytest.mark.parametrize(
+        "d,beta,rel_tol,abs_tol",
+        [
+            (24, 0.0, 1e-6, 1e-16),
+            # the CLI's tolerances, abs_tol = tol * 1e-4: without the n > 20
+            # inflation the error is 11.4, 7.85, 5.48 and 5.10 times the estimate
+            (24, 0.0, 1e-3, 1e-7),
+            (25, 1.0, 1e-3, 1e-7),
+            (38, 0.0, 1e-7, 1e-11),
+            (35, 1.0, 1e-7, 1e-11),
+        ],
+        ids=["d24-beta0-tol1e-6", "d24-beta0-cli1e-3", "d25-beta1-cli1e-3", "d38-beta0-cli1e-7",
+             "d35-beta1-cli1e-7"],
+    )
+    def test_beyond_band_is_honest_about_cancellation(self, d, beta, rel_tol, abs_tol):
         # at n = 26 the closed form is ~4e-25 while cancellation leaves
-        # ~1e-21 of noise; the inflated estimate must admit that
-        cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-16)
-        res = quadrature_probability(Distribution("beta", 24, 0.0), cfg)
-        truth = closed_form_lookup(Distribution("beta", 24, 0.0)).value
+        # ~1e-21 of noise or more; the inflated estimate must admit that
+        cfg = QuadratureConfig(rel_tol=rel_tol, abs_tol=abs_tol)
+        res = quadrature_probability(Distribution("beta", d, beta), cfg)
+        truth = closed_form_lookup(Distribution("beta", d, beta)).value
         assert abs(res.value - truth) <= 3.0 * res.abs_error_estimate
         assert res.abs_error_estimate > truth
 

@@ -112,6 +112,28 @@ def test_nonconvergence_carries_best_result(monkeypatch):
     assert best.abs_error_estimate > 0.0
 
 
+def test_stalled_estimate_carries_best_result():
+    def f(x):  # a 1e-6 ripple at frequency 1e6 keeps the halving estimate from falling
+        return np.exp(-0.5 * x * x) * (1.0 + 1e-6 * np.cos(1e6 * x))
+
+    with pytest.raises(NonConvergenceError, match="error estimate stalled") as info:
+        integrate_line(f, GAUSS_ENV, QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14))
+    best = info.value.best
+    assert best.nodes_used == 10_482
+    assert best.value == pytest.approx(SQRT_2PI, rel=1e-6)
+    assert best.abs_error_estimate > 1e-12 * SQRT_2PI
+
+
+def test_non_finite_integrand_rejected():
+    with pytest.raises(DomainError, match="non-finite"):
+        integrate_line(lambda x: np.where(x > 1.0, np.nan, np.exp(-0.5 * x * x)), GAUSS_ENV)
+
+
+def test_wrongly_shaped_integrand_rejected():
+    with pytest.raises(DomainError, match="integrand returned shape"):
+        integrate_line(lambda x: np.exp(-0.5 * x * x).sum(axis=0), GAUSS_ENV)
+
+
 def test_on_refinement_sees_all_nodes():
     seen, evaluated = [], []
 
@@ -149,6 +171,12 @@ def test_truncation_point_meets_target():
     for envelope in (GAUSS_ENV, DecayEnvelope("exponential", 0.25, 3, 2.0)):
         cut = truncation_point(envelope, math.log(1e-13))
         assert envelope.log_tail_bound(cut) <= math.log(1e-13)
+
+
+def test_envelope_too_large_to_truncate():
+    # the tail bound stays above the target at every cutoff the search doubles to
+    with pytest.raises(DomainError, match="decays too slowly"):
+        truncation_point(DecayEnvelope("gaussian", 1.0, log_amplitude=1e300), math.log(1e-13))
 
 
 def test_envelope_validation():
@@ -209,6 +237,8 @@ class TestCumulativeIntegral:
             CumulativeIntegral(np.cosh, [0.5, 1.0, 2.0])
         with pytest.raises(DomainError):
             CumulativeIntegral(np.cosh, [0.0])
+        with pytest.raises(DomainError, match="points above 0"):
+            CumulativeIntegral(np.cosh, [-1.0, -0.5, 0.0], even_integrand=True)
 
     def test_array_queries_match_scalar_queries(self):
         evaluator = CumulativeIntegral(np.cosh, np.linspace(-3.0, 3.0, 13))

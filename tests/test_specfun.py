@@ -33,8 +33,8 @@ H_REFERENCE = {
     6.0: 4498913.1990553601,
     8.0: 4002372858145.8749,
     8.5: 232602357124216.55,
-    8.74: 1789122164683370.5,  # just below 8.75, the last anchor valued by the series
-    8.76: 2126282889664839.6,  # just above it, where anchor values are running sums
+    8.74: 1789122164683370.5,
+    8.76: 2126282889664839.6,
     9.0: 17423375841122767.0,
     12.0: 6.2230272087526717e+29,
     15.0: 1.9270818055602737e+47,
@@ -168,7 +168,7 @@ class TestImaginaryCdf:
             assert np.array_equal(h_imag_cdf(-y), -h_imag_cdf(y))
 
     def test_accuracy_against_mpmath(self):
-        # max relative error <= 8 ulp over a dense grid, every anchor and the
+        # max relative error <= 4 ulp over a dense grid, every anchor and the
         # float just below each; h'(y) = exp(y^2/2)/sqrt(2*pi) carries the
         # anchor's reference down by the one-ulp step, whose second-order
         # term is below 1e-25 relative
@@ -187,7 +187,7 @@ class TestImaginaryCdf:
             ]
         values = h_imag_cdf(np.concatenate((grid, ANCHORS, below)))
         relative = np.abs(values - expected) / np.array(expected)
-        assert relative.max() <= 8 * np.finfo(float).eps
+        assert relative.max() <= 4 * np.finfo(float).eps
 
     def test_strictly_increasing_on_grid(self):
         grid = np.linspace(-Y_MAX, Y_MAX, 1001)
@@ -214,8 +214,8 @@ class TestImaginaryCdf:
         with pytest.raises(DomainError):
             h_imag_cdf(float("nan"))
 
-    def test_array_across_last_series_anchor_matches_erfi(self):
-        # one call covers anchors valued by the series (<= 8.75) and by running sums (> 8.75)
+    def test_array_across_many_anchors_matches_erfi(self):
+        # one call spans anchors 16..448, whose values are running sums over 16..448 steps
         y = np.linspace(0.5, 14.0, 271)
         assert np.any(y < 8.75) and np.any(y > 8.75)
         values = h_imag_cdf(y)
