@@ -29,11 +29,14 @@ line.  All powers are combined in log space: (1/2 + i*I)^(n-1) overflows
 directly once n is moderately large while the full integrand stays tame.
 
 Every integrand here is a numpy expression: it maps the array of quadrature
-nodes to the array of its values, so one refinement is one call on all of
-that level's positive half-line nodes.  The cosh-kernel integrand builds I
-from the nodes it is handed (each gap split _INNER_GRID_FACTOR ways) and
-answers them in one lookup, so the inner error shrinks with the outer step
-and the integrand is a pure function of its argument.
+nodes to the array of its values, so one call covers all the positive
+half-line nodes of integrate_line's first five levels, and each further
+refinement is one more call on all of that level's nodes.  The cosh-kernel
+integrand builds I from the nodes it is handed (each gap split
+_INNER_GRID_FACTOR ways) and answers them in one lookup, so it is a pure
+function of its argument: the first five levels share one I, built on the
+finest of their grids, and each later level builds its own on a finer
+grid, so the inner error shrinks with the finest outer step evaluated.
 """
 
 from __future__ import annotations

@@ -15,10 +15,11 @@ Two pieces:
   with partial-cell evaluation between nodes.
 
 Integrands work on arrays: ``f`` and ``g`` map an ndarray of nodes to an
-ndarray of the same shape.  ``integrate_line`` calls ``f`` once per
-refinement on all of that level's nodes; ``CumulativeIntegral``
-calls ``g`` on ``(cells, 7)`` blocks of at most ``_BLOCK_CELLS`` cells and
-answers an array of queries in one call.
+ndarray of the same shape.  ``integrate_line`` calls ``f`` once for its
+first five step levels, each a strided view of the finest one's nodes, and
+then once per further refinement on all of that level's nodes;
+``CumulativeIntegral`` calls ``g`` on ``(cells, 7)`` blocks of at most
+``_BLOCK_CELLS`` cells and answers an array of queries in one call.
 
 Everything is a pure function of its arguments: identical inputs produce
 bit-identical results.
@@ -63,6 +64,10 @@ _TRUNCATION_MARGIN = 10.0
 # Step in t of the first exp-sinh trapezoid level; each refinement halves it.
 _FIRST_STEP = 0.5
 
+# The first integrand call covers this many levels: it evaluates the grid of
+# the finest of them, and each of them is a strided view of that grid.
+_FIRST_CALL_LEVELS = 5
+
 # Step levels tried before NonConvergenceError, the last with step 2^-20; the
 # first level has no estimate, since the estimate compares two levels.
 _MAX_REFINEMENTS = 20
@@ -96,7 +101,11 @@ Method = Literal["quadrature", "closed_form"]
 
 @dataclass(frozen=True)
 class EvalResult:
-    """A computed value with an absolute error estimate and provenance."""
+    """A computed value with an absolute error estimate and provenance.
+
+    ``nodes_used`` counts the nodes evaluated to reach the value, the sizes of
+    the integrand's calls summed; a closed form evaluates none.
+    """
 
     value: float
     abs_error_estimate: float
@@ -175,6 +184,31 @@ def truncation_point(envelope: DecayEnvelope, log_target: float) -> float:
     return hi
 
 
+def _levels(t_lo: float, t_hi: float):
+    """The trapezoid levels in t, of steps h = _FIRST_STEP / 2^k, k < _MAX_REFINEMENTS.
+
+    A level's nodes are t = t_hi - m*h for m = ceil((t_hi - t_lo)/h) down to 0,
+    mapped to x = exp((pi/2) sinh t), so x increases.  Each level is yielded as
+    ``(x, view, weights)``: ``x`` is the grid it reads, ``x[view]`` its nodes and
+    ``weights`` their trapezoid weights.  The first ``_FIRST_CALL_LEVELS`` levels
+    read one grid, of the finest one's step, reaching down to the coarsest one's
+    last node; each later level has a grid of its own.  Since the steps are
+    powers of two apart, t_hi - m*h holds exactly on every grid, and the nodes
+    and weights do not depend on which grid a level reads.
+    """
+    h = _FIRST_STEP
+    for level in range(_MAX_REFINEMENTS):
+        count = math.ceil((t_hi - t_lo) / h)
+        stride = 2 ** max(_FIRST_CALL_LEVELS - 1 - level, 0)
+        if level == 0 or level >= _FIRST_CALL_LEVELS:
+            t = t_hi - (h / stride) * np.arange(count * stride, -1, -1)
+            x = np.exp(0.5 * math.pi * np.sinh(t))
+            cosh_t = np.cosh(t)
+        view = slice(x.size - 1 - count * stride, None, stride)
+        yield x, view, h * 0.5 * math.pi * cosh_t[view] * x[view]
+        h *= 0.5
+
+
 def integrate_line(
     f: Callable[[np.ndarray], np.ndarray],
     envelope: DecayEnvelope,
@@ -190,15 +224,20 @@ def integrate_line(
     decay of |f|: it sets the last node, the cutoff whose tail mass joins
     the estimate, and the smallest node.
 
-    ``f`` maps an array of nodes to the array of its values and is called
-    once per refinement: on the ``(2, m)`` array of the nodes x and their
-    mirrors -x, or, with ``symmetric=True`` (the caller asserts f is even),
-    on x alone, the result then doubled; every node is evaluated afresh at
-    every level.  ``on_refinement``, called with the same array first, has no
-    caller in the package; only ``perfbench/layers.py`` still passes it.
+    ``f`` maps an array of nodes to the array of its values.  It is called
+    on the ``(2, m)`` array of the nodes x and their mirrors -x, or, with
+    ``symmetric=True`` (the caller asserts f is even), on x alone, the result
+    then doubled.  The first call evaluates the grid of the fifth level,
+    reaching down to the first level's last node, and the first five levels
+    read their nodes from it (see ``_levels``); each later level is one call
+    on all of its own nodes.  ``on_refinement``, called with the same array
+    before each call, has no caller in the package; only
+    ``perfbench/layers.py`` still passes it.
 
     Raises NonConvergenceError (carrying the best result) if the tolerance
-    is not met within ``_MAX_REFINEMENTS`` refinements.
+    is not met within ``_MAX_REFINEMENTS`` refinements, if it lies below the
+    truncation + roundoff floor, or if two levels in a row bring no new best
+    estimate once a further level would cost a new call.
     """
     log_target = math.log(cfg.abs_tol) - math.log(_TRUNCATION_MARGIN)
     cutoff = truncation_point(envelope, log_target)
@@ -214,38 +253,40 @@ def integrate_line(
     t_hi = math.asinh(math.log(cutoff) / (0.5 * math.pi))
     factor = 2.0 if symmetric else 1.0
 
-    h = _FIRST_STEP
     nodes_used = 0
     best: Optional[EvalResult] = None
-    stalled = 0
-    previous_value = previous_estimate = math.inf
-    for _ in range(_MAX_REFINEMENTS):
-        # t = t_hi - k*h down past t_lo: halving h keeps every node of the
-        # level before, and x comes out increasing and positive
-        t = t_hi - h * np.arange(math.ceil((t_hi - t_lo) / h), -1, -1)
-        x = np.exp(0.5 * math.pi * np.sinh(t))
-        weights = h * 0.5 * math.pi * np.cosh(t) * x
-        points = x if symmetric else np.stack((x, -x))
-        if on_refinement is not None:
-            on_refinement(points)
-        fv = np.asarray(f(points), dtype=float)
-        if fv.shape != points.shape:
-            raise DomainError(
-                f"integrand returned shape {fv.shape} for nodes of shape {points.shape}"
-            )
-        if not np.all(np.isfinite(fv)):
-            raise DomainError("integrand returned a non-finite value inside the truncated domain")
-        nodes_used += points.size
+    stalled = 0  # levels in a row without a new best estimate
+    previous_value = math.inf
+    grid = None
+    for level, (x, view, weights) in enumerate(_levels(t_lo, t_hi)):
+        if x is not grid:
+            grid = x
+            points = x if symmetric else np.stack((x, -x))
+            if on_refinement is not None:
+                on_refinement(points)
+            values = np.asarray(f(points), dtype=float)
+            if values.shape != points.shape:
+                raise DomainError(
+                    f"integrand returned shape {values.shape} for nodes of shape {points.shape}"
+                )
+            if not np.all(np.isfinite(values)):
+                raise DomainError("integrand returned a non-finite value inside the truncated domain")
+            nodes_used += points.size
+        # a contiguous copy is summed in the order a level's own grid would be,
+        # so each level's value is bitwise the same from either grid
+        fv = np.ascontiguousarray(values[..., view])
         value = factor * float(np.sum(fv @ weights))
         disc = abs(value - previous_value)
         roundoff = 50.0 * _EPS * factor * float(np.sum(np.abs(fv) @ weights))
-        # the skipped heads [0, x[0]] on both sides, f taken at its value at x[0]
-        head = factor * float(x[0] * np.sum(np.abs(fv[..., 0])))
+        # the skipped heads [0, x_0] on both sides, f taken at its value at the level's first node x_0
+        head = factor * float(x[view.start] * np.sum(np.abs(fv[..., 0])))
         floor = tail + head + roundoff
         estimate = disc + floor
         result = EvalResult(value, estimate, "quadrature", nodes_used)
         if best is None or estimate < best.abs_error_estimate:
-            best = result
+            best, stalled = result, 0
+        else:
+            stalled += 1
         target = max(cfg.abs_tol, cfg.rel_tol * abs(value))
         if estimate <= target:
             return result
@@ -257,14 +298,15 @@ def integrate_line(
                 f"floor {floor:.3e} for this integrand",
                 best=best,
             )
-        stalled = stalled + 1 if estimate >= previous_estimate else 0
-        if stalled >= 2:
+        # a stall stops only what would cost a new call: the first call's
+        # levels are already evaluated, and the estimates of its coarse levels
+        # can come out small by chance
+        if stalled >= 2 and level >= _FIRST_CALL_LEVELS - 1:
             raise NonConvergenceError(
                 f"error estimate stalled at {estimate:.3e} (target {target:.3e})",
                 best=best,
             )
-        previous_value, previous_estimate = value, estimate
-        h *= 0.5
+        previous_value = value
     raise NonConvergenceError(
         f"tolerance not met after {_MAX_REFINEMENTS} refinements "
         f"(best estimate {best.abs_error_estimate:.3e} for value {best.value:.6e})",

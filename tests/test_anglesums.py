@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sylvester import anglesums
+from sylvester import anglesums, cli
 from sylvester.anglesums import (
     beta_angle_sum,
     beta_prime_angle_sum,
@@ -271,3 +271,51 @@ def test_huge_beta_is_a_typed_overflow(n, beta):
         beta_angle_sum(n, beta)
     with pytest.raises(OverflowBoundError, match="overflows double precision"):
         beta_prime_angle_sum(n, beta)
+
+
+class TestOneCallPerIntegration:
+    """A tol-1e-10 query that converges within the first call's levels evaluates once.
+
+    The calls are counted at the names the benchmark's trace hooks patch:
+    ``anglesums.integrate_line`` (wrapping the integrand it is given),
+    ``anglesums.CumulativeIntegral`` and ``anglesums.h_imag_cdf``.
+    """
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"integrand": 0, "builds": 0, "h_imag_cdf": 0}
+        integrate_line, h = anglesums.integrate_line, anglesums.h_imag_cdf
+
+        def counting_integrate_line(f, *args, **kwargs):
+            def counting_f(x):
+                counts["integrand"] += 1
+                return f(x)
+
+            return integrate_line(counting_f, *args, **kwargs)
+
+        def counting_inner(*args, **kwargs):
+            counts["builds"] += 1
+            return CumulativeIntegral(*args, **kwargs)
+
+        def counting_h(y):
+            counts["h_imag_cdf"] += 1
+            return h(y)
+
+        monkeypatch.setattr(anglesums, "integrate_line", counting_integrate_line)
+        monkeypatch.setattr(anglesums, "CumulativeIntegral", counting_inner)
+        monkeypatch.setattr(anglesums, "h_imag_cdf", counting_h)
+        return counts
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["--family", "beta", "--dim", "12", "--beta", "2"], {"integrand": 1, "builds": 1, "h_imag_cdf": 0}),
+            (["--family", "gauss", "--dim", "12"], {"integrand": 1, "builds": 0, "h_imag_cdf": 1}),
+        ],
+        ids=["beta", "gaussian"],
+    )
+    def test_compute_calls_each_layer_once(self, counts, capsys, argv, expected):
+        code = cli.main(["compute", *argv, "--method", "quadrature", "--tol", "1e-10"])
+        capsys.readouterr()
+        assert code == 0
+        assert counts == expected

@@ -1,5 +1,6 @@
 """Quadrature tests: exactness, error honesty, determinism, mirroring."""
 
+import itertools
 import math
 
 import numpy as np
@@ -112,16 +113,32 @@ def test_nonconvergence_carries_best_result(monkeypatch):
     assert best.abs_error_estimate > 0.0
 
 
-def test_stalled_estimate_carries_best_result():
-    def f(x):  # a 1e-6 ripple at frequency 1e6 keeps the halving estimate from falling
-        return np.exp(-0.5 * x * x) * (1.0 + 1e-6 * np.cos(1e6 * x))
+def _ripple(x):  # a 1e-6 ripple at frequency 1e6 keeps the halving estimate from falling
+    return np.exp(-0.5 * x * x) * (1.0 + 1e-6 * np.cos(1e6 * x))
 
+
+def test_stalled_estimate_carries_best_result():
     with pytest.raises(NonConvergenceError, match="error estimate stalled") as info:
-        integrate_line(f, GAUSS_ENV, QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14))
+        integrate_line(_ripple, GAUSS_ENV, QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14))
     best = info.value.best
-    assert best.nodes_used == 10_482
+    assert best.nodes_used == 10_188
     assert best.value == pytest.approx(SQRT_2PI, rel=1e-6)
     assert best.abs_error_estimate > 1e-12 * SQRT_2PI
+
+
+def test_stall_stops_two_levels_after_the_best_estimate():
+    # the estimate wobbles without rising twice in a row; two levels in a row
+    # without a new best stop it where 20 levels would evaluate 2e7 nodes
+    evaluated = []
+
+    def f(x):
+        evaluated.append(x.size)
+        return _ripple(x)
+
+    with pytest.raises(NonConvergenceError, match="error estimate stalled") as info:
+        integrate_line(f, GAUSS_ENV, QuadratureConfig(rel_tol=1e-12, abs_tol=1e-12))
+    assert info.value.best.nodes_used < 2_000
+    assert sum(evaluated) < 10_000
 
 
 def test_non_finite_integrand_rejected():
@@ -150,21 +167,70 @@ def test_on_refinement_sees_all_nodes():
     assert all(np.array_equal(a, b) for a, b in zip(seen, evaluated))
 
 
-def test_integrand_called_once_per_refinement_on_the_node_block():
+def _recorded_levels(monkeypatch):
+    """The levels integrate_line reads, recorded as (x, view) through quad._levels."""
+    levels, spans = [], []
+    make_levels = quad._levels
+
+    def recording(t_lo, t_hi):
+        spans.append((t_lo, t_hi))
+        for level in make_levels(t_lo, t_hi):
+            levels.append(level[:2])
+            yield level
+
+    monkeypatch.setattr(quad, "_levels", recording)
+    return levels, spans
+
+
+def test_first_call_covers_five_levels_then_one_call_per_level(monkeypatch):
+    levels, _ = _recorded_levels(monkeypatch)
     blocks, refinements = [], []
 
     def f(x):
         blocks.append(x.copy())
-        return np.exp(-0.5 * x * x)
+        return np.exp(-0.5 * x * x) / (1.0 + 100.0 * (x - 1.0) ** 2)
 
     res = integrate_line(
-        f, GAUSS_ENV, QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14),
+        f, GAUSS_ENV, QuadratureConfig(rel_tol=1e-10, abs_tol=1e-12),
         on_refinement=lambda nodes: refinements.append(nodes.size),
     )
-    assert len(blocks) == len(refinements) >= 2
+    assert len(levels) > quad._FIRST_CALL_LEVELS
+    assert len(blocks) == len(refinements) == 1 + len(levels) - quad._FIRST_CALL_LEVELS
+    # levels 1-5 read the first call's nodes, and each later level its own call's
+    grids = [x for x, _ in levels]
+    assert all(x is grids[0] for x in grids[: quad._FIRST_CALL_LEVELS])
+    grids = grids[quad._FIRST_CALL_LEVELS - 1 :]
+    assert all(np.array_equal(x[0], grid) for x, grid in zip(blocks, grids, strict=True))
     assert all(x.ndim == 2 and x.shape[0] == 2 for x in blocks)
     assert all(np.array_equal(x[1], -x[0]) for x in blocks)
     assert sum(x.size for x in blocks) == res.nodes_used
+
+
+@pytest.mark.parametrize(
+    "f, envelope, x_min",
+    [
+        (lambda x: np.exp(-0.5 * x * x), GAUSS_ENV, None),
+        # sech^0.001 decays so slowly that the cutoff lies near 1e5
+        (lambda x: np.exp(-0.001 * (np.logaddexp(x, -x) - math.log(2.0))),
+         DecayEnvelope("exponential", 1000.0, log_amplitude=0.001 * math.log(2.0)), None),
+        # an amplitude this large puts x_min at its 1e-150 floor
+        (lambda x: np.exp(-np.abs(x)), DecayEnvelope("exponential", 1.0, 4, 400.0), 1e-150),
+    ],
+    ids=["gaussian", "sech^0.001", "x_min-floor"],
+)
+def test_strided_levels_are_each_steps_own_grid(monkeypatch, f, envelope, x_min):
+    _, spans = _recorded_levels(monkeypatch)
+    integrate_line(f, envelope, QuadratureConfig(rel_tol=1e-10, abs_tol=1e-40))
+    (t_lo, t_hi), = spans
+    if x_min is not None:
+        assert math.exp(0.5 * math.pi * math.sinh(t_lo)) == pytest.approx(x_min, rel=1e-12)
+    # the nodes and weights a level of step h would get from a grid of its own
+    for k, (x, view, weights) in enumerate(itertools.islice(quad._levels(t_lo, t_hi), 8)):
+        h = quad._FIRST_STEP / 2**k
+        t = t_hi - h * np.arange(math.ceil((t_hi - t_lo) / h), -1, -1)
+        own_x = np.exp(0.5 * math.pi * np.sinh(t))
+        assert np.array_equal(x[view], own_x)
+        assert np.array_equal(weights, h * 0.5 * math.pi * np.cosh(t) * own_x)
 
 
 def test_truncation_point_meets_target():
