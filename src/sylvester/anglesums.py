@@ -29,14 +29,11 @@ line.  All powers are combined in log space: (1/2 + i*I)^(n-1) overflows
 directly once n is moderately large while the full integrand stays tame.
 
 Every integrand here is a numpy expression: it maps the array of quadrature
-nodes to the array of its values, so one call covers all the positive
-half-line nodes of integrate_line's first five levels, and each further
-refinement is one more call on all of that level's nodes.  The cosh-kernel
-integrand builds I from the nodes it is handed (each gap split
-_INNER_GRID_FACTOR ways) and answers them in one lookup, so it is a pure
-function of its argument: the first five levels share one I, built on the
-finest of their grids, and each later level builds its own on a finer
-grid, so the inner error shrinks with the finest outer step evaluated.
+nodes to the array of its values, so each of integrate_line's levels is one
+call on all of its positive half-line nodes.  The cosh-kernel integrand
+builds I on 0 and the nodes it is handed and answers them in one lookup, so
+it is a pure function of its argument: each level builds its own I, and the
+inner error shrinks with the outer step.
 """
 
 from __future__ import annotations
@@ -67,9 +64,6 @@ from .specfun import (
 N_GUARANTEED = 20
 N_MAX = 40
 _ESTIMATE_INFLATION = 8.0
-
-# each gap of the outer nodes is split this many ways for the inner integral
-_INNER_GRID_FACTOR = 4
 
 _LOG_HALF = math.log(0.5)
 _LN2 = math.log(2.0)
@@ -145,17 +139,6 @@ def gaussian_angle_sum(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> EvalRe
     return _integrate_real_part(integrand, envelope, cfg, n, exponent=n - 1)
 
 
-def _subdivided_grid(nodes: np.ndarray) -> np.ndarray:
-    """Grid through 0 and the increasing positive nodes, each gap split _INNER_GRID_FACTOR ways."""
-    base = np.concatenate(([0.0], nodes))
-    lo, hi = base[:-1], base[1:]
-    # row i holds lo[i] + k*(hi[i]-lo[i])/factor, k < factor, the points
-    # np.linspace(lo[i], hi[i], factor + 1)[:-1] gives
-    factor = _INNER_GRID_FACTOR
-    points = lo[:, None] + np.arange(factor) * ((hi - lo) / factor)[:, None]
-    return np.concatenate((points.ravel(), base[-1:]))
-
-
 def _cosh_kernel_evaluation(
     n: int,
     log_c_out: float,
@@ -170,7 +153,7 @@ def _cosh_kernel_evaluation(
     log_pref = math.log(n) + log_c_out
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        inner = CumulativeIntegral(g, _subdivided_grid(x), even_integrand=True)
+        inner = CumulativeIntegral(g, np.concatenate(([0.0], x)), even_integrand=True)
         return _real_part(log_pref - outer_exponent * _log_cosh(x), inner(x), n)
 
     # |I(x)| <= c_in * x * cosh(x)^max(inner_exponent, 0) bounds the integrand

@@ -15,9 +15,8 @@ Two pieces:
   with partial-cell evaluation between nodes.
 
 Integrands work on arrays: ``f`` and ``g`` map an ndarray of nodes to an
-ndarray of the same shape.  ``integrate_line`` calls ``f`` once for its
-first five step levels, each a strided view of the finest one's nodes, and
-then once per further refinement on all of that level's nodes;
+ndarray of the same shape.  ``integrate_line`` calls ``f`` once per step
+level on all of that level's nodes;
 ``CumulativeIntegral`` calls ``g`` on ``(cells, 7)`` blocks of at most
 ``_BLOCK_CELLS`` cells and answers an array of queries in one call.
 
@@ -62,15 +61,10 @@ _BLOCK_CELLS = 4096
 _TRUNCATION_MARGIN = 10.0
 
 # Step in t of the first exp-sinh trapezoid level; each refinement halves it.
-_FIRST_STEP = 0.5
+_FIRST_STEP = 1.0 / 32.0
 
-# The first integrand call covers this many levels: it evaluates the grid of
-# the finest of them, and each of them is a strided view of that grid.
-_FIRST_CALL_LEVELS = 5
-
-# Step levels tried before NonConvergenceError, the last with step 2^-20; the
-# first level has no estimate, since the estimate compares two levels.
-_MAX_REFINEMENTS = 20
+# Step levels tried before NonConvergenceError: 16 levels, of steps 1/32 ... 2^-20.
+_MAX_REFINEMENTS = 16
 
 # The nodes start near x_min, chosen so that the envelope's bound at 0 caps
 # the skipped head [0, x_min] at this share of the tail target.  That bound is
@@ -189,23 +183,13 @@ def _levels(t_lo: float, t_hi: float):
 
     A level's nodes are t = t_hi - m*h for m = ceil((t_hi - t_lo)/h) down to 0,
     mapped to x = exp((pi/2) sinh t), so x increases.  Each level is yielded as
-    ``(x, view, weights)``: ``x`` is the grid it reads, ``x[view]`` its nodes and
-    ``weights`` their trapezoid weights.  The first ``_FIRST_CALL_LEVELS`` levels
-    read one grid, of the finest one's step, reaching down to the coarsest one's
-    last node; each later level has a grid of its own.  Since the steps are
-    powers of two apart, t_hi - m*h holds exactly on every grid, and the nodes
-    and weights do not depend on which grid a level reads.
+    ``(x, weights)``, its nodes and their trapezoid weights, on a grid of its own.
     """
     h = _FIRST_STEP
-    for level in range(_MAX_REFINEMENTS):
-        count = math.ceil((t_hi - t_lo) / h)
-        stride = 2 ** max(_FIRST_CALL_LEVELS - 1 - level, 0)
-        if level == 0 or level >= _FIRST_CALL_LEVELS:
-            t = t_hi - (h / stride) * np.arange(count * stride, -1, -1)
-            x = np.exp(0.5 * math.pi * np.sinh(t))
-            cosh_t = np.cosh(t)
-        view = slice(x.size - 1 - count * stride, None, stride)
-        yield x, view, h * 0.5 * math.pi * cosh_t[view] * x[view]
+    for _ in range(_MAX_REFINEMENTS):
+        t = t_hi - h * np.arange(math.ceil((t_hi - t_lo) / h), -1, -1)
+        x = np.exp(0.5 * math.pi * np.sinh(t))
+        yield x, h * 0.5 * math.pi * np.cosh(t) * x
         h *= 0.5
 
 
@@ -219,25 +203,26 @@ def integrate_line(
     """Integrate f over the whole real line.
 
     Each half line is mapped by x = exp((pi/2) sinh t) and integrated by the
-    trapezoid rule in t, halving the step on each refinement; the
-    discretization estimate is |S_h - S_2h|.  The envelope certifies the
-    decay of |f|: it sets the last node, the cutoff whose tail mass joins
-    the estimate, and the smallest node.
+    trapezoid rule in t, from step ``_FIRST_STEP`` and halving the step on
+    each refinement; the discretization estimate is |S_h - S_2h|, where the
+    first level's S_2h is its sum over every other one of its own nodes.  This
+    halving estimate (Trefethen & Weideman, SIAM Review 2014) assumes f is
+    analytic in a strip about the real line: an interior kink or singularity
+    can make it come out small by chance.  The
+    envelope certifies the decay of |f|: it sets the last node, the cutoff
+    whose tail mass joins the estimate, and the smallest node.
 
     ``f`` maps an array of nodes to the array of its values.  It is called
-    on the ``(2, m)`` array of the nodes x and their mirrors -x, or, with
-    ``symmetric=True`` (the caller asserts f is even), on x alone, the result
-    then doubled.  The first call evaluates the grid of the fifth level,
-    reaching down to the first level's last node, and the first five levels
-    read their nodes from it (see ``_levels``); each later level is one call
-    on all of its own nodes.  ``on_refinement``, called with the same array
-    before each call, has no caller in the package; only
+    once per level on the ``(2, m)`` array of the level's nodes x and their
+    mirrors -x, or, with ``symmetric=True`` (the caller asserts f is even), on
+    x alone, the result then doubled.  ``on_refinement``, called with the same
+    array before each call, has no caller in the package; only
     ``perfbench/layers.py`` still passes it.
 
     Raises NonConvergenceError (carrying the best result) if the tolerance
-    is not met within ``_MAX_REFINEMENTS`` refinements, if it lies below the
+    is not met within ``_MAX_REFINEMENTS`` levels, if it lies below the
     truncation + roundoff floor, or if two levels in a row bring no new best
-    estimate once a further level would cost a new call.
+    estimate.
     """
     log_target = math.log(cfg.abs_tol) - math.log(_TRUNCATION_MARGIN)
     cutoff = truncation_point(envelope, log_target)
@@ -256,30 +241,27 @@ def integrate_line(
     nodes_used = 0
     best: Optional[EvalResult] = None
     stalled = 0  # levels in a row without a new best estimate
-    previous_value = math.inf
-    grid = None
-    for level, (x, view, weights) in enumerate(_levels(t_lo, t_hi)):
-        if x is not grid:
-            grid = x
-            points = x if symmetric else np.stack((x, -x))
-            if on_refinement is not None:
-                on_refinement(points)
-            values = np.asarray(f(points), dtype=float)
-            if values.shape != points.shape:
-                raise DomainError(
-                    f"integrand returned shape {values.shape} for nodes of shape {points.shape}"
-                )
-            if not np.all(np.isfinite(values)):
-                raise DomainError("integrand returned a non-finite value inside the truncated domain")
-            nodes_used += points.size
-        # a contiguous copy is summed in the order a level's own grid would be,
-        # so each level's value is bitwise the same from either grid
-        fv = np.ascontiguousarray(values[..., view])
-        value = factor * float(np.sum(fv @ weights))
+    previous_value = None
+    for x, weights in _levels(t_lo, t_hi):
+        points = x if symmetric else np.stack((x, -x))
+        if on_refinement is not None:
+            on_refinement(points)
+        values = np.asarray(f(points), dtype=float)
+        if values.shape != points.shape:
+            raise DomainError(f"integrand returned shape {values.shape} for nodes of shape {points.shape}")
+        if not np.all(np.isfinite(values)):
+            raise DomainError("integrand returned a non-finite value inside the truncated domain")
+        nodes_used += points.size
+        value = factor * float(np.sum(values @ weights))
+        if previous_value is None:
+            # the first level is checked against every other one of its own
+            # nodes (t = t_hi - m*h, m even): the level of twice its step
+            every_other = slice((x.size - 1) % 2, None, 2)
+            previous_value = factor * float(np.sum(values[..., every_other] @ (2.0 * weights[every_other])))
         disc = abs(value - previous_value)
-        roundoff = 50.0 * _EPS * factor * float(np.sum(np.abs(fv) @ weights))
-        # the skipped heads [0, x_0] on both sides, f taken at its value at the level's first node x_0
-        head = factor * float(x[view.start] * np.sum(np.abs(fv[..., 0])))
+        roundoff = 50.0 * _EPS * factor * float(np.sum(np.abs(values) @ weights))
+        # the skipped heads [0, x_0] on both sides, f taken at its value at the first node x_0
+        head = factor * float(x[0] * np.sum(np.abs(values[..., 0])))
         floor = tail + head + roundoff
         estimate = disc + floor
         result = EvalResult(value, estimate, "quadrature", nodes_used)
@@ -298,10 +280,7 @@ def integrate_line(
                 f"floor {floor:.3e} for this integrand",
                 best=best,
             )
-        # a stall stops only what would cost a new call: the first call's
-        # levels are already evaluated, and the estimates of its coarse levels
-        # can come out small by chance
-        if stalled >= 2 and level >= _FIRST_CALL_LEVELS - 1:
+        if stalled >= 2:
             raise NonConvergenceError(
                 f"error estimate stalled at {estimate:.3e} (target {target:.3e})",
                 best=best,

@@ -15,7 +15,7 @@ from sylvester import cli, geomc, registry, verification
 from sylvester.cli import main
 from sylvester.errors import NonConvergenceError, SylvesterError
 from sylvester.probability import Distribution, quadrature_probability
-from sylvester.quad import QuadratureConfig
+from sylvester.quad import EvalResult, QuadratureConfig
 
 # Gaussian p_d, mpmath at 60 and 90 digits; printed by tests/gaussian_references.py
 GAUSSIAN_REFERENCE = {
@@ -235,8 +235,9 @@ class TestCompute:
         assert rec["abs_error"] == (0.0 if beta == "-1" else math.ulp(0.0))
 
     @pytest.mark.parametrize("d,beta,tol", [("24", "0", "1e-3"), ("16", "1", "0.5")])
-    def test_error_bar_below_zero_exits_3(self, capsys, d, beta, tol):
+    def test_error_bar_below_zero_exits_3(self, capsys, monkeypatch, d, beta, tol):
         # -1.04e-6 +- 7.3e-7 and -7.23e-5 +- 2.30e-5: no probability lies within either bar
+        _stub_bars_below_zero(monkeypatch)
         code, out, err = run_cli(
             capsys, "compute", "--family", "beta", "--dim", d, "--beta", beta,
             "--method", "quadrature", "--tol", tol,
@@ -244,6 +245,18 @@ class TestCompute:
         assert (code, out) == (3, "")
         value, error = map(float, re.search(r"value (\S+) with abs_error (\S+) excludes", err).groups())
         assert value + error < 0.0
+
+    @pytest.mark.parametrize("d,beta,tol", [(24, 0.0, "1e-3"), (15, 0.0, "0.5"), (16, 1.0, "0.5")])
+    def test_loose_tolerance_bars_contain_the_closed_form(self, capsys, d, beta, tol):
+        # these once gave bars wholly below 0, from a level coarser than the finest evaluated
+        code, out, _ = run_cli(
+            capsys, "compute", "--family", "beta", "--dim", str(d), "--beta", repr(beta),
+            "--method", "quadrature", "--tol", tol,
+        )
+        assert code == 0
+        (rec,) = parse_json_lines(out)
+        exact = registry.lookup("beta", d, beta)
+        assert abs(rec["value"] - exact.value) <= 3.0 * rec["abs_error"]
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -317,6 +330,31 @@ class TestBetaPrimeThreshold:
             assert abs(rec["value"] - value) <= 3.0 * (rec["abs_error"] + estimate)
         values = [rec["value"] for rec in records]
         assert values == sorted(values)
+
+
+# Beta-family results with bars wholly below 0, as an earlier line quadrature
+# returned them, keyed by (d, beta); every one of these inputs now gets a bar
+# that contains 0, so the guard is tested through a stand-in.
+_BARS_BELOW_ZERO = {
+    (24, 0.0): (-1.044305e-06, 7.347e-07),
+    (16, 0.5): (-7.795738e-05, 6.023e-05),
+    (16, 0.75): (-7.435789e-05, 3.051e-05),
+    (16, 1.0): (-7.226275e-05, 2.302e-05),
+    (16, 1.5): (-6.408940e-05, 6.091e-05),
+}
+
+
+def _stub_bars_below_zero(monkeypatch):
+    """Make cli's sylvester_probability give the bars above to quadrature queries."""
+    real = cli.sylvester_probability
+
+    def stub(dist, method, cfg):
+        bar = _BARS_BELOW_ZERO.get((dist.d, dist.beta))
+        if bar is None or (method != "quadrature" and registry.lookup(dist.family, dist.d, dist.beta)):
+            return real(dist, method=method, cfg=cfg)
+        return EvalResult(*bar, "quadrature")
+
+    monkeypatch.setattr(cli, "sylvester_probability", stub)
 
 
 def _refuse_work_arrays(monkeypatch):
@@ -544,9 +582,10 @@ class TestSweep:
         assert [row.split(",")[0] for row in lines[1:-1]] == ["5.7", "10.7", "15.7", "20.7"]
         assert lines[-1] == "# monotone non-decreasing: true"
 
-    def test_point_whose_error_bar_excludes_probabilities_is_skipped(self, capsys):
+    def test_point_whose_error_bar_excludes_probabilities_is_skipped(self, capsys, monkeypatch):
         # at tol 0.5, d = 16: beta = 0.5 and 1.5 give -7.8e-5 +- 6.0e-5 and -6.4e-5 +- 6.1e-5,
         # beta = 1 is the closed form and beta = 2 is unresolved
+        _stub_bars_below_zero(monkeypatch)
         code, out, err = run_cli(
             capsys, "sweep", "--family", "beta", "--dim", "16",
             "--beta-min", "0.5", "--beta-max", "2", "--steps", "3", "--tol", "0.5",
@@ -557,7 +596,8 @@ class TestSweep:
         lines = out.strip().splitlines()
         assert [row.split(",")[0] for row in lines[1:-1]] == ["1"]
 
-    def test_only_points_excluding_probabilities_exits_3(self, capsys):
+    def test_only_points_excluding_probabilities_exits_3(self, capsys, monkeypatch):
+        _stub_bars_below_zero(monkeypatch)
         code, out, err = run_cli(
             capsys, "sweep", "--family", "beta", "--dim", "16",
             "--beta-min", "0.5", "--beta-max", "0.75", "--steps", "1", "--tol", "0.5",
