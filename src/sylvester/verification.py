@@ -171,7 +171,7 @@ def _mc_cross(dist, trials, exact, seed, lookup):
 
 def _lemma(trials, seed, lookup):
     # projection identity vs cone angle on the regular simplex in R^4; the
-    # cone angle draws from seed + 1.  The projection probability is twice
+    # cone angle draws from the next seed.  The projection probability is twice
     # the vertex angle, p_2/4 for the Gaussian p_2.
     entry = lookup("gaussian", 2, None)
     if entry is None:
@@ -180,7 +180,7 @@ def _lemma(trials, seed, lookup):
     vertices = np.eye(4)
     cone = SimplicialCone(vertices[:3] - vertices[3])
     proj = projection_experiment(vertices, McConfig(trials=trials, seed=seed, workers=2))
-    angle = estimate_cone_angle(cone, McConfig(trials=trials, seed=seed + 1, workers=2))
+    angle = estimate_cone_angle(cone, McConfig(trials=trials, seed=(seed + 1) % 2**64, workers=2))
     combined = 4.0 * math.hypot(proj.stderr, 2.0 * angle.stderr)
     ok = (
         abs(proj.estimate - 2.0 * angle.estimate) <= combined
@@ -322,8 +322,10 @@ def run_suite(
 
     ``lookup`` injects an alternative closed-form registry, which the tests
     use to prove a corrupted registry is caught and named.  A row that
-    raises a SylvesterError fails with the error as its detail.
+    raises a SylvesterError fails with the error as its detail; a seed that
+    Monte Carlo refuses raises DomainError before any row runs.
     """
+    McConfig(trials=1, seed=seed)  # Monte Carlo's one seed rule
     results = []
     for check in checks(suite):
         try:

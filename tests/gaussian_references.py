@@ -8,15 +8,15 @@ simplex,
     p_d = 4 * n^(3/2) / sqrt(2*pi) * integral_0^inf Re[(1/2 + i*h(u))^(n-1)] * exp(-n*u^2/2) du,
 
 with h(u) = erfi(u/sqrt(2))/2.  For d >= 16 the integrand is about 1e-5
-while p_d is 1e-12 or less, so the integral runs in mpmath at 60 digits and
-again at 90; the script stops if the two disagree beyond 1e-40 relative.
-It takes about two seconds per dimension.  Not collected by pytest (mpmath is
-a test extra, and the run is slow).
+while p_d is 1e-12 or less (about 1e-36 at d = 38), so the integral runs in
+mpmath at 90 digits and again at 120; the script stops if the two disagree
+beyond 1e-40 relative.  It takes about five seconds per dimension.  Not
+collected by pytest (mpmath is a test extra, and the run is slow).
 """
 
 import mpmath
 
-DIMENSIONS = range(4, 19)
+DIMENSIONS = range(4, 39)
 
 
 def gaussian_probability(d: int, dps: int) -> mpmath.mpf:
@@ -37,9 +37,9 @@ def gaussian_probability(d: int, dps: int) -> mpmath.mpf:
 def main() -> None:
     print("GAUSSIAN_REFERENCE = {")
     for d in DIMENSIONS:
-        low, high = gaussian_probability(d, 60), gaussian_probability(d, 90)
+        low, high = gaussian_probability(d, 90), gaussian_probability(d, 120)
         if abs(low - high) > mpmath.mpf("1e-40") * abs(high):
-            raise SystemExit(f"d = {d}: 60 and 90 digits disagree: {low} vs {high}")
+            raise SystemExit(f"d = {d}: 90 and 120 digits disagree: {low} vs {high}")
         print(f"    {d}: {float(high)!r},")
     print("}")
 

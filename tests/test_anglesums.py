@@ -42,7 +42,7 @@ class TestGaussianAngleSum:
         res = gaussian_angle_sum(5)
         assert res.value == pytest.approx(J5_REGULAR, abs=1e-9)
 
-    def test_large_n_carries_inflated_estimate(self):
+    def test_large_n_has_a_value_and_an_estimate(self):
         res = gaussian_angle_sum(25)
         assert 0.0 < res.value < 12.5
         assert res.abs_error_estimate > 0.0
@@ -271,6 +271,23 @@ def test_huge_beta_is_a_typed_overflow(n, beta):
         beta_angle_sum(n, beta)
     with pytest.raises(OverflowBoundError, match="overflows double precision"):
         beta_prime_angle_sum(n, beta)
+
+
+@pytest.mark.parametrize(
+    "angle_sum, args", [(gaussian_angle_sum, (25,)), (beta_angle_sum, (26, 0.0))], ids=["gaussian", "cosh"]
+)
+def test_large_n_reports_the_integrators_own_estimate(monkeypatch, angle_sum, args):
+    # one error model for every n <= N_MAX: the angle sum reports the integrator's estimate as it is
+    returned = []
+    integrate_line = anglesums.integrate_line
+
+    def recording_integrate_line(*args, **kwargs):
+        returned.append(integrate_line(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(anglesums, "integrate_line", recording_integrate_line)
+    result = angle_sum(*args)
+    assert [r.abs_error_estimate for r in returned] == [result.abs_error_estimate]
 
 
 class TestOneCallPerIntegration:

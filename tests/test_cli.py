@@ -17,7 +17,7 @@ from sylvester.errors import NonConvergenceError, SylvesterError
 from sylvester.probability import Distribution, quadrature_probability
 from sylvester.quad import EvalResult, QuadratureConfig
 
-# Gaussian p_d, mpmath at 60 and 90 digits; printed by tests/gaussian_references.py
+# Gaussian p_d, mpmath at 90 and 120 digits; printed by tests/gaussian_references.py
 GAUSSIAN_REFERENCE = {
     4: 0.02306452484381219,
     5: 0.0047697319556756065,
@@ -34,6 +34,26 @@ GAUSSIAN_REFERENCE = {
     16: 1.2631075845200892e-12,
     17: 1.29879777740168e-13,
     18: 1.2941861453616527e-14,
+    19: 1.251952309184431e-15,
+    20: 1.177642134339809e-16,
+    21: 1.0787017395121585e-17,
+    22: 9.634280618160222e-19,
+    23: 8.400054783056238e-20,
+    24: 7.157468022633655e-21,
+    25: 5.96596865226825e-22,
+    26: 4.869020186240428e-23,
+    27: 3.894082348337971e-24,
+    28: 3.0542745568199267e-25,
+    29: 2.3510526609394716e-26,
+    30: 1.777288795327052e-27,
+    31: 1.3202778045400288e-28,
+    32: 9.6435478427411e-30,
+    33: 6.9296129666173845e-31,
+    34: 4.9012126687364273e-32,
+    35: 3.413728969843453e-33,
+    36: 2.342511790464961e-34,
+    37: 1.5843349217581002e-35,
+    38: 1.0565733532430386e-36,
 }
 
 RECORD_FIELDS = ("family", "d", "beta", "method", "value", "abs_error", "stderr", "trials", "seed")
@@ -257,6 +277,32 @@ class TestCompute:
         (rec,) = parse_json_lines(out)
         exact = registry.lookup("beta", d, beta)
         assert abs(rec["value"] - exact.value) <= 3.0 * rec["abs_error"]
+
+    @pytest.mark.parametrize("family,beta", [("gauss", None), ("beta", "0"), ("beta", "1"), ("betaprime", "d/2 + 1")])
+    def test_every_tolerance_is_honest_up_to_n_40(self, family, beta):
+        # the CLI's tolerances over the whole advertised domain, under one error
+        # model: every answered query lies within 3 abs_error of its truth, no
+        # bar excludes [0, 1], and a raw exception would escape main
+        misses = []
+        for d in range(2, 39):
+            argv = ["compute", "--family", family, "--dim", str(d), "--method", "quadrature"]
+            if beta is not None:
+                argv += ["--beta", _half_plus_one(d) if beta == "d/2 + 1" else beta]
+            for tol in (f"1e-{k}" for k in range(3, 13)):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv + ["--tol", tol])
+                assert code in (0, 3) and "excludes" not in err.getvalue(), (d, tol, err.getvalue())
+                if code == 3:
+                    continue
+                (rec,) = parse_json_lines(out.getvalue())
+                if family == "gauss" and d >= 4:
+                    truth = GAUSSIAN_REFERENCE[d]
+                else:
+                    truth = registry.lookup(cli._FAMILY_FLAGS[family], d, rec["beta"]).value
+                if abs(rec["value"] - truth) > 3.0 * rec["abs_error"]:
+                    misses.append((d, tol, rec["value"], rec["abs_error"], truth))
+        assert misses == []
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -790,6 +836,22 @@ class TestVerify:
         assert [(r.status, r.detail) for r in results] == [
             ("FAIL", "error: no convergence"), ("WARN", "error: no convergence"),
         ]
+
+    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+    def test_out_of_range_seed_exits_2_before_any_row(self, capsys, monkeypatch, via_env):
+        if via_env:
+            monkeypatch.setenv("SYLVESTER_SEED", "-1")
+        code, out, err = run_cli(capsys, "verify", *([] if via_env else ["--seed", "-1"]))
+        assert (code, out) == (2, "")
+        assert "seed must be an unsigned 64-bit integer" in err
+
+    def test_largest_seed_runs_the_lemma(self, capsys, monkeypatch):
+        # the cone angle draws from the next seed, which wraps around to 0
+        rows = [row for row in verification.checks("basic") if row.name == "lemma-projection-identity"]
+        monkeypatch.setattr(verification, "checks", lambda suite: rows)
+        code, out, _ = run_cli(capsys, "verify", "--seed", str(2**64 - 1))
+        assert code == 0
+        assert out.startswith("PASS  lemma-projection-identity: ")
 
     def test_any_other_sylvester_error_exits_2(self, capsys, monkeypatch):
         def boom(dist, mc):
