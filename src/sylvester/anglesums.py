@@ -48,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, OverflowBoundError
+from .errors import DomainError, OverflowBoundError, integer_count
 from .quad import (
     DEFAULT_CONFIG,
     CumulativeIntegral,
@@ -81,15 +81,16 @@ def _real_part(log_weight: np.ndarray, inner: np.ndarray, n: int) -> np.ndarray:
     return np.exp(log_modulus) * np.cos((n - 1) * np.arctan2(inner, 0.5))
 
 
-def _check_n(n: int, minimum: int) -> None:
-    if not isinstance(n, (int, np.integer)):
-        raise DomainError(f"vertex count n must be an integer, got {n!r}")
+def _check_n(n: int, minimum: int) -> int:
+    """n as a plain int, once it lies in [minimum, N_MAX]."""
+    n = integer_count(n, "vertex count n")
     if n < minimum:
         raise DomainError(f"vertex count n must be >= {minimum}, got {n}")
     if n > N_MAX:
         raise DomainError(
             f"vertex count n = {n} exceeds the double-precision ceiling {N_MAX}"
         )
+    return n
 
 
 def _integrate_real_part(
@@ -119,7 +120,7 @@ def _integrate_real_part(
 
 def gaussian_angle_sum(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> EvalResult:
     """Angle sum of the regular simplex with n vertices."""
-    _check_n(n, minimum=2)
+    n = _check_n(n, minimum=2)
     # substitution u = x / sqrt(n); prefactor n*sqrt(n)/sqrt(2*pi)
     log_pref = 1.5 * math.log(n) - 0.5 * math.log(2.0 * math.pi)
 
@@ -169,7 +170,7 @@ def _cosh_kernel_evaluation(
 
 def beta_angle_sum(n: int, beta: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> EvalResult:
     """Expected angle sum of the beta simplex with n vertices."""
-    _check_n(n, minimum=3)
+    n = _check_n(n, minimum=3)
     if n == 3:
         if not beta >= -1.0:
             raise DomainError(
@@ -194,7 +195,7 @@ def beta_prime_angle_sum(
     n: int, beta: float, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> EvalResult:
     """Expected angle sum of the beta-prime simplex with n vertices."""
-    _check_n(n, minimum=2)
+    n = _check_n(n, minimum=2)
     threshold = 0.5 * (n - 1) + 0.5 / n
     if not beta > threshold:
         raise DomainError(

@@ -204,7 +204,8 @@ def _add_distribution_flags(parser: argparse.ArgumentParser, with_beta: bool = T
         parser.add_argument("--beta", type=float, default=None, metavar="B")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its command parsers, by command name."""
     parser = argparse.ArgumentParser(
         prog="sylvester",
         description="Probability that d+2 i.i.d. points from a Gaussian, beta, or "
@@ -244,12 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", required=True, choices=sorted(registry.TABLE_PRESETS))
     p.set_defaults(handler=_cmd_table)
 
-    return parser
+    return parser, sub.choices
 
 
 # built once: the handlers read sylvester_probability and estimate_sylvester as
 # module globals when they run, so a caller that replaces those names sees every call
-_PARSER = build_parser()
+_PARSER, _COMMANDS = _build_parsers()
 
 
 def _join_negative_numbers(argv) -> list:
@@ -265,7 +266,11 @@ def _join_negative_numbers(argv) -> list:
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(_join_negative_numbers(sys.argv[1:] if argv is None else argv))
+    argv = _join_negative_numbers(sys.argv[1:] if argv is None else argv)
+    # a named command is parsed by its own parser, in one argparse pass; the
+    # top-level parser answers only help and a missing or unknown command
+    command = _COMMANDS.get(argv[0]) if argv else None
+    args = _PARSER.parse_args(argv) if command is None else command.parse_args(argv[1:])
     try:
         return args.handler(args)
     except SylvesterError as exc:

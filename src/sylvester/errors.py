@@ -1,6 +1,8 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the one rule for integer counts."""
 
 from __future__ import annotations
+
+import operator
 
 
 class SylvesterError(Exception):
@@ -33,3 +35,18 @@ class DegenerateGeometryError(SylvesterError):
 
 class NotInRegistryError(SylvesterError, LookupError):
     """No closed-form registry entry exists for the requested distribution."""
+
+
+def integer_count(value, name: str) -> int:
+    """value as a plain int, or DomainError naming ``name``.
+
+    Any integer type is taken (numpy's too, as np.arange yields them) and
+    stored as an int, so it serializes as JSON; bool, float, str and None are
+    refused.  Range checks stay with the caller.
+    """
+    if isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, DomainError
+from .errors import DegenerateGeometryError, DomainError, integer_count
 from .probability import Distribution
 
 # trials per RNG block; fixed so results never depend on worker count
@@ -66,11 +66,13 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.trials, int) and self.trials >= 1):
+        for name in ("trials", "seed", "workers"):
+            object.__setattr__(self, name, integer_count(getattr(self, name), name))
+        if self.trials < 1:
             raise DomainError(f"trials must be a positive integer, got {self.trials!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        if not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if not (isinstance(self.workers, int) and self.workers >= 1):
+        if self.workers < 1:
             raise DomainError(f"workers must be a positive integer, got {self.workers!r}")
 
 

@@ -25,7 +25,7 @@ from typing import Literal, Optional
 
 from . import registry
 from .anglesums import beta_angle_sum, beta_prime_angle_sum, gaussian_angle_sum
-from .errors import DomainError, NotInRegistryError
+from .errors import DomainError, NotInRegistryError, integer_count
 from .quad import DEFAULT_CONFIG, EvalResult, QuadratureConfig
 
 Family = Literal["gaussian", "beta", "beta_prime"]
@@ -55,7 +55,8 @@ class Distribution:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if not (isinstance(self.d, int) and self.d >= 1):
+        object.__setattr__(self, "d", integer_count(self.d, "dimension d"))
+        if self.d < 1:
             raise DomainError(f"dimension d must be an integer >= 1, got {self.d!r}")
         if self.d > MAX_DIMENSION:
             raise DomainError("dimension d must be at most 10**6: no route keeps its error bar beyond it")
@@ -147,6 +148,7 @@ def cauchy_asymptotic(d: int) -> float:
     approximation, not an exact value, and it is never substituted for a
     probability; the quadrature route serves exact queries.
     """
-    if not (isinstance(d, int) and d >= 1):
+    d = integer_count(d, "dimension d")
+    if d < 1:
         raise DomainError(f"dimension d must be an integer >= 1, got {d!r}")
     return 2.0 * math.sqrt(3.0) * d * math.pi ** (-d - 1)

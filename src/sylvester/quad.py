@@ -11,14 +11,16 @@ Two pieces:
   envelope is a required input, never inferred from samples.
 
 * :class:`CumulativeIntegral` — a queryable evaluator for I(x) =
-  integral_0^x g, built from 7-point Gauss-Legendre cells on a fixed grid
-  with partial-cell evaluation between nodes.
+  integral_0^x g, built from 7-point Gauss-Legendre cells on a fixed grid.
+  A query at a node reads the prefix sum alone; only queries between nodes
+  evaluate g, on their partial cells.
 
 Integrands work on arrays: ``f`` and ``g`` map an ndarray of nodes to an
 ndarray of the same shape.  ``integrate_line`` calls ``f`` once per step
 level on all of that level's nodes;
 ``CumulativeIntegral`` calls ``g`` on ``(cells, 7)`` blocks of at most
-``_BLOCK_CELLS`` cells and answers an array of queries in one call.
+``_BLOCK_CELLS`` cells and answers an array of queries in one call, each
+query's value the same as when asked alone.
 
 Everything is a pure function of its arguments: identical inputs produce
 bit-identical results.
@@ -249,19 +251,19 @@ def integrate_line(
         values = np.asarray(f(points), dtype=float)
         if values.shape != points.shape:
             raise DomainError(f"integrand returned shape {values.shape} for nodes of shape {points.shape}")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise DomainError("integrand returned a non-finite value inside the truncated domain")
         nodes_used += points.size
-        value = factor * float(np.sum(values @ weights))
+        value = factor * float((values @ weights).sum())
         if previous_value is None:
             # the first level is checked against every other one of its own
             # nodes (t = t_hi - m*h, m even): the level of twice its step
             every_other = slice((x.size - 1) % 2, None, 2)
-            previous_value = factor * float(np.sum(values[..., every_other] @ (2.0 * weights[every_other])))
+            previous_value = factor * float((values[..., every_other] @ (2.0 * weights[every_other])).sum())
         disc = abs(value - previous_value)
-        roundoff = 50.0 * _EPS * factor * float(np.sum(np.abs(values) @ weights))
+        roundoff = 50.0 * _EPS * factor * float((np.abs(values) @ weights).sum())
         # the skipped heads [0, x_0] on both sides, f taken at its value at the first node x_0
-        head = factor * float(x[0] * np.sum(np.abs(values[..., 0])))
+        head = factor * float(x[0] * np.abs(values[..., 0]).sum())
         floor = tail + head + roundoff
         estimate = disc + floor
         result = EvalResult(value, estimate, "quadrature", nodes_used)
@@ -293,10 +295,15 @@ def integrate_line(
     )
 
 
-def _gl_integrals(g: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _gl_integrals(
+    g: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, rowwise: bool = False
+) -> np.ndarray:
     """7-point Gauss-Legendre integrals of g over the cells [lo[i], hi[i]].
 
     g sees at most ``_BLOCK_CELLS`` cells, as one ``(cells, 7)`` array, per call.
+    The weighted sums are one matrix-vector product, whose last bit can depend
+    on how many cells it holds; with ``rowwise=True`` they are summed one node
+    at a time instead, so each cell's integral is the same in any call.
     """
     out = np.empty(lo.size)
     for start in range(0, lo.size, _BLOCK_CELLS):
@@ -305,7 +312,13 @@ def _gl_integrals(g: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
         values = np.asarray(g(mid[:, None] + half[:, None] * _GL_NODES), dtype=float)
-        out[start : start + a.size] = half * (values @ _GL_WEIGHTS)
+        if rowwise:
+            sums = values[:, 0] * _GL_WEIGHTS[0]
+            for k in range(1, _GL_WEIGHTS.size):
+                sums += values[:, k] * _GL_WEIGHTS[k]
+        else:
+            sums = values @ _GL_WEIGHTS
+        out[start : start + a.size] = half * sums
     return out
 
 
@@ -329,9 +342,9 @@ class CumulativeIntegral:
         grid = np.asarray(x_points, dtype=float)
         if grid.ndim != 1 or grid.size < 2:
             raise DomainError("CumulativeIntegral needs a 1-d grid with at least two points")
-        if not np.all(np.diff(grid) > 0.0):
+        if not (grid[1:] > grid[:-1]).all():
             raise DomainError("CumulativeIntegral grid must be strictly increasing")
-        zero_pos = np.searchsorted(grid, 0.0)
+        zero_pos = grid.searchsorted(0.0)
         if zero_pos >= grid.size or grid[zero_pos] != 0.0:
             raise DomainError("CumulativeIntegral grid must contain 0")
         if even_integrand:
@@ -350,7 +363,7 @@ class CumulativeIntegral:
         queries = x.ravel()
         if self._even:
             value = self._lookup(np.abs(queries))
-            value = np.where(queries < 0.0, -value, value)
+            np.negative(value, out=value, where=queries < 0.0)
         else:
             value = self._lookup(queries)
         return float(value[0]) if x.ndim == 0 else value.reshape(x.shape)
@@ -358,10 +371,13 @@ class CumulativeIntegral:
     def _lookup(self, x: np.ndarray) -> np.ndarray:
         grid = self._grid
         inside = (x >= grid[0]) & (x <= grid[-1])
-        if not np.all(inside):
+        if not inside.all():
             raise DomainError(f"query {x[~inside][0]} outside the grid hull [{grid[0]}, {grid[-1]}]")
-        j = np.searchsorted(grid, x, side="right") - 1
+        j = grid.searchsorted(x, side="right") - 1
         value = self._prefix[j]
         between = x != grid[j]
-        value[between] += _gl_integrals(self._g, grid[j[between]], x[between])
+        # a query at a node is answered by its prefix alone; a partial cell is
+        # summed row by row, so an array of queries equals its scalar queries
+        if between.any():
+            value[between] += _gl_integrals(self._g, grid[j[between]], x[between], rowwise=True)
         return value

@@ -10,13 +10,14 @@ restriction of the standard normal CDF to the imaginary axis,
 
 ``h_imag_cdf`` maps an ndarray to an ndarray of the same shape (a float to
 a float) from a table built once at import: anchors y_j = j/32 on
-[0, Y_MAX], each with the 20 positive Taylor coefficients of the increment
-towards the next anchor, and the anchor values h(y_j), which are the
-running sums of those increments from h(0) = 0.  A call finds each
-argument's anchor and runs one 20-step Horner pass over the whole array,
-with no convergence loop.  Its relative error measures at most 2.6 eps
-against mpmath over [0, Y_MAX].  The table holds 1,201 anchors of 20
-coefficients and 1,202 values (197 KiB) and takes about 0.2 ms to build.
+[0, Y_MAX], each with a row of the 20 positive Taylor coefficients of the
+increment towards the next anchor, and the anchor values h(y_j), which are
+the running sums of those increments from h(0) = 0.  A call finds each
+argument's anchor, gathers its row once (in chunks of ``_GATHER_ROWS``
+arguments) and runs one 20-step Horner pass over the whole array, with no
+convergence loop.  Its relative error measures at most 2.6 eps against
+mpmath over [0, Y_MAX].  The table holds 1,201 anchors of 20 coefficients
+and 1,202 values (197 KiB) and takes about 0.2 ms to build.
 ``h`` grows like ``exp(y^2/2)``, so it carries an explicit overflow bound
 ``Y_MAX``; callers are expected to rescale their integrals instead of
 asking for larger arguments.
@@ -36,6 +37,8 @@ Y_MAX = 37.5
 # h_imag_cdf's table: anchors y_j = j/32, each with 20 Taylor coefficients
 _ANCHORS_PER_UNIT = 32
 _TERMS = 20
+# arguments per gather: bounds the gathered (rows, 20) copy at 640 KiB
+_GATHER_ROWS = 4096
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
@@ -71,19 +74,21 @@ def log_gen_binomial(n: float, k: float) -> float:
 
 
 def _anchor_table() -> tuple[np.ndarray, np.ndarray]:
-    """The anchor values H (one past the last anchor) and the coefficient block C.
+    """The anchor values H (one past the last anchor) and the coefficient table C.
 
     With y_j = j/32 and u = 32*s in [0, 1),
 
         h(y_j + s) - H_j = exp(y_j^2/2)/sqrt(2*pi) * integral_0^s exp(y_j*t + t^2/2) dt
-                         = sum_(m=1..20) C_(m,j) * u^m,
+                         = sum_(m=1..20) C_(j,m-1) * u^m,
 
     where exp(y*t + t^2/2) = sum_k a_k t^k with (k+1)*a_(k+1) = y*a_k + a_(k-1)
-    and C_(m,j) = exp(y_j^2/2)/sqrt(2*pi) * a_(m-1) / (m * 32^m).  Every
-    coefficient is positive, and the 21st term is below 1e-17 of the sum at
-    y = Y_MAX.  One rule gives every anchor value: H_0 = h(0) = 0, and H_j is
-    the running sum of the whole-step increments sum_m C_(m,i), i < j.  The
-    increments are positive and grow, so rounding does not pile up.
+    and C_(j,m-1) = exp(y_j^2/2)/sqrt(2*pi) * a_(m-1) / (m * 32^m).  Row j of
+    C holds anchor j's 20 coefficients, so one gather fetches an argument's
+    polynomial.  Every coefficient is positive, and the 21st term is below
+    1e-17 of the sum at y = Y_MAX.  One rule gives every anchor value:
+    H_0 = h(0) = 0, and H_j is the running sum of the whole-step increments
+    sum_m C_(i,m-1), i < j.  The increments are positive and grow, so
+    rounding does not pile up.
     """
     step = 1.0 / _ANCHORS_PER_UNIT
     y = np.arange(round(Y_MAX * _ANCHORS_PER_UNIT) + 1) * step
@@ -96,7 +101,7 @@ def _anchor_table() -> tuple[np.ndarray, np.ndarray]:
     # y_j^2 is exact, so exp(y_j^2/2) is rounded once
     b *= np.exp(0.5 * y * y) * (step / _SQRT_2PI)
     b /= np.arange(1, _TERMS + 1)[:, None]
-    return np.concatenate(([0.0], np.cumsum(b.sum(axis=0)))), b
+    return np.concatenate(([0.0], np.cumsum(b.sum(axis=0)))), np.ascontiguousarray(b.T)
 
 
 _H, _COEFFS = _anchor_table()
@@ -115,9 +120,11 @@ def h_imag_cdf(y):
     """
     y = np.asarray(y, dtype=float)
     a = np.abs(y).ravel()
-    if np.isnan(a).any():
-        raise DomainError("h_imag_cdf requires a finite argument, got nan")
-    if a.size and a.max() > Y_MAX:
+    # one pass: the maximum is nan if any argument is
+    top = a.max(initial=0.0)
+    if not top <= Y_MAX:
+        if math.isnan(top):
+            raise DomainError("h_imag_cdf requires a finite argument, got nan")
         raise OverflowBoundError(
             f"h_imag_cdf overflows beyond |y| = {Y_MAX}, got {y.ravel()[a.argmax()]};"
             " rescale the integral"
@@ -125,12 +132,18 @@ def h_imag_cdf(y):
     scaled = a * _ANCHORS_PER_UNIT
     j = scaled.astype(np.intp)
     u = scaled - j
-    # one take per coefficient row: faster than one 2-D gather, and never
-    # holds 20 copies of the argument array
-    acc = _COEFFS[-1].take(j)
-    for coef in _COEFFS[-2::-1]:
-        acc *= u
-        acc += coef.take(j)
-    value = np.minimum(_H.take(j) + u * acc, _H[1:].take(j))
-    value = np.where(y.ravel() < 0.0, -value, value)
+    acc = np.empty_like(u)
+    for start in range(0, a.size, _GATHER_ROWS):
+        rows = slice(start, start + _GATHER_ROWS)
+        # one gather of each argument's 20 coefficients, read a column at a time
+        coeffs = _COEFFS.take(j[rows], axis=0).T
+        part, step = acc[rows], u[rows]
+        part[...] = coeffs[-1]
+        for coef in coeffs[-2::-1]:
+            part *= step
+            part += coef
+    acc *= u
+    acc += _H.take(j)
+    value = np.minimum(acc, _H[1:].take(j), out=acc)
+    np.negative(value, out=value, where=y.ravel() < 0.0)
     return float(value[0]) if y.ndim == 0 else value.reshape(y.shape)

@@ -58,6 +58,15 @@ class TestGaussianAngleSum:
         with pytest.raises(DomainError, match="must be an integer"):
             gaussian_angle_sum(n)
 
+    def test_bool_n_rejected_everywhere(self):
+        for angle_sum in (gaussian_angle_sum, lambda n: beta_angle_sum(n, 0.0), lambda n: beta_prime_angle_sum(n, 9.0)):
+            with pytest.raises(DomainError, match="must be an integer"):
+                angle_sum(True)
+
+    def test_numpy_n_gives_the_int_result(self):
+        assert gaussian_angle_sum(np.int64(5)) == gaussian_angle_sum(5)
+        assert beta_angle_sum(np.arange(6)[4], 0.5) == beta_angle_sum(4, 0.5)
+
 
 class TestBetaAngleSum:
     def test_uniform_ball_case(self):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from sylvester import cli, geomc, registry, verification
 from sylvester.cli import main
 from sylvester.errors import NonConvergenceError, SylvesterError
-from sylvester.probability import Distribution, quadrature_probability
+from sylvester.probability import Distribution, quadrature_probability, sylvester_probability
 from sylvester.quad import EvalResult, QuadratureConfig
 
 # Gaussian p_d, mpmath at 90 and 120 digits; printed by tests/gaussian_references.py
@@ -715,6 +715,121 @@ class TestTable:
             main(["table", "--preset", "cauchy"])
         assert info.value.code == 2
         capsys.readouterr()
+
+
+# compute queries, each (family flag, d, beta, method flag, tol), that exit 0
+LIBRARY_QUERIES = [
+    ("gauss", 3, None, "quadrature", 1e-10),
+    ("gauss", 12, None, "auto", 1e-8),
+    ("gauss", 25, None, "quadrature", 1e-10),  # unresolved: |value| <= abs_error
+    ("gauss", 1, None, "quadrature", 1e-10),  # the line, from the registry
+    ("beta", 5, 0.0, "quadrature", 1e-10),
+    ("beta", 4, 0.0, "auto", 1e-8),
+    ("beta", 3, 1.37, "auto", 1e-8),
+    ("beta", 12, 2.0, "quadrature", 1e-10),
+    ("beta", 1, -0.7, "quadrature", 1e-8),
+    ("betaprime", 3, 2.9, "quadrature", 1e-10),
+    ("betaprime", 2, 1.13, "quadrature", 1e-8),
+    ("betaprime", 5, 3.5, "closed-form", 1e-8),
+]
+
+_LIBRARY_FAMILY = {"gauss": "gaussian", "beta": "beta", "betaprime": "beta_prime"}
+
+
+def _library_record(family, d, beta, method, tol):
+    """The compute record built from sylvester_probability, called directly."""
+    result = sylvester_probability(
+        Distribution(_LIBRARY_FAMILY[family], d, beta),
+        method=method.replace("-", "_"),
+        cfg=QuadratureConfig(rel_tol=tol, abs_tol=tol * 1e-4),
+    )
+    return {
+        "family": family, "d": d, "beta": beta, "method": result.method, "value": result.value,
+        "abs_error": result.abs_error_estimate, "stderr": None, "trials": None, "seed": None,
+    }
+
+
+class TestCliEqualsLibrary:
+    """compute prints, bit for bit, what the library returns in the same process."""
+
+    @staticmethod
+    def _argv(family, d, beta, method, tol, fmt):
+        beta_flags = [] if beta is None else ["--beta", repr(beta)]
+        return ["compute", "--family", family, "--dim", str(d), *beta_flags,
+                "--method", method, "--tol", repr(tol), "--format", fmt]
+
+    @pytest.mark.parametrize("query", LIBRARY_QUERIES, ids=lambda q: " ".join(map(str, q)))
+    def test_json(self, capsys, query):
+        code, out, err = run_cli(capsys, *self._argv(*query, "json"))
+        assert (code, err) == (0, "")
+        assert out == json.dumps(_library_record(*query)) + "\n"
+
+    @pytest.mark.parametrize("query", LIBRARY_QUERIES[::3], ids=lambda q: " ".join(map(str, q)))
+    def test_csv(self, capsys, query):
+        code, out, err = run_cli(capsys, *self._argv(*query, "csv"))
+        assert (code, err) == (0, "")
+        row = ["" if v is None else str(v) for v in _library_record(*query).values()]
+        assert out == ",".join(RECORD_FIELDS) + "\n" + ",".join(row) + "\n"
+
+
+class TestParseSurface:
+    """Exit codes and the usage/error lines of argparse's answers."""
+
+    COMPUTE_USAGE = "usage: sylvester compute [-h] --family {beta,betaprime,gauss} --dim D"
+
+    @staticmethod
+    def _parse(capsys, monkeypatch, *argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        captured = capsys.readouterr()
+        return info.value.code, captured.out.splitlines(), captured.err.splitlines()
+
+    def test_no_command(self, capsys, monkeypatch):
+        code, out, err = self._parse(capsys, monkeypatch)
+        assert (code, out) == (2, [])
+        assert err == [
+            "usage: sylvester [-h] {compute,mc,sweep,verify,table} ...",
+            "sylvester: error: the following arguments are required: command",
+        ]
+
+    def test_unknown_command(self, capsys, monkeypatch):
+        code, out, err = self._parse(capsys, monkeypatch, "bogus", "--dim", "2")
+        assert (code, out, len(err)) == (2, [], 2)
+        assert err[0] == "usage: sylvester [-h] {compute,mc,sweep,verify,table} ..."
+        assert err[1].startswith("sylvester: error: argument command: invalid choice: ")
+        assert "bogus" in err[1]
+
+    def test_help(self, capsys, monkeypatch):
+        code, out, err = self._parse(capsys, monkeypatch, "--help")
+        assert (code, err) == (0, [])
+        assert out[0] == "usage: sylvester [-h] {compute,mc,sweep,verify,table} ..."
+
+    def test_compute_help(self, capsys, monkeypatch):
+        code, out, err = self._parse(capsys, monkeypatch, "compute", "--help")
+        assert (code, err) == (0, [])
+        assert out[0] == self.COMPUTE_USAGE
+
+    def test_missing_dimension(self, capsys, monkeypatch):
+        code, out, err = self._parse(capsys, monkeypatch, "compute", "--family", "gauss")
+        assert (code, out) == (2, [])
+        assert err[0] == self.COMPUTE_USAGE
+        assert err[-1] == "sylvester compute: error: the following arguments are required: --dim"
+
+    def test_unknown_family(self, capsys, monkeypatch):
+        code, out, err = self._parse(capsys, monkeypatch, "compute", "--family", "weird", "--dim", "2")
+        assert (code, out) == (2, [])
+        assert err[0] == self.COMPUTE_USAGE
+        assert err[-1].startswith("sylvester compute: error: argument --family: invalid choice: ")
+        assert "weird" in err[-1]
+
+    def test_unrecognized_option_is_reported_by_the_command(self, capsys, monkeypatch):
+        code, out, err = self._parse(
+            capsys, monkeypatch, "compute", "--family", "gauss", "--dim", "2", "--bogus", "x"
+        )
+        assert (code, out) == (2, [])
+        assert err[0] == self.COMPUTE_USAGE
+        assert err[-1] == "sylvester compute: error: unrecognized arguments: --bogus x"
 
 
 # verify's rows in report order, as `sylvester verify` prints them

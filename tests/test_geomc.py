@@ -1,5 +1,7 @@
 """Monte Carlo oracle tests: sampling laws, hull tests, reproducibility."""
 
+import dataclasses
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -651,3 +653,18 @@ class TestMcConfig:
             McConfig(trials=10, seed=2**64)
         with pytest.raises(DomainError):
             McConfig(trials=10, seed=1, workers=0)
+
+    def test_numpy_integers_are_stored_as_int(self):
+        mc = McConfig(trials=np.int64(100), seed=np.uint64(2**64 - 1), workers=np.arange(3)[2])
+        assert (mc.trials, mc.seed, mc.workers) == (100, 2**64 - 1, 2)
+        assert all(type(v) is int for v in (mc.trials, mc.seed, mc.workers))
+        assert json.loads(json.dumps(dataclasses.asdict(mc))) == {"trials": 100, "seed": 2**64 - 1, "workers": 2}
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"trials": True, "seed": 1}, {"trials": 10, "seed": False}, {"trials": 10, "seed": 1, "workers": True},
+         {"trials": 10.0, "seed": 1}, {"trials": 10, "seed": "1"}, {"trials": 10, "seed": 1, "workers": None}],
+    )
+    def test_bools_and_non_integers_rejected(self, kwargs):
+        with pytest.raises(DomainError, match="must be an integer"):
+            McConfig(**kwargs)

@@ -5,8 +5,11 @@ exact expressions; the quadrature cross-checks below are independent of
 them.
 """
 
+import dataclasses
+import json
 import math
 
+import numpy as np
 import pytest
 
 from sylvester.errors import DomainError, NotInRegistryError
@@ -84,6 +87,20 @@ class TestDistribution:
             Distribution("beta", 1, -1.0)  # atomic sphere limit on the line
         with pytest.raises(DomainError):
             Distribution("beta_prime", 4, 2.0)
+
+    def test_numpy_dimension_is_stored_as_int(self):
+        for d in np.arange(1, 4):
+            dist = Distribution("gaussian", d)
+            assert type(dist.d) is int and dist == Distribution("gaussian", int(d))
+        assert json.loads(json.dumps(dataclasses.asdict(Distribution("beta", np.int64(3), 0.0))))["d"] == 3
+        assert sylvester_probability(Distribution("gaussian", np.int64(3))).value == (
+            sylvester_probability(Distribution("gaussian", 3)).value
+        )
+
+    @pytest.mark.parametrize("d", [True, False, 3.0, "3", None])
+    def test_bool_and_non_integer_dimension_rejected(self, d):
+        with pytest.raises(DomainError, match="must be an integer"):
+            Distribution("gaussian", d)
 
 
 class TestClosedFormLookup:
@@ -356,3 +373,6 @@ class TestCauchyAsymptotic:
     def test_domain(self):
         with pytest.raises(DomainError):
             cauchy_asymptotic(0)
+        with pytest.raises(DomainError, match="must be an integer"):
+            cauchy_asymptotic(True)
+        assert cauchy_asymptotic(np.int64(2)) == cauchy_asymptotic(2)

@@ -331,6 +331,38 @@ class TestCumulativeIntegral:
             for x in np.concatenate((nodes, between)):
                 assert evaluator(float(x)) == pytest.approx(math.sinh(x), abs=1e-10)
 
+    def test_node_queries_are_answered_from_the_prefix(self):
+        grid = np.linspace(-3.0, 3.0, 13)
+        cells = []
+
+        def g(y):
+            cells.append(y.shape[0])
+            return np.cosh(y)
+
+        evaluator = CumulativeIntegral(g, grid)
+        cells.clear()
+        values = evaluator(grid)
+        assert cells == []
+        assert values[6] == 0.0
+        assert np.array_equal(values, np.array([evaluator(float(x)) for x in grid]))
+
+    @pytest.mark.parametrize("even", [False, True])
+    def test_mixed_queries_pass_only_the_between_node_ones_to_g(self, even):
+        grid = np.linspace(-3.0 * (not even), 3.0, 13)
+        cells = []
+
+        def g(y):
+            cells.append(y.shape[0])
+            return np.cosh(y)
+
+        evaluator = CumulativeIntegral(g, grid, even_integrand=even)
+        between = np.concatenate(([-2.9, -0.123456, 0.7, 2.2], np.random.default_rng(7).uniform(-3.0, 3.0, 60)))
+        queries = np.concatenate((grid[::3], between, -grid[1:3] if even else grid[1:3]))
+        cells.clear()
+        values = evaluator(queries)
+        assert sum(cells) == between.size
+        assert np.array_equal(values, np.array([evaluator(float(x)) for x in queries]))
+
     def test_query_outside_hull(self):
         evaluator = CumulativeIntegral(np.cosh, np.linspace(-1.0, 1.0, 11))
         with pytest.raises(DomainError):

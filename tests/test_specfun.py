@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from sylvester import specfun
 from sylvester.errors import DomainError, OverflowBoundError
 from sylvester.specfun import (
     Y_MAX,
@@ -227,6 +228,24 @@ class TestImaginaryCdf:
         values = h_imag_cdf(y)
         assert values.shape == (9, 9)
         assert all(values.flat[i] == h_imag_cdf(float(y.flat[i])) for i in range(y.size))
+
+    def test_array_is_one_horner_pass_over_the_table(self):
+        # every anchor and the float below it, both signs, and more arguments
+        # than one gather takes
+        values, coeffs = specfun._anchor_table()
+        assert coeffs.shape == (ANCHORS.size + 1, 20)
+        dense = np.linspace(0.0, Y_MAX, 3 * specfun._GATHER_ROWS + 7)
+        y = np.concatenate((ANCHORS, np.nextafter(ANCHORS, 0.0), dense))
+        y = np.concatenate((y, -y))
+        scaled = np.abs(y) * 32.0
+        j = scaled.astype(np.intp)
+        u = scaled - j
+        acc = coeffs[j, 19]
+        for m in range(18, -1, -1):
+            acc = acc * u + coeffs[j, m]
+        expected = np.minimum(values[j] + u * acc, values[j + 1])
+        expected = np.where(y < 0.0, -expected, expected)
+        assert np.array_equal(h_imag_cdf(y).view(np.int64), expected.view(np.int64))
 
     def test_array_with_nan_rejected(self):
         y = np.linspace(0.0, 3.0, 15)
