@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -122,10 +123,14 @@ def _cmd_sweep(args) -> int:
         raise DomainError("sweep needs a parametric family: beta or betaprime")
     if args.steps < 1:
         raise DomainError("--steps must be >= 1")
+    step = (args.beta_max - args.beta_min) / args.steps
+    for name, bound in (("--beta-min", args.beta_min), ("--beta-max", args.beta_max),
+                        ("the step (--beta-max - --beta-min) / --steps", step)):
+        if not math.isfinite(bound):
+            raise DomainError(f"{name} must be finite, got {bound}")
     if not args.beta_max >= args.beta_min:
         raise DomainError("--beta-max must be >= --beta-min")
     cfg = _quadrature_config(args.tol)
-    step = (args.beta_max - args.beta_min) / args.steps
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["beta", "value", "abs_error"])
     values = []

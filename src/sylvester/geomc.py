@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, DomainError, integer_count
+from .errors import DegenerateGeometryError, DomainError, OverflowBoundError, integer_count
 from .probability import Distribution
 
 # trials per RNG block; fixed so results never depend on worker count
@@ -167,7 +167,7 @@ def _sample(dist: Distribution, rng: np.random.Generator, blocks: list[np.ndarra
             _sum_of_squares(points[:d], s)
     if dist.family == "gaussian":
         return
-    shape = dist.beta + 1.0 if dist.family == "beta" else dist.beta - 0.5 * d
+    shape = _gamma_shape(dist)
     size = sum(w.shape[-1] for w in blocks)
     twice_gamma = rng.standard_gamma(shape, size=size * vectors).reshape(size, vectors)
     twice_gamma *= 2.0
@@ -178,6 +178,17 @@ def _sample(dist: Distribution, rng: np.random.Generator, blocks: list[np.ndarra
             np.sqrt(s, out=s)
         else:
             np.sqrt(twice_gamma[trials].T, out=s)
+
+
+def _gamma_shape(dist: Distribution) -> float:
+    """The shape of `_sample`'s gamma draws G; OverflowBoundError where 2G overflows.
+
+    A draw at a shape near the largest double equals the shape to double precision.
+    """
+    shape = dist.beta + 1.0 if dist.family == "beta" else dist.beta - 0.5 * dist.d
+    if not math.isfinite(2.0 * shape):
+        raise OverflowBoundError(f"Monte Carlo at beta = {dist.beta:g}: 2*Gamma({shape:g}) overflows double precision")
+    return shape
 
 
 def _sum_of_squares(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -422,10 +433,13 @@ def _estimate(mc: McConfig, draw: Callable[[np.random.Generator, int], tuple]) -
 def estimate_sylvester(dist: Distribution, mc: McConfig) -> McResult:
     """Monte Carlo estimate of the simplex probability for dist: the sign rule on d+2 lifted points.
 
-    Raises DomainError for d > 38, before any array exists.
+    Raises DomainError for d > 38, and OverflowBoundError where the point
+    scale overflows, before any array exists.
     """
     d = dist.d
     _check_dimension(d, "dimension d")
+    if dist.family != "gaussian":
+        _gamma_shape(dist)
 
     def draw(rng: np.random.Generator, size: int):
         blocks = _sub_blocks(d + 1, size)

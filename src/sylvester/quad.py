@@ -22,8 +22,10 @@ level on all of that level's nodes;
 ``_BLOCK_CELLS`` cells and answers an array of queries in one call, each
 query's value the same as when asked alone.
 
-Everything is a pure function of its arguments: identical inputs produce
-bit-identical results.
+Every weighted sum has one fixed order and calls no BLAS: a Gauss-Legendre
+cell adds its seven weighted values left to right, a trapezoid level is one
+numpy sum.  So no result depends on the BLAS kernel, its threads or how cells
+are batched into calls of ``g``: identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
@@ -254,14 +256,15 @@ def integrate_line(
         if not np.isfinite(values).all():
             raise DomainError("integrand returned a non-finite value inside the truncated domain")
         nodes_used += points.size
-        value = factor * float((values @ weights).sum())
+        weighted = values * weights
+        value = factor * float(weighted.sum())
         if previous_value is None:
             # the first level is checked against every other one of its own
             # nodes (t = t_hi - m*h, m even): the level of twice its step
             every_other = slice((x.size - 1) % 2, None, 2)
-            previous_value = factor * float((values[..., every_other] @ (2.0 * weights[every_other])).sum())
+            previous_value = 2.0 * factor * float(weighted[..., every_other].sum())
         disc = abs(value - previous_value)
-        roundoff = 50.0 * _EPS * factor * float((np.abs(values) @ weights).sum())
+        roundoff = 50.0 * _EPS * factor * float(np.abs(weighted).sum())
         # the skipped heads [0, x_0] on both sides, f taken at its value at the first node x_0
         head = factor * float(x[0] * np.abs(values[..., 0]).sum())
         floor = tail + head + roundoff
@@ -295,15 +298,12 @@ def integrate_line(
     )
 
 
-def _gl_integrals(
-    g: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, rowwise: bool = False
-) -> np.ndarray:
+def _gl_integrals(g: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """7-point Gauss-Legendre integrals of g over the cells [lo[i], hi[i]].
 
-    g sees at most ``_BLOCK_CELLS`` cells, as one ``(cells, 7)`` array, per call.
-    The weighted sums are one matrix-vector product, whose last bit can depend
-    on how many cells it holds; with ``rowwise=True`` they are summed one node
-    at a time instead, so each cell's integral is the same in any call.
+    g sees at most ``_BLOCK_CELLS`` cells, as one ``(cells, 7)`` array, per
+    call.  A cell adds its weighted values left to right, so its integral is
+    the same in any call, alone or among other cells.
     """
     out = np.empty(lo.size)
     for start in range(0, lo.size, _BLOCK_CELLS):
@@ -311,13 +311,11 @@ def _gl_integrals(
         b = hi[start : start + _BLOCK_CELLS]
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        values = np.asarray(g(mid[:, None] + half[:, None] * _GL_NODES), dtype=float)
-        if rowwise:
-            sums = values[:, 0] * _GL_WEIGHTS[0]
-            for k in range(1, _GL_WEIGHTS.size):
-                sums += values[:, k] * _GL_WEIGHTS[k]
-        else:
-            sums = values @ _GL_WEIGHTS
+        # built node-major and transposed, so each node's column is contiguous
+        weighted = np.asarray(g((mid + half * _GL_NODES[:, None]).T), dtype=float) * _GL_WEIGHTS
+        sums = weighted[:, 0] + weighted[:, 1]
+        for k in range(2, _GL_WEIGHTS.size):
+            sums += weighted[:, k]
         out[start : start + a.size] = half * sums
     return out
 
@@ -376,8 +374,8 @@ class CumulativeIntegral:
         j = grid.searchsorted(x, side="right") - 1
         value = self._prefix[j]
         between = x != grid[j]
-        # a query at a node is answered by its prefix alone; a partial cell is
-        # summed row by row, so an array of queries equals its scalar queries
+        # a query at a node is answered by its prefix alone, one between nodes
+        # adds its partial cell, summed as the build sums a whole one
         if between.any():
-            value[between] += _gl_integrals(self._g, grid[j[between]], x[between], rowwise=True)
+            value[between] += _gl_integrals(self._g, grid[j[between]], x[between])
         return value

@@ -5,12 +5,18 @@ import csv
 import io
 import json
 import math
+import os
+import pathlib
+import platform
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sylvester
 from sylvester import cli, geomc, registry, verification
 from sylvester.cli import main
 from sylvester.errors import NonConvergenceError, SylvesterError
@@ -467,6 +473,24 @@ class TestMc:
         assert (code, out) == (2, "")
         assert "Monte Carlo accepts dimension d <= 38" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta,expected", [("1e307", 0), ("1e308", 2)])
+    @pytest.mark.parametrize("family", ["beta", "betaprime"])
+    def test_huge_beta(self, capsys, monkeypatch, family, beta, expected):
+        # at 1e308 the gamma draws of the point scale s^2 = 2G overflow, so
+        # the query is refused before any block is allocated
+        if expected:
+            _refuse_work_arrays(monkeypatch)
+        code, out, err = run_cli(
+            capsys, "mc", "--family", family, "--dim", "3", "--beta", beta, "--trials", "10",
+        )
+        assert code == expected
+        if expected:
+            assert out == ""
+            assert err.startswith("error:") and "overflows double precision" in err
+        else:
+            assert 0.0 <= parse_json_lines(out)[0]["value"] <= 1.0
+
     def test_invalid_distribution_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "mc", "--family", "betaprime", "--dim", "4", "--beta", "1.5",
@@ -656,8 +680,15 @@ class TestSweep:
     @pytest.mark.parametrize(
         "bounds,message",
         [(("--beta-min", "0", "--beta-max", "1", "--steps", "0"), "--steps must be >= 1"),
-         (("--beta-min", "1", "--beta-max", "0.5", "--steps", "2"), "--beta-max must be >= --beta-min")],
+         (("--beta-min", "1", "--beta-max", "0.5", "--steps", "2"), "--beta-max must be >= --beta-min"),
+         # a non-finite bound or step would make every grid point nan, the valid ones too
+         (("--beta-min", "0", "--beta-max", "inf", "--steps", "2"), "--beta-max must be finite"),
+         (("--beta-min", "nan", "--beta-max", "1", "--steps", "2"), "--beta-min must be finite"),
+         (("--beta-min", "0", "--beta-max", "nan", "--steps", "2"), "--beta-max must be finite"),
+         (("--beta-min=-inf", "--beta-max", "1", "--steps", "2"), "--beta-min must be finite"),
+         (("--beta-min", "-1e308", "--beta-max", "1e308", "--steps", "2"), "the step (--beta-max - --beta-min)")],
     )
+    @pytest.mark.filterwarnings("error")
     def test_malformed_grid_exits_2(self, capsys, bounds, message):
         code, out, err = run_cli(capsys, "sweep", "--family", "beta", "--dim", "2", *bounds)
         assert (code, out) == (2, "")
@@ -983,3 +1014,48 @@ class TestVerify:
             main(["compute", "--family", "weird", "--dim", "2"])
         assert info.value.code == 2
         capsys.readouterr()
+
+
+# compute queries for every family at two tolerances; at 1e-10, betaprime d = 2
+# beta = 1.13, near its threshold, refines past the first level
+KERNEL_QUERIES = [
+    ["compute", "--method", "quadrature", "--tol", tol, "--family", *query]
+    for tol in ("1e-8", "1e-10")
+    for query in (
+        ["gauss", "--dim", "3"], ["gauss", "--dim", "10"], ["gauss", "--dim", "18"],
+        ["beta", "--dim", "3", "--beta", "0"], ["beta", "--dim", "5", "--beta", "0.3"],
+        ["beta", "--dim", "8", "--beta", "2.7"], ["betaprime", "--dim", "2", "--beta", "1.13"],
+        ["betaprime", "--dim", "3", "--beta", "2.5"], ["betaprime", "--dim", "4", "--beta", "3.7"],
+    )
+] + [["verify", "--suite", "basic", "--seed", "42"]]
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="OPENBLAS_CORETYPE=Prescott names OpenBLAS's baseline x86-64 kernel",
+)
+def test_stdout_does_not_depend_on_the_blas_kernel():
+    """Two processes, one on OpenBLAS's SSE3 kernel, print the same bytes.
+
+    Without a BLAS-backed sum in the quadrature, the kernel OpenBLAS picks at
+    run time cannot move a printed value's last bits.
+    """
+    script = (
+        "from sylvester.cli import main\n"
+        f"for argv in {KERNEL_QUERIES!r}:\n"
+        "    print(main(argv), flush=True)\n"
+    )
+    src = str(pathlib.Path(sylvester.__file__).resolve().parents[1])
+    children = []
+    for coretype in (None, "Prescott"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        if coretype is not None:
+            env["OPENBLAS_CORETYPE"] = coretype
+        children.append(subprocess.Popen(
+            [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        ))
+    native, prescott = (child.communicate(timeout=300)[0] for child in children)
+    assert [child.returncode for child in children] == [0, 0]
+    assert native.count(b"\n") > 2 * len(KERNEL_QUERIES)
+    assert native == prescott

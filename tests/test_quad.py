@@ -228,7 +228,7 @@ def test_value_is_the_finest_level_evaluated(monkeypatch):
     (x, weights), = levels
     assert np.array_equal(block[0], x)
     # the first level's own trapezoid sum, not that of the coarser level it is checked against
-    assert res.value == float(np.sum(np.exp(-0.5 * block * block) @ weights))
+    assert res.value == float((np.exp(-0.5 * block * block) * weights).sum())
     assert abs(res.value - SQRT_2PI) <= res.abs_error_estimate
 
 
@@ -367,3 +367,45 @@ class TestCumulativeIntegral:
         evaluator = CumulativeIntegral(np.cosh, np.linspace(-1.0, 1.0, 11))
         with pytest.raises(DomainError):
             evaluator(1.5)
+
+    @pytest.mark.parametrize("even", [False, True])
+    def test_a_query_between_nodes_equals_a_build_with_it_as_a_node(self, even):
+        # the grid starts at 0, as the cosh-kernel grids do, so the prefix is
+        # the running sum of the cells itself: a lookup adds its partial cell
+        # as the build adds a whole one, to the same bits
+        rng = np.random.default_rng(3)
+        grid = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 4.0, 40))))
+
+        def g(y):
+            return np.cosh(y) ** 3
+
+        evaluator = CumulativeIntegral(g, grid, even_integrand=even)
+        for q in rng.uniform(grid[1], grid[-1], 25):
+            with_node = CumulativeIntegral(g, np.sort(np.append(grid, q)), even_integrand=even)
+            assert evaluator(q) == with_node(q)
+
+
+def test_gl_integrals_sum_each_cell_in_one_fixed_order():
+    """A cell's integral has the same bits alone, among other cells and across blocks."""
+    lo = np.array([2.5, 0.0, 0.5, 2.0])
+    hi = np.array([2.9, 0.123456, 0.7, 2.2])
+    four = quad._gl_integrals(np.cosh, lo, hi)
+    assert four.tolist() == [quad._gl_integrals(np.cosh, lo[i : i + 1], hi[i : i + 1])[0] for i in range(4)]
+
+    # the weighted values are added node by node, left to right
+    def g(y):
+        return y * y * y - 3.0 * y
+
+    for a, b, value in zip(lo, hi, quad._gl_integrals(g, lo, hi)):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        weighted = g(mid + half * quad._GL_NODES) * quad._GL_WEIGHTS
+        total = weighted[0]
+        for term in weighted[1:]:
+            total += term
+        assert value == half * total
+
+    block = quad._BLOCK_CELLS
+    edges = np.linspace(0.0, 3.0, block + 4)
+    cells = quad._gl_integrals(np.cosh, edges[:-1], edges[1:])
+    for i in range(block - 3, block + 3):
+        assert cells[i] == quad._gl_integrals(np.cosh, edges[i : i + 1], edges[i + 1 : i + 2])[0]
