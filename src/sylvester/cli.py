@@ -33,7 +33,8 @@ _RECORD_FIELDS = ("family", "d", "beta", "method", "value", "abs_error", "stderr
 _FAMILY_FLAGS = {"gauss": "gaussian", "beta": "beta", "betaprime": "beta_prime"}
 _FAMILY_NAMES = {v: k for k, v in _FAMILY_FLAGS.items()}
 
-_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+# a negative decimal number, or -inf, -infinity or -nan in any case, as float() reads them
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?|-(?i:inf|infinity|nan)")
 
 
 def _record(family, d, beta, method, value, abs_error=None, stderr=None, trials=None, seed=None):
@@ -259,7 +260,7 @@ _PARSER, _COMMANDS = _build_parsers()
 
 
 def _join_negative_numbers(argv) -> list:
-    """Write "--beta -1e-05" as "--beta=-1e-05": argparse takes "-1e-05" for an option."""
+    """Write "--beta -1e-05" as "--beta=-1e-05": argparse takes "-1e-05" or "-inf" for an option."""
     joined = []
     for token in argv:
         previous = joined[-1] if joined else ""

@@ -14,8 +14,13 @@ axis: every step is one numpy operation over all trials, and no step mixes
 two trials.  `_sample` draws a block straight into the QR's work arrays,
 one contiguous (coordinate, vector, trial) array per sub-block, in the same
 stream order as a row of (z, s) per point, so the layout changes no seeded
-count.  Undecided trials are resampled by one loop, `_estimate`.  Solid
-angles of cones are estimated by uniform directions.
+count.  `_solve` is the only per-trial QR: it serves the simplex test and
+the one-cloud surfaces.  The two lemma estimators, the solid angle of a
+cone by uniform directions and the random projection of a simplex, have
+one fixed matrix each (the cone's R^-1, the simplex's lifted vertices); it
+is factored once per call, and each block's directions go through it by
+one BLAS-free map, `_fixed_map`.  Both give any scaled copy of their input
+the same answer.  Undecided trials are resampled by one loop, `_estimate`.
 
 Reproducibility contract: trials are processed in fixed-size blocks and
 block i draws from a counter-based generator keyed by (seed, i), so the
@@ -267,7 +272,7 @@ def _barycentric_batch(lifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _solve(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The one per-trial solve of every Monte Carlo caller, over the work arrays of `_sub_blocks`.
+    """The one per-trial solve (simplex test, one-cloud surfaces), over the work arrays of `_sub_blocks`.
 
     Each block w holds, per trial, the first d+1 lifted vectors (the matrix a)
     and the last vector b as its first k+1 columns; it is overwritten.  Each
@@ -477,22 +482,43 @@ class SimplicialCone:
         object.__setattr__(self, "generators", generators)
 
 
+def _fixed_map(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """matrix applied to every trial of vectors (k, N), trials last: a fresh C-ordered (m, N) array.
+
+    matrix is a small fixed (m, k) array.  Each entry adds its k products left
+    to right, the same order for every trial, so no BLAS kernel decides a bit.
+    Products with an exact zero (a triangular R^-1 has them) add nothing, so
+    they are skipped, which leaves every value as it was.
+    """
+    out = np.zeros((matrix.shape[0], vectors.shape[-1]))
+    product = np.empty(vectors.shape[-1])
+    for row, total in zip(matrix, out):
+        terms = [(entry, vector) for entry, vector in zip(row, vectors) if entry]
+        if terms:
+            np.multiply(*terms[0], out=total)
+        for entry, vector in terms[1:]:
+            total += np.multiply(entry, vector, out=product)
+    return out
+
+
 def estimate_cone_angle(cone: SimplicialCone, mc: McConfig) -> McResult:
     """Monte Carlo estimate of the solid angle of a simplicial cone.
 
     The angle is the fraction of the unit ball of the cone's linear hull
     covered by the cone: sample uniform directions in that hull and test
-    membership through the generator coordinates.
+    membership through the generator coordinates.  The frame is factored
+    once per call: a direction's generator coordinates are R^-1 applied to
+    it, with R from the QR of the generators, by `_fixed_map`.  A scaled
+    copy of the cone gets the same answer.
     """
-    # generator coordinates in a basis of the hull: one triangular solve per block
     _, r = _frame(cone.generators, "cone generators")
     k = r.shape[0]
+    inverse = np.linalg.inv(r)
 
     def draw(rng: np.random.Generator, size: int):
-        directions = rng.standard_normal((size, k)).T
-        norms = np.sqrt(_sum_of_squares(directions, np.empty(size)))
-        coords = np.linalg.solve(r, directions / norms)
-        return _closed_inside(coords), np.zeros(size, dtype=bool)
+        directions = np.ascontiguousarray(rng.standard_normal((size, k)).T)
+        directions /= np.sqrt(_sum_of_squares(directions, np.empty(size)))
+        return _closed_inside(_fixed_map(inverse, directions)), np.zeros(size, dtype=bool)
 
     return _estimate(mc, draw)
 
@@ -507,6 +533,18 @@ def projection_experiment(vertices: Sequence[Sequence[float]], mc: McConfig) -> 
     hyperplane orthogonal to U, and test whether the projected last vertex
     lands in the convex hull of the projected others.  The limit is twice
     the solid angle of the simplex at that vertex.
+
+    In intrinsic coordinates c_i, divided by their largest |value| so that a
+    scaled copy of the simplex gets the same answer, with the last vertex at
+    the origin, a trial solves L lam + mu (u, 0) = e_last for the lifted
+    vertices L = [(c_i, 1)]: the last vertex is inside when lam lies in the
+    closed simplex.  L is factored once per call, into the unit normal q of
+    its span and its pseudo-inverse L+, so a trial costs one `_fixed_map`:
+    mu = q_last / t with t = q.(u, 0), and lam = L+ e_last - mu L+ (u, 0).
+    A trial is undecided when |t| <= TAU_RANK |u| (the system is within
+    TAU_RANK of singular) or lam is not finite.  This is the system `_solve`
+    would solve per trial, not a test of U against the vertex cone, so the
+    identity check stays independent of `estimate_cone_angle`.
     """
     vertices = np.asarray(vertices, dtype=float)
     if vertices.ndim != 2 or vertices.shape[0] < 2 or not np.isfinite(vertices).all():
@@ -518,25 +556,24 @@ def projection_experiment(vertices: Sequence[Sequence[float]], mc: McConfig) -> 
     if vertices.shape[1] < n:
         raise DomainError(f"{n + 1} vertices cannot span an {n}-simplex in R^{vertices.shape[1]}")
     edges = vertices[:n] - vertices[n]
-    # intrinsic coordinates of the vertices; the last one sits at the origin
     q, _ = _frame(edges, "simplex vertices")
-    coords = edges @ q  # (n, n)
-
-    # per trial the lifted vertices (coords, 1), a direction (u, 0), and the
-    # last vertex (0, 1), as the (coordinate, vector) columns of `_solve`: the
-    # projected last vertex is inside when the coefficients of the vertices
-    # lie in the closed simplex; only the direction is drawn per trial
-    template = np.zeros((n + 1, n + 2, 1))
-    template[:n, :n, 0] = coords.T
-    template[n, :n, 0] = template[n, n + 1, 0] = 1.0
+    coords = edges @ q  # (n, n): row i holds c_i
+    coords /= np.abs(coords).max()
+    basis, r = np.linalg.qr(np.vstack((coords.T, np.ones(n))), mode="complete")
+    normal = basis[:, n]
+    pinv = np.linalg.inv(r[:n]) @ basis[:, :n].T  # (n, n+1)
+    # row 0 gives t, rows 1.. give L+ (u, 0)
+    fixed = np.vstack((normal[:n], pinv[:, :n]))
+    offset = pinv[:, n:]
 
     def draw(rng: np.random.Generator, size: int):
-        directions = rng.standard_normal((size, n))
-        blocks = _sub_blocks(n + 1, size)
-        for w, trials in _spans(blocks):
-            w[:, : n + 2] = template
-            w[:n, n] = directions[trials].T
-        lam, degenerate = _solve(blocks)
-        return _closed_inside(lam[:n]), degenerate
+        directions = np.ascontiguousarray(rng.standard_normal((size, n)).T)
+        mapped = _fixed_map(fixed, directions)
+        t, lam = mapped[0], mapped[1:]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            lam *= -normal[n] / t
+            lam += offset
+        undecided = np.abs(t) <= TAU_RANK * np.sqrt(_sum_of_squares(directions, np.empty(size)))
+        return _closed_inside(lam), undecided | ~np.isfinite(lam).all(axis=0)
 
     return _estimate(mc, draw)

@@ -150,6 +150,14 @@ class TestCompute:
         assert rec["beta"] == -1e-05
         assert 0.0 < rec["value"] < 35.0 / (12.0 * math.pi**2)
 
+    @pytest.mark.parametrize("beta", ["-inf", "-Infinity", "-INF", "-nan", "inf", "nan"])
+    @pytest.mark.parametrize("family", ["beta", "betaprime"])
+    def test_non_finite_beta_exits_2(self, capsys, family, beta):
+        # "-inf" was taken for an option: argparse's "expected one argument"
+        code, out, err = run_cli(capsys, "compute", "--family", family, "--dim", "2", "--beta", beta)
+        assert (code, out) == (2, "")
+        assert "requires a finite beta parameter" in err
+
     def test_quadrature_method_flag(self, capsys):
         code, out, _ = run_cli(
             capsys, "compute", "--family", "beta", "--dim", "2", "--beta", "0",
@@ -499,6 +507,15 @@ class TestMc:
         assert code == 2
         assert "beta" in err
 
+    @pytest.mark.parametrize("beta", ["-nan", "-inf", "-Infinity", "nan"])
+    def test_non_finite_beta_exits_2(self, capsys, beta):
+        code, out, err = run_cli(
+            capsys, "mc", "--family", "betaprime", "--dim", "4", "--beta", beta,
+            "--trials", "100", "--seed", "1",
+        )
+        assert (code, out) == (2, "")
+        assert "requires a finite beta parameter" in err
+
     @pytest.mark.parametrize("d,k", [(d, k) for d in (2, 3, 5, 8) for k in (2, 3)])
     def test_matches_quadrature_near_threshold(self, capsys, d, k):
         threshold = 0.5 * d + 0.5 / (d + 2)
@@ -686,7 +703,11 @@ class TestSweep:
          (("--beta-min", "nan", "--beta-max", "1", "--steps", "2"), "--beta-min must be finite"),
          (("--beta-min", "0", "--beta-max", "nan", "--steps", "2"), "--beta-max must be finite"),
          (("--beta-min=-inf", "--beta-max", "1", "--steps", "2"), "--beta-min must be finite"),
-         (("--beta-min", "-1e308", "--beta-max", "1e308", "--steps", "2"), "the step (--beta-max - --beta-min)")],
+         (("--beta-min", "-1e308", "--beta-max", "1e308", "--steps", "2"), "the step (--beta-max - --beta-min)"),
+         # negative non-finite spellings were taken for options
+         (("--beta-min", "-inf", "--beta-max", "1", "--steps", "2"), "--beta-min must be finite"),
+         (("--beta-min", "-NaN", "--beta-max", "1", "--steps", "2"), "--beta-min must be finite"),
+         (("--beta-min", "0", "--beta-max", "-infinity", "--steps", "2"), "--beta-max must be finite")],
     )
     @pytest.mark.filterwarnings("error")
     def test_malformed_grid_exits_2(self, capsys, bounds, message):
@@ -1037,13 +1058,19 @@ KERNEL_QUERIES = [
 def test_stdout_does_not_depend_on_the_blas_kernel():
     """Two processes, one on OpenBLAS's SSE3 kernel, print the same bytes.
 
-    Without a BLAS-backed sum in the quadrature, the kernel OpenBLAS picks at
-    run time cannot move a printed value's last bits.
+    Without a BLAS-backed sum in the quadrature or in the lemma estimators'
+    per-trial maps, the kernel OpenBLAS picks at run time cannot move a
+    printed value's last bits or a lemma count.
     """
     script = (
+        "import numpy as np\n"
         "from sylvester.cli import main\n"
+        "from sylvester.geomc import McConfig, SimplicialCone, estimate_cone_angle, projection_experiment\n"
         f"for argv in {KERNEL_QUERIES!r}:\n"
         "    print(main(argv), flush=True)\n"
+        "e = np.eye(4)\n"
+        "print(projection_experiment(e, McConfig(100_000, 501)).successes)\n"
+        "print(estimate_cone_angle(SimplicialCone(e[:3] - e[3]), McConfig(100_000, 502)).successes)\n"
     )
     src = str(pathlib.Path(sylvester.__file__).resolve().parents[1])
     children = []

@@ -241,15 +241,23 @@ def _refuse_work_arrays(monkeypatch):
     monkeypatch.setattr(geomc, "_sub_blocks", refuse)
 
 
+class _ZeroNormals:
+    """A generator whose every normal draw is zero."""
+
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            return np.zeros(size)
+        out[...] = 0.0
+        return out
+
+
 def _every_trial_undecided(monkeypatch):
-    """Make the one kernel of every Monte Carlo caller flag every trial degenerate."""
-    solve = geomc._solve
+    """Draw every normal as zero, so each Monte Carlo kernel's own rule flags every trial undecided.
 
-    def undecided(blocks):
-        lam, degenerate = solve(blocks)
-        return lam, np.ones_like(degenerate)
-
-    monkeypatch.setattr(geomc, "_solve", undecided)
+    The simplex test then sees d+2 equal points, a rank-deficient system, and
+    the projection experiment a zero direction, |t| <= TAU_RANK |u| with t = 0.
+    """
+    monkeypatch.setattr(geomc, "_block_generator", lambda seed, block_index: _ZeroNormals())
 
 
 class TestEstimateSylvester:
@@ -519,6 +527,23 @@ class TestBarycentricKernel:
         assert (degenerate == singular).all()
 
 
+def _assert_cone_count_matches_solve_rows(generators, seeds):
+    """The cone count equals the one of np.linalg.solve on each normalised direction."""
+    cone = SimplicialCone(generators)
+    k = generators.shape[0]
+    _, r = np.linalg.qr(cone.generators.T)
+
+    def draw(rng, size):
+        directions = rng.standard_normal((size, k))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        coords = np.linalg.solve(r, directions.T).T
+        return _closed_inside_rows(coords), np.zeros(size, dtype=bool)
+
+    for seed in seeds:
+        mc = McConfig(trials=BLOCK_TRIALS + 5_000, seed=seed)
+        assert estimate_cone_angle(cone, mc).successes == _reference_successes(mc, draw), seed
+
+
 class TestConeAngle:
     def test_quarter_plane(self):
         res = estimate_cone_angle(SimplicialCone(np.eye(2)), McConfig(trials=100_000, seed=21))
@@ -544,24 +569,18 @@ class TestConeAngle:
         e = np.eye(4)
         counts = {
             estimate_cone_angle(SimplicialCone(c * (e[1:] - e[0])), McConfig(trials=20_000, seed=24)).successes
-            for c in (1.0, 2.0**-50, 2.0**50)
+            for c in (1.0, 2.0**-50, 2.0**50, 1e12, 1e-12, 1e300, 1e-300)
         }
         assert len(counts) == 1
 
     def test_count_matches_the_row_formula(self):
         e = np.eye(4)
-        cone = SimplicialCone(e[1:] - e[0])
-        _, r = np.linalg.qr(cone.generators.T)
+        _assert_cone_count_matches_solve_rows(e[1:] - e[0], (31, 32, 501))
 
-        def draw(rng, size):
-            directions = rng.standard_normal((size, 3))
-            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-            coords = np.linalg.solve(r, directions.T).T
-            return _closed_inside_rows(coords), np.zeros(size, dtype=bool)
-
-        for seed in (31, 32, 501):
-            mc = McConfig(trials=BLOCK_TRIALS + 5_000, seed=seed)
-            assert estimate_cone_angle(cone, mc).successes == _reference_successes(mc, draw), seed
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_random_cone_count_matches_the_row_formula(self, k):
+        generators = np.random.default_rng(70 + k).standard_normal((k, k + 2))
+        _assert_cone_count_matches_solve_rows(generators, (40 + k,))
 
     def test_generator_validation(self):
         with pytest.raises(DomainError):
@@ -623,7 +642,33 @@ class TestProjectionExperiment:
         with pytest.raises(DegenerateGeometryError, match=r"sqrt\(trials\)/2"):
             projection_experiment(np.eye(3), McConfig(trials=1_000, seed=1))
 
-    @pytest.mark.parametrize("vertices", [np.eye(4), np.eye(5)])
+    def test_lemma_estimators_factor_their_frame_once(self, monkeypatch):
+        # no work array, no per-trial QR and no LAPACK solve: each block is one fixed map
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-trial or per-block solve ran")
+
+        _refuse_work_arrays(monkeypatch)
+        monkeypatch.setattr(geomc, "_solve", refuse)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        vertices = np.eye(4)
+        mc = McConfig(trials=40_000, seed=3)
+        assert projection_experiment(vertices, mc).trials == 40_000
+        assert estimate_cone_angle(SimplicialCone(vertices[:3] - vertices[3]), mc).trials == 40_000
+
+    @pytest.mark.parametrize("vertices", [np.eye(4), np.random.default_rng(6).standard_normal((5, 6))])
+    def test_scaled_simplices_give_the_same_count(self, vertices):
+        # the direction's unit-scale entries share coordinate rows with the
+        # vertices', so without one common rescale of the vertices the
+        # per-coordinate equilibration flattened them from a scale of 1e10 on
+        counts = {
+            projection_experiment(vertices * s, McConfig(trials=20_000, seed=25)).successes
+            for s in (1.0, 1e9, 1e12, 1e-12, 2.0**900, 2.0**-900, 1e300, 1e-300)
+        }
+        assert len(counts) == 1
+
+    @pytest.mark.parametrize("vertices", [np.eye(4), np.eye(5)] + [
+        np.random.default_rng(60 + n).standard_normal((n + 1, n + 2)) for n in range(2, 9)
+    ])
     def test_count_matches_repeated_template_rows(self, vertices):
         n = vertices.shape[0] - 1
         edges = vertices[:n] - vertices[n]
@@ -638,7 +683,8 @@ class TestProjectionExperiment:
             lam, degenerate = _barycentric_batch(trials)
             return _closed_inside_rows(lam[:, :n]), degenerate
 
-        for seed in (31, 32, 501):
+        seeds = (31, 32, 501) if n < 5 else (30 + n,)
+        for seed in seeds:
             mc = McConfig(trials=BLOCK_TRIALS + 5_000, seed=seed)
             assert projection_experiment(vertices, mc).successes == _reference_successes(mc, draw), seed
 
