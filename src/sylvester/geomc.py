@@ -19,8 +19,15 @@ the one-cloud surfaces.  The two lemma estimators, the solid angle of a
 cone by uniform directions and the random projection of a simplex, have
 one fixed matrix each (the cone's R^-1, the simplex's lifted vertices); it
 is factored once per call, and each block's directions go through it by
-one BLAS-free map, `_fixed_map`.  Both give any scaled copy of their input
-the same answer.  Undecided trials are resampled by one loop, `_estimate`.
+one BLAS-free map, `_fixed_map`.  Undecided trials are resampled by one
+loop, `_estimate`.
+
+Three rules hold throughout.  A per-trial sum adds its terms left to right,
+the same order for every trial.  A tolerance is TAU_RANK times the largest
+|entry| of what it is compared with.  Each lemma estimator divides its input
+by its largest |value| once, before any arithmetic (`_unit_scale`), so any
+scaled copy of the input, from subnormals to the largest double, gets the
+same answer.
 
 Reproducibility contract: trials are processed in fixed-size blocks and
 block i draws from a counter-based generator keyed by (seed, i), so the
@@ -49,11 +56,11 @@ BLOCK_TRIALS = 1 << 14
 # numpy's per-call cost, and the GIL hand-offs between workers, small
 _QR_ROW_VALUES = 49152
 
-# largest dimension d (simplex dimension for projection_experiment) Monte
-# Carlo accepts: one block's work arrays hold BLOCK_TRIALS*(d+1)*(d+3)
-# floats, 210 MB at d = 38 but 5.3 GB at d = 200, and the whole block must be
-# resident, since its gammas follow all its normals in the stream; nor does
-# Monte Carlo see a single success past d ~ 12 at any practical budget
+# largest dimension Monte Carlo accepts.  The simplex test's block holds
+# BLOCK_TRIALS*(d+1)*(d+3) floats, 210 MB at d = 38 but 5.3 GB at d = 200, all
+# resident, since its gammas follow all its normals in the stream, and it sees
+# no success past d ~ 12 at any practical budget.  projection_experiment, with
+# about (2n+3)*BLOCK_TRIALS floats a block, keeps the same cap on n to match
 _MAX_DIMENSION = 38
 
 # rank / conditioning guard: a |diag R| within TAU_RANK of the largest rejects
@@ -97,12 +104,9 @@ def _block_generator(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=block_index << 128))
 
 
-def _check_dimension(d: int, what: str) -> None:
+def _check_dimension(d: int, what: str, reason: str) -> None:
     if d > _MAX_DIMENSION:
-        raise DomainError(
-            f"Monte Carlo accepts {what} <= {_MAX_DIMENSION}, got {d}: a block of {BLOCK_TRIALS}"
-            f" trials would take {BLOCK_TRIALS * (d + 1) * (d + 3) * 8 / 1e9:.3g} GB"
-        )
+        raise DomainError(f"Monte Carlo accepts {what} <= {_MAX_DIMENSION}, got {d}: {reason}")
 
 
 def _run_blocks(mc: McConfig, block_fn: Callable[[int, int], object]):
@@ -154,8 +158,8 @@ def _sample(dist: Distribution, rng: np.random.Generator, blocks: list[np.ndarra
 
     The layout leaves the stream, and so every seeded count, as it was:
     first the normals, point j of trial t in row t*vectors + j, drawn one
-    sub-block at a time into one reused buffer, then every gamma; |z|^2 is
-    summed in the order of numpy's row sum.
+    sub-block at a time into one reused buffer, then every gamma; |z|^2 adds
+    its d squares left to right.
     """
     d = dist.d
     normals = np.empty(max(w.shape[-1] for w in blocks) * vectors * d)
@@ -169,7 +173,9 @@ def _sample(dist: Distribution, rng: np.random.Generator, blocks: list[np.ndarra
         if dist.family == "gaussian":
             s[...] = 1.0
         elif dist.family == "beta":  # |z|^2 now, 2G once every normal is drawn
-            _sum_of_squares(points[:d], s)
+            np.multiply(points[0], points[0], out=s)
+            for row in points[1:d]:
+                s += row * row
     if dist.family == "gaussian":
         return
     shape = _gamma_shape(dist)
@@ -196,34 +202,6 @@ def _gamma_shape(dist: Distribution) -> float:
     return shape
 
 
-def _sum_of_squares(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the sum of rows[i]**2 over the first axis to out, in numpy's pairwise order.
-
-    numpy sums a contiguous axis of fewer than 8 terms in turn, up to 128
-    terms as 8 interleaved partial sums, and longer ones as two halves, so
-    out equals (z * z).sum(axis=-1) of the columns z, bit for bit, at every
-    length, with the trials kept on the last axis.
-    """
-    n = len(rows)
-    if n < 8:
-        np.multiply(rows[0], rows[0], out=out)
-        for row in rows[1:]:
-            out += row * row
-    elif n <= 128:
-        partial = rows[:8] * rows[:8]
-        for start in range(8, n - n % 8, 8):
-            partial += rows[start:start + 8] * rows[start:start + 8]
-        np.add((partial[0] + partial[1]) + (partial[2] + partial[3]),
-               (partial[4] + partial[5]) + (partial[6] + partial[7]), out=out)
-        for row in rows[n - n % 8:]:
-            out += row * row
-    else:
-        half = n // 2 - n // 2 % 8
-        np.add(_sum_of_squares(rows[:half], np.empty_like(out)),
-               _sum_of_squares(rows[half:], np.empty_like(out)), out=out)
-    return out
-
-
 def _sample_lifted(dist: Distribution, rng: np.random.Generator, count: int) -> np.ndarray:
     """Draw `count` points from dist as (count, d+1) rows (z, s) of `_sample`; the point is z/s."""
     columns = np.empty((dist.d + 1, 1, count))
@@ -242,11 +220,19 @@ def sample_point(dist: Distribution, rng: np.random.Generator) -> np.ndarray:
     return _sample_points(dist, rng, 1)[0]
 
 
-def _lift(points) -> np.ndarray:
+def _finite_array(values, what: str) -> np.ndarray:
+    """values as a float array; DomainError, naming `what`, if they are ragged, not numbers or not finite."""
+    try:
+        array = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        array = None
+    if array is None or not np.isfinite(array).all():
+        raise DomainError(f"need {what}: a rectangular array of finite numbers")
+    return array
+
+
+def _lift(points: np.ndarray) -> np.ndarray:
     """Affine points (..., d) as the lifted vectors (..., d+1) = (x, 1), in a fresh array."""
-    points = np.asarray(points, dtype=float)
-    if not np.isfinite(points).all():
-        raise DomainError("point coordinates must be finite")
     return np.concatenate((points, np.ones(points.shape[:-1] + (1,))), axis=-1)
 
 
@@ -369,13 +355,13 @@ def _sign_rule(lam: np.ndarray, degenerate: np.ndarray) -> tuple[np.ndarray, np.
 def simplex_indicators(points: np.ndarray) -> np.ndarray:
     """Per-trial indicator that the d+2 points form a simplex.
 
-    points: (N, d+2, d) with d >= 1; any other shape raises DomainError.  Raises
-    DegenerateGeometryError when any trial is undecided: numerically
-    rank-deficient, or with a point on a facet of the others' hull (callers
-    doing Monte Carlo resample instead; this surface is for fixed, well-posed
-    clouds).
+    points: finite (N, d+2, d) with d >= 1; anything else raises
+    DomainError.  Raises DegenerateGeometryError when any trial is undecided:
+    numerically rank-deficient, or with a point on a facet of the others'
+    hull (callers doing Monte Carlo resample instead; this surface is for
+    fixed, well-posed clouds).
     """
-    points = np.asarray(points, dtype=float)
+    points = _finite_array(points, "clouds of shape (N, d+2, d)")
     if points.ndim != 3 or points.shape[2] < 1 or points.shape[1] != points.shape[2] + 2:
         raise DomainError(f"expected clouds of shape (N, d+2, d), got {points.shape}")
     simplex, undecided = _sign_rule(*_barycentric_batch(_lift(points)))
@@ -390,11 +376,12 @@ def is_inside_simplex(x: Sequence[float], vertices: Sequence[Sequence[float]]) -
     """Whether x lies in the closed simplex spanned by d+1 vertices in R^d.
 
     Boundary points count as inside, and a common positive scale of x and the
-    vertices keeps the answer.  Raises DomainError for non-finite input and
-    DegenerateGeometryError when `_barycentric_batch` finds the vertices degenerate.
+    vertices keeps the answer.  Raises DomainError for ragged, non-numeric or
+    non-finite input and DegenerateGeometryError when `_barycentric_batch`
+    finds the vertices degenerate.
     """
-    x = np.asarray(x, dtype=float)
-    vertices = np.asarray(vertices, dtype=float)
+    x = _finite_array(x, "a point x in R^d")
+    vertices = _finite_array(vertices, "d+1 vertices in R^d")
     if x.ndim != 1 or vertices.shape != (x.size + 1, x.size):
         raise DomainError(f"need {x.size + 1} vertices in R^{x.size}, got shape {vertices.shape}")
     (lam,), (degenerate,) = _barycentric_batch(_lift(np.vstack((vertices, x)))[None])
@@ -442,7 +429,8 @@ def estimate_sylvester(dist: Distribution, mc: McConfig) -> McResult:
     scale overflows, before any array exists.
     """
     d = dist.d
-    _check_dimension(d, "dimension d")
+    gigabytes = BLOCK_TRIALS * (d + 1) * (d + 3) * 8 / 1e9
+    _check_dimension(d, "dimension d", f"a block of {BLOCK_TRIALS} trials would take {gigabytes:.3g} GB")
     if dist.family != "gaussian":
         _gamma_shape(dist)
 
@@ -471,15 +459,18 @@ class SimplicialCone:
     generators: np.ndarray
 
     def __post_init__(self):
-        generators = np.asarray(self.generators, dtype=float)
+        generators = _finite_array(self.generators, "a (k, m) array of cone generators")
         if generators.ndim != 2:
             raise DomainError("generators must form a (k, m) array")
         k, m = generators.shape
         if not 1 <= k <= m:
             raise DomainError(f"need 1 <= k <= m generators, got k={k}, m={m}")
-        if not np.isfinite(generators).all():
-            raise DomainError("generators must be finite")
         object.__setattr__(self, "generators", generators)
+
+
+def _unit_scale(values: np.ndarray) -> np.ndarray:
+    """values divided by their largest |value| (all-zero values unchanged): a lemma input's one rescale."""
+    return values / (np.abs(values).max() or 1.0)
 
 
 def _fixed_map(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -508,16 +499,16 @@ def estimate_cone_angle(cone: SimplicialCone, mc: McConfig) -> McResult:
     covered by the cone: sample uniform directions in that hull and test
     membership through the generator coordinates.  The frame is factored
     once per call: a direction's generator coordinates are R^-1 applied to
-    it, with R from the QR of the generators, by `_fixed_map`.  A scaled
-    copy of the cone gets the same answer.
+    it, with R from the QR of the unit-scaled generators, by `_fixed_map`.
+    The directions are not normalised: `_closed_inside` is relative, so a
+    ray's length does not change its answer.
     """
-    _, r = _frame(cone.generators, "cone generators")
+    _, r = _frame(_unit_scale(cone.generators), "cone generators")
     k = r.shape[0]
     inverse = np.linalg.inv(r)
 
     def draw(rng: np.random.Generator, size: int):
         directions = np.ascontiguousarray(rng.standard_normal((size, k)).T)
-        directions /= np.sqrt(_sum_of_squares(directions, np.empty(size)))
         return _closed_inside(_fixed_map(inverse, directions)), np.zeros(size, dtype=bool)
 
     return _estimate(mc, draw)
@@ -534,27 +525,29 @@ def projection_experiment(vertices: Sequence[Sequence[float]], mc: McConfig) -> 
     lands in the convex hull of the projected others.  The limit is twice
     the solid angle of the simplex at that vertex.
 
-    In intrinsic coordinates c_i, divided by their largest |value| so that a
-    scaled copy of the simplex gets the same answer, with the last vertex at
-    the origin, a trial solves L lam + mu (u, 0) = e_last for the lifted
-    vertices L = [(c_i, 1)]: the last vertex is inside when lam lies in the
-    closed simplex.  L is factored once per call, into the unit normal q of
-    its span and its pseudo-inverse L+, so a trial costs one `_fixed_map`:
-    mu = q_last / t with t = q.(u, 0), and lam = L+ e_last - mu L+ (u, 0).
-    A trial is undecided when |t| <= TAU_RANK |u| (the system is within
-    TAU_RANK of singular) or lam is not finite.  This is the system `_solve`
+    The vertices are divided by their largest |value| before the edges are
+    formed, so that any scaled copy of the simplex gets the same answer.  In
+    intrinsic coordinates c_i, divided again by their largest |value|, with
+    the last vertex at the origin, a trial solves L lam + mu (u, 0) = e_last
+    for the lifted vertices L = [(c_i, 1)]: the last vertex is inside when
+    lam lies in the closed simplex.  L is factored once per call, into the
+    unit normal q of its span and its pseudo-inverse L+, so a trial costs one
+    `_fixed_map`: mu = q_last / t with t = q.(u, 0), and lam = L+ e_last -
+    mu L+ (u, 0).  A trial is undecided when |t| <= TAU_RANK max|u_i| (the
+    system is within TAU_RANK of singular) or lam is not finite.  This is the system `_solve`
     would solve per trial, not a test of U against the vertex cone, so the
     identity check stays independent of `estimate_cone_angle`.
     """
-    vertices = np.asarray(vertices, dtype=float)
-    if vertices.ndim != 2 or vertices.shape[0] < 2 or not np.isfinite(vertices).all():
+    vertices = _finite_array(vertices, "a 2-d array of simplex vertices")
+    if vertices.ndim != 2 or vertices.shape[0] < 2:
         raise DomainError(f"need a 2-d array of simplex vertices, got shape {vertices.shape}")
     n = vertices.shape[0] - 1  # intrinsic simplex dimension
     if n < 2:
         raise DomainError("a 1-dimensional simplex would project onto a point; need n >= 2")
-    _check_dimension(n, "simplex dimension n")
+    _check_dimension(n, "simplex dimension n", "the projection keeps the simplex test's cap")
     if vertices.shape[1] < n:
         raise DomainError(f"{n + 1} vertices cannot span an {n}-simplex in R^{vertices.shape[1]}")
+    vertices = _unit_scale(vertices)
     edges = vertices[:n] - vertices[n]
     q, _ = _frame(edges, "simplex vertices")
     coords = edges @ q  # (n, n): row i holds c_i
@@ -573,7 +566,7 @@ def projection_experiment(vertices: Sequence[Sequence[float]], mc: McConfig) -> 
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             lam *= -normal[n] / t
             lam += offset
-        undecided = np.abs(t) <= TAU_RANK * np.sqrt(_sum_of_squares(directions, np.empty(size)))
+        undecided = np.abs(t) <= TAU_RANK * np.abs(directions).max(axis=0)
         return _closed_inside(lam), undecided | ~np.isfinite(lam).all(axis=0)
 
     return _estimate(mc, draw)

@@ -133,10 +133,13 @@ class DecayEnvelope:
     def __post_init__(self):
         if self.kind not in ("gaussian", "exponential"):
             raise DomainError(f"unknown envelope kind {self.kind!r}")
-        if not self.scale > 0.0:
-            raise DomainError("envelope scale must be positive")
-        if self.poly_degree < 0:
-            raise DomainError("envelope poly_degree must be >= 0")
+        # a non-finite parameter bounds nothing: a log_amplitude of -inf would certify any cutoff
+        if not 0.0 < self.scale < math.inf:
+            raise DomainError("envelope scale must be positive and finite")
+        if not 0 <= self.poly_degree < math.inf:
+            raise DomainError("envelope poly_degree must be >= 0 and finite")
+        if not -math.inf < self.log_amplitude < math.inf:
+            raise DomainError("envelope log_amplitude must be finite")
 
     def log_value(self, x: float) -> float:
         a = abs(x)
@@ -320,6 +323,9 @@ def _gl_integrals(g: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.
     return out
 
 
+_NON_FINITE_INTEGRAND = "CumulativeIntegral integrand returned a non-finite value on the grid"
+
+
 class CumulativeIntegral:
     """Evaluator for I(x) = integral_0^x g on a fixed grid.
 
@@ -342,6 +348,9 @@ class CumulativeIntegral:
             raise DomainError("CumulativeIntegral needs a 1-d grid with at least two points")
         if not (grid[1:] > grid[:-1]).all():
             raise DomainError("CumulativeIntegral grid must be strictly increasing")
+        # strict increase leaves only the ends to check for infinities
+        if not (math.isfinite(grid[0]) and math.isfinite(grid[-1])):
+            raise DomainError("CumulativeIntegral grid must be finite")
         zero_pos = grid.searchsorted(0.0)
         if zero_pos >= grid.size or grid[zero_pos] != 0.0:
             raise DomainError("CumulativeIntegral grid must contain 0")
@@ -354,6 +363,9 @@ class CumulativeIntegral:
         self._grid = grid
         self._even = even_integrand
         prefix = np.concatenate(([0.0], np.cumsum(_gl_integrals(g, grid[:-1], grid[1:]))))
+        # a non-finite cell leaves every later prefix entry non-finite
+        if not math.isfinite(prefix[-1]):
+            raise DomainError(_NON_FINITE_INTEGRAND)
         self._prefix = prefix - prefix[zero_pos]
 
     def __call__(self, x):
@@ -377,5 +389,8 @@ class CumulativeIntegral:
         # a query at a node is answered by its prefix alone, one between nodes
         # adds its partial cell, summed as the build sums a whole one
         if between.any():
-            value[between] += _gl_integrals(self._g, grid[j[between]], x[between])
+            partial = _gl_integrals(self._g, grid[j[between]], x[between])
+            if not np.isfinite(partial).all():
+                raise DomainError(_NON_FINITE_INTEGRAND)
+            value[between] += partial
         return value

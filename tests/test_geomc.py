@@ -84,13 +84,13 @@ def _exact_signs(trial) -> np.ndarray:
 
 
 def _reference_rows(dist, rng, count) -> np.ndarray:
-    """(count, d+1) rows (z, s) by the row formula: every normal, then every gamma, numpy's row sum."""
+    """(count, d+1) rows (z, s) by the row formula: every normal, then every gamma, a running row sum."""
     d = dist.d
     z = rng.standard_normal((count, d))
     if dist.family == "gaussian":
         s = np.ones(count)
     elif dist.family == "beta":
-        s = np.sqrt((z * z).sum(axis=1) + 2.0 * rng.standard_gamma(dist.beta + 1.0, size=count))
+        s = np.sqrt(np.cumsum(z * z, axis=1)[:, -1] + 2.0 * rng.standard_gamma(dist.beta + 1.0, size=count))
     else:
         s = np.sqrt(2.0 * rng.standard_gamma(dist.beta - 0.5 * d, size=count))
     return np.column_stack((z, s))
@@ -180,7 +180,7 @@ class TestSampling:
 
     @pytest.mark.parametrize("d", [*range(1, 13), 20, 38])
     def test_layout_holds_the_row_formula(self, d):
-        # byte for byte, with |z|^2 summed by rows in numpy's order (interleaved from d = 8 on);
+        # byte for byte, with |z|^2 summed by rows left to right (numpy's running sum);
         # two sub-blocks and a short third one
         size = 2 * (geomc._QR_ROW_VALUES // (d + 3)) + 37
         for family, beta in FAMILIES:
@@ -195,15 +195,6 @@ class TestSampling:
                 assert (rows[:, d] == 0.0).any()
             lifted = _sample_lifted(dist, _rng(60 + d), 1_000)
             assert lifted.tobytes() == _reference_rows(dist, _rng(60 + d), 1_000).tobytes(), (family, d)
-
-
-class TestSumOfSquares:
-    @pytest.mark.parametrize("n", [129, 200, 1000])
-    def test_long_rows_match_numpy_pairwise_sum(self, n):
-        # above 128 terms numpy splits the sum into halves; the trials stay on the last axis
-        z = _rng(n).standard_normal((50, n))
-        out = geomc._sum_of_squares(np.ascontiguousarray(z.T), np.empty(50))
-        assert out.tobytes() == (z * z).sum(axis=-1).tobytes()
 
 
 class TestInsideSimplex:
@@ -231,6 +222,11 @@ class TestInsideSimplex:
     def test_shape_validation(self):
         with pytest.raises(DomainError):
             is_inside_simplex((0.5, 0.5), [(0.0, 0.0), (1.0, 0.0)])
+        # ragged vertices, and string entries in the vertices or the point
+        for x, vertices in (([0.1, 0.1], [[0, 0], [1, 0], [0]]), ([0.1, 0.1], [["a", "b"]] * 3),
+                            (["a", 0.1], self.TRIANGLE)):
+            with pytest.raises(DomainError, match="rectangular array of finite numbers"):
+                is_inside_simplex(x, vertices)
 
 
 def _refuse_work_arrays(monkeypatch):
@@ -429,7 +425,9 @@ class TestIndicators:
         assert lam[~mask].tobytes() == base_lam.tobytes()
 
     def test_cloud_without_the_trial_axis_is_a_domain_error(self):
-        for points in (np.random.rand(4, 2), np.zeros((3, 4, 3)), np.zeros((2, 2, 0))):
+        ragged = [[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0]]]
+        strings = [[["a", "b"]] * 4]
+        for points in (np.random.rand(4, 2), np.zeros((3, 4, 3)), np.zeros((2, 2, 0)), ragged, strings):
             with pytest.raises(DomainError, match=r"\(N, d\+2, d\)"):
                 simplex_indicators(points)
 
@@ -566,12 +564,15 @@ class TestConeAngle:
             estimate_cone_angle(cone, McConfig(trials=100, seed=1))
 
     def test_scaled_generators_give_the_same_count(self):
+        # each cone has largest |entry| 1, so the largest double scales it without overflow
         e = np.eye(4)
-        counts = {
-            estimate_cone_angle(SimplicialCone(c * (e[1:] - e[0])), McConfig(trials=20_000, seed=24)).successes
-            for c in (1.0, 2.0**-50, 2.0**50, 1e12, 1e-12, 1e300, 1e-300)
-        }
-        assert len(counts) == 1
+        generators = np.random.default_rng(24).standard_normal((3, 5))
+        for cone in (e[1:] - e[0], generators / np.abs(generators).max()):
+            counts = {
+                estimate_cone_angle(SimplicialCone(c * cone), McConfig(trials=20_000, seed=24)).successes
+                for c in (1.0, 2.0**-50, 2.0**50, 1e12, 1e-12, 1e300, 1e-300, np.finfo(float).max, 2.0**-1060)
+            }
+            assert len(counts) == 1, cone
 
     def test_count_matches_the_row_formula(self):
         e = np.eye(4)
@@ -591,6 +592,11 @@ class TestConeAngle:
             SimplicialCone(np.ones((0, 2)))
         with pytest.raises(DomainError, match="finite"):
             SimplicialCone(np.array([[1.0, 0.0], [0.0, np.inf]]))
+        for generators in ([[1, 0], [1]], [["a", "b"]]):
+            with pytest.raises(DomainError, match=r"\(k, m\) array of cone generators"):
+                SimplicialCone(generators)
+        with pytest.raises(DegenerateGeometryError, match="numerically dependent"):
+            estimate_cone_angle(SimplicialCone(np.zeros((2, 3))), McConfig(trials=10, seed=1))
 
 
 class TestProjectionExperiment:
@@ -618,7 +624,8 @@ class TestProjectionExperiment:
         "vertices,message",
         [(np.ones(3), "2-d array"), (np.ones((1, 3)), "2-d array"),
          (np.array([[0.0, 0.0], [1.0, 0.0], [0.0, np.nan]]), "2-d array"),
-         (np.eye(4)[:, :2], "cannot span")],
+         (np.eye(4)[:, :2], "cannot span"), ([[0.0, 0.0], [1.0, 0.0], [0.0]], "2-d array"),
+         ([["a", "b"]] * 3, "2-d array")],
     )
     def test_vertex_validation(self, vertices, message):
         with pytest.raises(DomainError, match=message):
@@ -626,7 +633,7 @@ class TestProjectionExperiment:
 
     def test_large_simplex_refused_before_any_block(self, monkeypatch):
         _refuse_work_arrays(monkeypatch)
-        with pytest.raises(DomainError, match="simplex dimension n <= 38"):
+        with pytest.raises(DomainError, match="n <= 38, got 39: the projection keeps the simplex test's cap"):
             projection_experiment(np.eye(40), McConfig(trials=1, seed=1))
 
     def test_largest_simplex_runs(self):
@@ -636,6 +643,9 @@ class TestProjectionExperiment:
         for third in ((2.0, 0.0), (2.0, 1e-14)):  # collinear and nearly collinear triangles in R^2
             with pytest.raises(DegenerateGeometryError):
                 projection_experiment(np.array([[0.0, 0.0], [1.0, 0.0], third]), McConfig(trials=10, seed=1))
+        # all-zero vertices: the unit rescale divides by 1, not by their zero maximum
+        with pytest.raises(DegenerateGeometryError, match="numerically dependent"):
+            projection_experiment(np.zeros((3, 3)), McConfig(trials=10, seed=1))
 
     def test_undecided_trials_exceed_the_resampling_bound(self, monkeypatch):
         _every_trial_undecided(monkeypatch)
@@ -659,10 +669,12 @@ class TestProjectionExperiment:
     def test_scaled_simplices_give_the_same_count(self, vertices):
         # the direction's unit-scale entries share coordinate rows with the
         # vertices', so without one common rescale of the vertices the
-        # per-coordinate equilibration flattened them from a scale of 1e10 on
+        # per-coordinate equilibration flattened them from a scale of 1e10 on;
+        # with largest |entry| 1 the largest double scales them without overflow
+        vertices = vertices / np.abs(vertices).max()
         counts = {
             projection_experiment(vertices * s, McConfig(trials=20_000, seed=25)).successes
-            for s in (1.0, 1e9, 1e12, 1e-12, 2.0**900, 2.0**-900, 1e300, 1e-300)
+            for s in (1.0, 1e9, 1e12, 1e-12, 2.0**900, 2.0**-900, 1e300, 1e-300, np.finfo(float).max, 2.0**-1060)
         }
         assert len(counts) == 1
 

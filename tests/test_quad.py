@@ -251,6 +251,11 @@ def test_envelope_validation():
         DecayEnvelope("gaussian", 0.0)
     with pytest.raises(DomainError):
         DecayEnvelope("gaussian", 1.0, -1)
+    for scale, poly_degree, log_amplitude in ((math.inf, 0, 0.0), (math.nan, 0, 0.0), (1.0, math.inf, 0.0),
+                                              (1.0, math.nan, 0.0), (1.0, 0, -math.inf), (1.0, 0, math.inf),
+                                              (1.0, 0, math.nan)):
+        with pytest.raises(DomainError, match="finite"):
+            DecayEnvelope("gaussian", scale, poly_degree, log_amplitude)
 
 
 def test_config_validation():
@@ -304,6 +309,22 @@ class TestCumulativeIntegral:
             CumulativeIntegral(np.cosh, [0.0])
         with pytest.raises(DomainError, match="points above 0"):
             CumulativeIntegral(np.cosh, [-1.0, -0.5, 0.0], even_integrand=True)
+        for grid in ([0.0, 1.0, math.inf], [-math.inf, 0.0, 1.0]):
+            with pytest.raises(DomainError, match="grid must be finite"):
+                CumulativeIntegral(np.cosh, grid)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_integrand_values_are_refused(self, bad):
+        # at a build: one non-finite node makes its cell, and every later prefix, non-finite
+        with pytest.raises(DomainError, match="non-finite value"):
+            CumulativeIntegral(lambda y: np.where(y > 1.5, bad, 1.0), [0.0, 1.0, 2.0])
+        # at a lookup: only the partial cell of a query between nodes sees the value
+        value = [1.0]
+        evaluator = CumulativeIntegral(lambda y: np.full_like(y, value[0]), [-1.0, 0.0, 1.0, 2.0])
+        value[0] = bad
+        assert evaluator(1.0) == pytest.approx(1.0)
+        with pytest.raises(DomainError, match="non-finite value"):
+            evaluator(np.array([1.0, 1.5]))
 
     def test_array_queries_match_scalar_queries(self):
         evaluator = CumulativeIntegral(np.cosh, np.linspace(-3.0, 3.0, 13))
