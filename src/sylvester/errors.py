@@ -1,7 +1,8 @@
-"""Exception hierarchy shared by all modules, and the one rule for integer counts."""
+"""Exception hierarchy shared by all modules, and the one rule each for integer counts and real numbers."""
 
 from __future__ import annotations
 
+import numbers
 import operator
 
 
@@ -50,3 +51,19 @@ def integer_count(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
+def real_number(value, name: str) -> float:
+    """value as a float, or DomainError naming ``name``.
+
+    Any real number type is taken (int, Fraction, numpy's) and stored as a
+    float; bool, complex, str and None are refused, and so is a number beyond
+    the float range, which would overflow later as a raw OverflowError.
+    Finiteness and range checks stay with the caller.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{name} must lie in the float range") from None

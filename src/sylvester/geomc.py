@@ -33,11 +33,20 @@ Reproducibility contract: trials are processed in fixed-size blocks and
 block i draws from a counter-based generator keyed by (seed, i), so the
 estimate is a pure function of (trials, seed) no matter how many workers
 partition the blocks.
+
+Ownership rule: a call owns a fixed amount of memory, one block per worker.
+It starts min(workers, blocks) workers, and before any of them runs, the
+calling thread allocates each one's work slot (for the simplex test, one
+`_sub_blocks` array of min(BLOCK_TRIALS, trials) trials).  Each worker pulls
+blocks one at a time and runs every block and resample batch in its own
+slot; the slots are freed when the call returns.  Nothing a draw returns is
+a view of its slot.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -50,17 +59,22 @@ from .probability import Distribution
 # trials per RNG block; fixed so results never depend on worker count
 BLOCK_TRIALS = 1 << 14
 
+# most trials a call can run: block i draws from Philox counters i << 128 on,
+# and Philox counters stop below 2^256
+MAX_TRIALS = BLOCK_TRIALS << 128
+
 # values in one row of the batched QR's work array, d+3 per trial, so a
 # sub-block holds _QR_ROW_VALUES // (d+3) trials: each QR step works on a few
 # such 384 KB rows, which stay in a 2 MB L2 cache, and rows this long keep
 # numpy's per-call cost, and the GIL hand-offs between workers, small
 _QR_ROW_VALUES = 49152
 
-# largest dimension Monte Carlo accepts.  The simplex test's block holds
-# BLOCK_TRIALS*(d+1)*(d+3) floats, 210 MB at d = 38 but 5.3 GB at d = 200, all
-# resident, since its gammas follow all its normals in the stream, and it sees
-# no success past d ~ 12 at any practical budget.  projection_experiment, with
-# about (2n+3)*BLOCK_TRIALS floats a block, keeps the same cap on n to match
+# largest dimension Monte Carlo accepts.  The simplex test holds one block of
+# BLOCK_TRIALS*(d+1)*(d+3) floats per worker, 210 MB at d = 38 but 5.3 GB at
+# d = 200, all resident, since its gammas follow all its normals in the stream,
+# and it sees no success past d ~ 12 at any practical budget.
+# projection_experiment, with about (2n+3)*BLOCK_TRIALS floats a block, keeps
+# the same cap on n to match
 _MAX_DIMENSION = 38
 
 # rank / conditioning guard: a |diag R| within TAU_RANK of the largest rejects
@@ -82,6 +96,11 @@ class McConfig:
             object.__setattr__(self, name, integer_count(getattr(self, name), name))
         if self.trials < 1:
             raise DomainError(f"trials must be a positive integer, got {self.trials!r}")
+        if self.trials > MAX_TRIALS:
+            raise DomainError(
+                "trials must be at most 2**142 (BLOCK_TRIALS << 128): block i draws from Philox "
+                "counters i << 128 onwards, and Philox counters end at 2**256"
+            )
         if not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         if self.workers < 1:
@@ -109,17 +128,33 @@ def _check_dimension(d: int, what: str, reason: str) -> None:
         raise DomainError(f"Monte Carlo accepts {what} <= {_MAX_DIMENSION}, got {d}: {reason}")
 
 
-def _run_blocks(mc: McConfig, block_fn: Callable[[int, int], object]):
-    """Sum of the count arrays block_fn(index, size) over the blocks."""
-    sizes = [
-        (i, min(BLOCK_TRIALS, mc.trials - i * BLOCK_TRIALS))
-        for i in range((mc.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS)
-    ]
-    if mc.workers == 1:
-        return sum(block_fn(i, size) for i, size in sizes)
-    with ThreadPoolExecutor(max_workers=mc.workers) as pool:
-        counts = pool.map(lambda pair: block_fn(*pair), sizes)
-        return sum(counts)
+def _run_blocks(mc: McConfig, new_block: Callable[[], Callable[[int, int], object]]):
+    """Sum of the count arrays block(index, size) over the blocks, one block function per worker.
+
+    The calling thread calls new_block() once per worker, min(workers, blocks)
+    times, before any worker starts, so a work slot it allocates lives outside
+    the worker threads' arenas.  Each worker then pulls (index, size) pairs one
+    at a time from one shared lazy iterator and adds up its own counts: the
+    call holds at most one block per worker, and no per-block list or future.
+    """
+    blocks = (mc.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
+    pairs = ((i, min(BLOCK_TRIALS, mc.trials - i * BLOCK_TRIALS)) for i in range(blocks))
+    lock = threading.Lock()
+
+    def work(block: Callable[[int, int], object]):
+        total = 0
+        while True:
+            with lock:
+                pair = next(pairs, None)
+            if pair is None:
+                return total
+            total = total + block(*pair)
+
+    workers = [new_block() for _ in range(min(mc.workers, blocks))]
+    if len(workers) == 1:
+        return work(workers[0])
+    with ThreadPoolExecutor(max_workers=len(workers)) as pool:
+        return sum(pool.map(work, workers))
 
 
 def _sub_blocks(k: int, size: int) -> list[np.ndarray]:
@@ -127,13 +162,25 @@ def _sub_blocks(k: int, size: int) -> list[np.ndarray]:
 
     One contiguous (coordinate, vector, trial) array (k, k+2, n) per sub-block
     of _QR_ROW_VALUES // (k+2) trials, in trial order (one empty block for no
-    trials).  All are cut from one allocation, which the allocator keeps
-    and reuses from block to block; separate sub-block arrays were handed
-    back to the system and paged in afresh for every block.
+    trials).  All are cut from one allocation.  The simplex test makes one
+    per worker, a slot of one block's trials, in the calling thread when a
+    call starts (a worker thread's allocator arena keeps the pages it
+    frees), and cuts every block and resample batch from the slot's leading
+    trials (`_leading`).
     """
     step = _QR_ROW_VALUES // (k + 2)
     buffer = np.empty((size, k, k + 2))
     return [buffer[start:start + step].reshape(k, k + 2, -1) for start in range(0, max(size, 1), step)]
+
+
+def _leading(slot: list[np.ndarray], size: int) -> list[np.ndarray]:
+    """The layout of `_sub_blocks(k, size)` as views of the first `size` trials of a larger slot of it."""
+    k = slot[0].shape[0]
+    full, rest = divmod(size, _QR_ROW_VALUES // (k + 2))
+    blocks = slot[:full]
+    if rest:
+        blocks.append(slot[full].reshape(-1)[: rest * k * (k + 2)].reshape(k, k + 2, rest))
+    return blocks
 
 
 def _spans(blocks: list[np.ndarray]):
@@ -392,26 +439,33 @@ def is_inside_simplex(x: Sequence[float], vertices: Sequence[Sequence[float]]) -
     return bool(_closed_inside(lam))
 
 
-def _estimate(mc: McConfig, draw: Callable[[np.random.Generator, int], tuple]) -> McResult:
-    """Binomial estimate from draw(rng, size) -> per-trial (success, undecided).
+def _estimate(mc: McConfig, new_draw: Callable[[], Callable[[np.random.Generator, int], tuple]]) -> McResult:
+    """Binomial estimate from draw(rng, size) -> per-trial fresh (success, undecided) arrays.
 
-    Undecided trials are resampled, which can move the estimate by the share
-    resampled: more than sqrt(trials)/2 of them (trials times the largest binomial
-    stderr) raises DegenerateGeometryError.  A pure function of (seed, trials).
+    new_draw() gives one worker its draw; `_run_blocks` calls it in the
+    calling thread, once per worker.  Undecided trials are resampled, which
+    can move the estimate by the share resampled: more than sqrt(trials)/2 of
+    them (trials times the largest binomial stderr) raises
+    DegenerateGeometryError.  A pure function of (seed, trials).
     """
     limit = 0.5 * math.sqrt(mc.trials)
 
-    def block(block_index: int, size: int) -> np.ndarray:
-        rng = _block_generator(mc.seed, block_index)
-        success, undecided = draw(rng, size)
-        resampled = undecided.sum()
-        while undecided.any() and resampled <= limit:
-            redo = np.flatnonzero(undecided)
-            success[redo], undecided[redo] = draw(rng, redo.size)
-            resampled += undecided.sum()
-        return np.array([success.sum(), resampled])
+    def new_block():
+        draw = new_draw()
 
-    successes, resampled = map(int, _run_blocks(mc, block))
+        def block(block_index: int, size: int) -> np.ndarray:
+            rng = _block_generator(mc.seed, block_index)
+            success, undecided = draw(rng, size)
+            resampled = undecided.sum()
+            while undecided.any() and resampled <= limit:
+                redo = np.flatnonzero(undecided)
+                success[redo], undecided[redo] = draw(rng, redo.size)
+                resampled += undecided.sum()
+            return np.array([success.sum(), resampled])
+
+        return block
+
+    successes, resampled = map(int, _run_blocks(mc, new_block))
     if resampled > limit:
         raise DegenerateGeometryError(
             f"{resampled} numerically undecided trials to resample, more than sqrt(trials)/2 = "
@@ -426,21 +480,27 @@ def estimate_sylvester(dist: Distribution, mc: McConfig) -> McResult:
     """Monte Carlo estimate of the simplex probability for dist: the sign rule on d+2 lifted points.
 
     Raises DomainError for d > 38, and OverflowBoundError where the point
-    scale overflows, before any array exists.
+    scale overflows, before any array exists.  Each worker draws into one
+    slot of `_sub_blocks`, allocated when the call starts.
     """
     d = dist.d
     gigabytes = BLOCK_TRIALS * (d + 1) * (d + 3) * 8 / 1e9
-    _check_dimension(d, "dimension d", f"a block of {BLOCK_TRIALS} trials would take {gigabytes:.3g} GB")
+    _check_dimension(d, "dimension d", f"a block of {BLOCK_TRIALS} trials would take {gigabytes:.3g} GB per worker")
     if dist.family != "gaussian":
         _gamma_shape(dist)
 
-    def draw(rng: np.random.Generator, size: int):
-        blocks = _sub_blocks(d + 1, size)
-        _sample(dist, rng, blocks, d + 2)
-        lam, degenerate = _solve(blocks)
-        return _sign_rule(lam.T, degenerate)
+    def new_draw():
+        slot = _sub_blocks(d + 1, min(BLOCK_TRIALS, mc.trials))
 
-    return _estimate(mc, draw)
+        def draw(rng: np.random.Generator, size: int):
+            blocks = _leading(slot, size)
+            _sample(dist, rng, blocks, d + 2)
+            lam, degenerate = _solve(blocks)
+            return _sign_rule(lam.T, degenerate)
+
+        return draw
+
+    return _estimate(mc, new_draw)
 
 
 def _frame(vectors: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -511,7 +571,7 @@ def estimate_cone_angle(cone: SimplicialCone, mc: McConfig) -> McResult:
         directions = np.ascontiguousarray(rng.standard_normal((size, k)).T)
         return _closed_inside(_fixed_map(inverse, directions)), np.zeros(size, dtype=bool)
 
-    return _estimate(mc, draw)
+    return _estimate(mc, lambda: draw)
 
 
 def projection_experiment(vertices: Sequence[Sequence[float]], mc: McConfig) -> McResult:
@@ -569,4 +629,4 @@ def projection_experiment(vertices: Sequence[Sequence[float]], mc: McConfig) -> 
         undecided = np.abs(t) <= TAU_RANK * np.abs(directions).max(axis=0)
         return _closed_inside(lam), undecided | ~np.isfinite(lam).all(axis=0)
 
-    return _estimate(mc, draw)
+    return _estimate(mc, lambda: draw)

@@ -25,7 +25,7 @@ from typing import Literal, Optional
 
 from . import registry
 from .anglesums import beta_angle_sum, beta_prime_angle_sum, gaussian_angle_sum
-from .errors import DomainError, NotInRegistryError, integer_count
+from .errors import DomainError, NotInRegistryError, integer_count, real_number
 from .quad import DEFAULT_CONFIG, EvalResult, QuadratureConfig
 
 Family = Literal["gaussian", "beta", "beta_prime"]
@@ -64,6 +64,8 @@ class Distribution:
             if self.beta is not None:
                 raise DomainError("gaussian distribution takes no beta parameter")
             return
+        if self.beta is not None:
+            object.__setattr__(self, "beta", real_number(self.beta, "beta"))
         if self.beta is None or not math.isfinite(self.beta):
             raise DomainError(f"{self.family} distribution requires a finite beta parameter")
         if self.family == "beta":

@@ -36,7 +36,7 @@ from typing import Callable, Literal, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError, NonConvergenceError, real_number
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -87,6 +87,8 @@ class QuadratureConfig:
     abs_tol: float = 1e-12
 
     def __post_init__(self):
+        for name in ("rel_tol", "abs_tol"):
+            object.__setattr__(self, name, real_number(getattr(self, name), name))
         # rel_tol >= 1 or an infinite abs_tol would accept any value, a negative one too
         if not (0.0 < self.rel_tol < 1.0 and 0.0 < self.abs_tol < math.inf):
             raise DomainError("rel_tol must lie in (0, 1) and abs_tol be finite and positive")
@@ -133,6 +135,8 @@ class DecayEnvelope:
     def __post_init__(self):
         if self.kind not in ("gaussian", "exponential"):
             raise DomainError(f"unknown envelope kind {self.kind!r}")
+        for name in ("scale", "poly_degree", "log_amplitude"):
+            object.__setattr__(self, name, real_number(getattr(self, name), f"envelope {name}"))
         # a non-finite parameter bounds nothing: a log_amplitude of -inf would certify any cutoff
         if not 0.0 < self.scale < math.inf:
             raise DomainError("envelope scale must be positive and finite")
@@ -343,7 +347,10 @@ class CumulativeIntegral:
         x_points: Sequence[float],
         even_integrand: bool = False,
     ):
-        grid = np.asarray(x_points, dtype=float)
+        try:
+            grid = np.asarray(x_points, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError("CumulativeIntegral grid must be a 1-d array of real numbers") from None
         if grid.ndim != 1 or grid.size < 2:
             raise DomainError("CumulativeIntegral needs a 1-d grid with at least two points")
         if not (grid[1:] > grid[:-1]).all():

@@ -481,6 +481,13 @@ class TestMc:
         assert (code, out) == (2, "")
         assert "Monte Carlo accepts dimension d <= 38" in err
 
+    def test_trials_beyond_the_generator_windows_exit_2(self, capsys, monkeypatch):
+        # block i draws from Philox counters i << 128, so 2**142 trials is the most any call can run
+        _refuse_work_arrays(monkeypatch)
+        code, out, err = run_cli(capsys, "mc", "--family", "gauss", "--dim", "2", "--trials", "1" + "0" * 400)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "trials must be at most 2**142" in err
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("beta,expected", [("1e307", 0), ("1e308", 2)])
     @pytest.mark.parametrize("family", ["beta", "betaprime"])

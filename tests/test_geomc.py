@@ -3,7 +3,12 @@
 import dataclasses
 import json
 import math
+import sys
+import threading
+import time
 import warnings
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +21,7 @@ from sylvester import geomc
 from sylvester.errors import DegenerateGeometryError, DomainError
 from sylvester.geomc import (
     BLOCK_TRIALS,
+    MAX_TRIALS,
     McConfig,
     SimplicialCone,
     _barycentric_batch,
@@ -99,6 +105,15 @@ def _reference_rows(dist, rng, count) -> np.ndarray:
 def _layout_rows(blocks, vectors) -> np.ndarray:
     """The points of the work arrays as (trials * vectors, d+1) rows, in trial order."""
     return np.concatenate([w[:, :vectors].transpose(2, 1, 0) for w in blocks]).reshape(-1, blocks[0].shape[0])
+
+
+def _reference_draw(dist):
+    """A draw of `_estimate` for the simplex test: `_reference_rows` through `_barycentric_batch`."""
+    def draw(rng, size):
+        lifted = _reference_rows(dist, rng, size * (dist.d + 2)).reshape(size, dist.d + 2, dist.d + 1)
+        return _sign_rule(*_barycentric_batch(lifted))
+
+    return draw
 
 
 def _reference_successes(mc, draw) -> int:
@@ -284,14 +299,83 @@ class TestEstimateSylvester:
         assert first == second
 
     def test_worker_count_invariance(self):
+        # every family; the beta-prime just above its threshold resamples trials
+        # (76 at d = 11, under the bound of 96; at d = 2 it resamples too many)
         trials = 2 * BLOCK_TRIALS + 4321  # straddles block boundaries
-        counts = {
-            workers: estimate_sylvester(
-                Distribution("gaussian", 2), McConfig(trials=trials, seed=9, workers=workers)
-            ).successes
-            for workers in (1, 2, 8)
-        }
-        assert len(set(counts.values())) == 1
+        for family, beta in FAMILIES:
+            d = 11 if beta(0) == 0.01 else 3
+            dist = Distribution(family, d, beta(d))
+            mc = McConfig(trials=trials, seed=9)
+            expected = _reference_successes(mc, _reference_draw(dist))
+            for workers in (1, 2, 8):
+                result = estimate_sylvester(dist, dataclasses.replace(mc, workers=workers))
+                assert result.successes == expected, (family, d, workers)
+        # the refusal names the same resample count at every worker count
+        messages = set()
+        for workers in (1, 2, 8):
+            with pytest.raises(DegenerateGeometryError) as refused:
+                estimate_sylvester(Distribution("beta_prime", 2, 1.01), McConfig(trials, seed=9, workers=workers))
+            messages.add(str(refused.value))
+        assert len(messages) == 1
+
+    def test_work_slots_are_allocated_by_the_calling_thread(self, monkeypatch):
+        # one slot per worker, made before any worker starts, reused by every block and resample batch
+        calls = []
+        sub_blocks = geomc._sub_blocks
+
+        def record(k, size):
+            calls.append((threading.get_ident(), size))
+            return sub_blocks(k, size)
+
+        monkeypatch.setattr(geomc, "_sub_blocks", record)
+        for dist, trials, workers in ((Distribution("gaussian", 2), 5 * BLOCK_TRIALS + 7, 2),
+                                      (Distribution("beta_prime", 11, 5.51), 2 * BLOCK_TRIALS + 4321, 2),
+                                      (Distribution("beta", 3, 0.0), BLOCK_TRIALS, 8),
+                                      (Distribution("gaussian", 2), 100, 1)):
+            calls.clear()
+            estimate_sylvester(dist, McConfig(trials=trials, seed=9, workers=workers))
+            slots = min(workers, -(-trials // BLOCK_TRIALS))
+            assert 1 <= len(calls) <= slots
+            assert set(calls) == {(threading.get_ident(), min(BLOCK_TRIALS, trials))}
+
+    def test_blocks_in_flight_are_bounded_by_the_workers(self, monkeypatch):
+        # a block is in flight from its start until its counts are freed
+        submitted = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append(fn)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(geomc, "ThreadPoolExecutor", CountingPool)
+        lock = threading.Lock()
+        in_flight = {"now": 0, "peak": 0}
+
+        def release():
+            with lock:
+                in_flight["now"] -= 1
+
+        def block(index, size):
+            with lock:
+                in_flight["now"] += 1
+                in_flight["peak"] = max(in_flight["peak"], in_flight["now"])
+            time.sleep(0)  # let the other workers take their blocks
+            counts = np.array([1, size])
+            weakref.finalize(counts, release)
+            return counts
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # thread switches between any two steps: a lost or repeated block shows in the sum
+        try:
+            for workers in (1, 2, 8):
+                submitted.clear()
+                in_flight["peak"] = 0
+                mc = McConfig(trials=2_000 * BLOCK_TRIALS - 5, seed=1, workers=workers)
+                assert geomc._run_blocks(mc, lambda: block).tolist() == [2_000, mc.trials]
+                assert in_flight["now"] == 0 and 1 <= in_flight["peak"] <= workers
+                assert len(submitted) <= workers
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_undecided_trials_exceed_the_resampling_bound(self, monkeypatch):
         _every_trial_undecided(monkeypatch)
@@ -302,14 +386,9 @@ class TestEstimateSylvester:
     def test_count_matches_rows_through_the_batch_solve(self, family, d, beta):
         # the second block is a short one, and neither block is a whole number of sub-blocks
         dist = Distribution(family, d, beta)
-
-        def draw(rng, size):
-            lifted = _reference_rows(dist, rng, size * (d + 2)).reshape(size, d + 2, d + 1)
-            return _sign_rule(*_barycentric_batch(lifted))
-
         for seed in (20242, 1, 7):
             mc = McConfig(trials=BLOCK_TRIALS + 5_000, seed=seed)
-            assert estimate_sylvester(dist, mc).successes == _reference_successes(mc, draw), seed
+            assert estimate_sylvester(dist, mc).successes == _reference_successes(mc, _reference_draw(dist)), seed
 
     def test_largest_dimension_runs(self):
         res = estimate_sylvester(Distribution("gaussian", 38), McConfig(trials=3, seed=1))
@@ -711,6 +790,13 @@ class TestMcConfig:
             McConfig(trials=10, seed=2**64)
         with pytest.raises(DomainError):
             McConfig(trials=10, seed=1, workers=0)
+
+    def test_trials_are_bounded_by_the_generator_windows(self):
+        # block i draws from Philox counters i << 128, and Philox counters end at 2**256
+        assert MAX_TRIALS == BLOCK_TRIALS << 128 == 2**142
+        assert McConfig(trials=MAX_TRIALS, seed=1).trials == MAX_TRIALS
+        with pytest.raises(DomainError, match=r"trials must be at most 2\*\*142"):
+            McConfig(trials=MAX_TRIALS + 1, seed=1)
 
     def test_numpy_integers_are_stored_as_int(self):
         mc = McConfig(trials=np.int64(100), seed=np.uint64(2**64 - 1), workers=np.arange(3)[2])

@@ -8,6 +8,7 @@ them.
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -87,6 +88,16 @@ class TestDistribution:
             Distribution("beta", 1, -1.0)  # atomic sphere limit on the line
         with pytest.raises(DomainError):
             Distribution("beta_prime", 4, 2.0)
+        # not a real number, or beyond the float range
+        for beta, message in (("1", "real number"), (1j, "real number"), (True, "real number"),
+                              (10**400, "float range")):
+            with pytest.raises(DomainError, match=message):
+                Distribution("beta", 2, beta)
+
+    def test_real_beta_is_stored_as_float(self):
+        for beta in (np.float64(0.5), np.int64(2), Fraction(1, 2), 2):
+            dist = Distribution("beta", 2, beta)
+            assert type(dist.beta) is float and dist == Distribution("beta", 2, float(beta))
 
     def test_numpy_dimension_is_stored_as_int(self):
         for d in np.arange(1, 4):

@@ -256,6 +256,13 @@ def test_envelope_validation():
                                               (1.0, 0, math.nan)):
         with pytest.raises(DomainError, match="finite"):
             DecayEnvelope("gaussian", scale, poly_degree, log_amplitude)
+    # an integer beyond the float range overflowed later, in integrate_line; a string or a complex did at once
+    for scale, poly_degree, log_amplitude in ((10**400, 0, 0.0), (1.0, 10**400, 0.0), (1.0, 0, 10**400)):
+        with pytest.raises(DomainError, match="must lie in the float range"):
+            DecayEnvelope("gaussian", scale, poly_degree, log_amplitude)
+    for scale, poly_degree, log_amplitude in (("1", 0, 0.0), (1.0, 1j, 0.0), (1.0, 0, None), (True, 0, 0.0)):
+        with pytest.raises(DomainError, match="must be a real number"):
+            DecayEnvelope("gaussian", scale, poly_degree, log_amplitude)
 
 
 def test_config_validation():
@@ -265,6 +272,11 @@ def test_config_validation():
     for rel_tol, abs_tol in ((math.inf, 1e-12), (math.nan, 1e-12), (1.0, 1e-12),
                              (1e-8, math.inf), (1e-8, math.nan), (1e-8, 0.0)):
         with pytest.raises(DomainError):
+            QuadratureConfig(rel_tol=rel_tol, abs_tol=abs_tol)
+    # not real numbers, or beyond the float range (10**400 < inf, so it passed the range check)
+    for rel_tol, abs_tol, message in (("1e-8", 1e-12, "real number"), (1e-8, 1j, "real number"),
+                                      (1e-10, 10**400, "float range")):
+        with pytest.raises(DomainError, match=message):
             QuadratureConfig(rel_tol=rel_tol, abs_tol=abs_tol)
     QuadratureConfig(rel_tol=0.999, abs_tol=1e300)
 
@@ -312,6 +324,9 @@ class TestCumulativeIntegral:
         for grid in ([0.0, 1.0, math.inf], [-math.inf, 0.0, 1.0]):
             with pytest.raises(DomainError, match="grid must be finite"):
                 CumulativeIntegral(np.cosh, grid)
+        for grid in (["a", "b"], [0.0, 1j], [0.0, 10**400], [[0.0, 1.0], [2.0]]):
+            with pytest.raises(DomainError, match="1-d array of real numbers"):
+                CumulativeIntegral(np.exp, grid)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_integrand_values_are_refused(self, bad):
