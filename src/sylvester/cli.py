@@ -27,6 +27,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_DOMAIN = 2
 EXIT_NONCONVERGENCE = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a tool stopped by a closed pipe
 
 _RECORD_FIELDS = ("family", "d", "beta", "method", "value", "abs_error", "stderr", "trials", "seed")
 
@@ -278,10 +279,19 @@ def main(argv=None) -> int:
     command = _COMMANDS.get(argv[0]) if argv else None
     args = _PARSER.parse_args(argv) if command is None else command.parse_args(argv[1:])
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except SylvesterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE if isinstance(exc, NonConvergenceError) else EXIT_DOMAIN
+    except BrokenPipeError:
+        # the reader closed stdout; writing what is still buffered to devnull
+        # keeps the interpreter's exit flush from raising again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ Geometry", 1991).  Each trial is decided by one equilibrated Householder QR,
 `_solve`, run across a whole block at once with the trials on the last
 axis: every step is one numpy operation over all trials, and no step mixes
 two trials.  `_sample` draws a block straight into the QR's work arrays,
-one contiguous (coordinate, vector, trial) array per sub-block, in the same
+one contiguous (coordinate, vector, trial) view per sub-block, in the same
 stream order as a row of (z, s) per point, so the layout changes no seeded
 count.  `_solve` is the only per-trial QR: it serves the simplex test and
 the one-cloud surfaces.  The two lemma estimators, the solid angle of a
@@ -37,10 +37,11 @@ partition the blocks.
 Ownership rule: a call owns a fixed amount of memory, one block per worker.
 It starts min(workers, blocks) workers, and before any of them runs, the
 calling thread allocates each one's work slot (for the simplex test, one
-`_sub_blocks` array of min(BLOCK_TRIALS, trials) trials).  Each worker pulls
-blocks one at a time and runs every block and resample batch in its own
-slot; the slots are freed when the call returns.  Nothing a draw returns is
-a view of its slot.
+flat `_slot` of min(BLOCK_TRIALS, trials) trials).  Each worker pulls blocks
+one at a time, and one cutter, `_work`, lays every block and resample batch
+out in its slot's leading trials: trials last, _QR_ROW_VALUES // (k+2) per
+sub-block.  The slots are freed when the call returns; nothing a draw
+returns is a view of its slot.
 """
 
 from __future__ import annotations
@@ -157,42 +158,24 @@ def _run_blocks(mc: McConfig, new_block: Callable[[], Callable[[int, int], objec
         return sum(pool.map(work, workers))
 
 
-def _sub_blocks(k: int, size: int) -> list[np.ndarray]:
-    """Empty work arrays of `_qr_solve` for `size` trials of k coordinates.
+def _slot(k: int, size: int) -> np.ndarray:
+    """One worker's empty flat work buffer for `size` trials of k coordinates, cut by `_work`."""
+    return np.empty(size * k * (k + 2))
 
-    One contiguous (coordinate, vector, trial) array (k, k+2, n) per sub-block
-    of _QR_ROW_VALUES // (k+2) trials, in trial order (one empty block for no
-    trials).  All are cut from one allocation.  The simplex test makes one
-    per worker, a slot of one block's trials, in the calling thread when a
-    call starts (a worker thread's allocator arena keeps the pages it
-    frees), and cuts every block and resample batch from the slot's leading
-    trials (`_leading`).
+
+def _work(slot: np.ndarray, k: int, size: int) -> list[tuple[np.ndarray, slice]]:
+    """The work arrays of `_qr_solve` for the first `size` trials of a slot, each with its trial slice.
+
+    One contiguous (coordinate, vector, trial) view (k, k+2, n) per sub-block of
+    _QR_ROW_VALUES // (k+2) trials, in trial order (one empty view for no trials).
     """
     step = _QR_ROW_VALUES // (k + 2)
-    buffer = np.empty((size, k, k + 2))
-    return [buffer[start:start + step].reshape(k, k + 2, -1) for start in range(0, max(size, 1), step)]
+    spans = [slice(start, min(start + step, size)) for start in range(0, max(size, 1), step)]
+    return [(slot[t.start * k * (k + 2):t.stop * k * (k + 2)].reshape(k, k + 2, -1), t) for t in spans]
 
 
-def _leading(slot: list[np.ndarray], size: int) -> list[np.ndarray]:
-    """The layout of `_sub_blocks(k, size)` as views of the first `size` trials of a larger slot of it."""
-    k = slot[0].shape[0]
-    full, rest = divmod(size, _QR_ROW_VALUES // (k + 2))
-    blocks = slot[:full]
-    if rest:
-        blocks.append(slot[full].reshape(-1)[: rest * k * (k + 2)].reshape(k, k + 2, rest))
-    return blocks
-
-
-def _spans(blocks: list[np.ndarray]):
-    """Each sub-block with the slice of the trials it holds."""
-    start = 0
-    for w in blocks:
-        yield w, slice(start, start + w.shape[-1])
-        start += w.shape[-1]
-
-
-def _sample(dist: Distribution, rng: np.random.Generator, blocks: list[np.ndarray], vectors: int) -> None:
-    """Draw `vectors` points of dist per trial into the columns w[:d+1, :vectors] of each block w.
+def _sample(dist: Distribution, rng: np.random.Generator, work: list[tuple[np.ndarray, slice]], vectors: int) -> None:
+    """Draw `vectors` points of dist per trial into the columns w[:d+1, :vectors] of each work array w.
 
     A point is written as the column (z, s), coordinates first and trials on
     the last axis, and the point is z/s.  z ~ N(0, I_d) and s >= 0: s = 1
@@ -209,8 +192,8 @@ def _sample(dist: Distribution, rng: np.random.Generator, blocks: list[np.ndarra
     its d squares left to right.
     """
     d = dist.d
-    normals = np.empty(max(w.shape[-1] for w in blocks) * vectors * d)
-    for w in blocks:
+    normals = np.empty(max(w.shape[-1] for w, _ in work) * vectors * d)
+    for w, _ in work:
         z = normals[: w.shape[-1] * vectors * d].reshape(-1, vectors, d)
         rng.standard_normal(out=z)
         points = w[: d + 1, :vectors]
@@ -226,10 +209,10 @@ def _sample(dist: Distribution, rng: np.random.Generator, blocks: list[np.ndarra
     if dist.family == "gaussian":
         return
     shape = _gamma_shape(dist)
-    size = sum(w.shape[-1] for w in blocks)
+    size = work[-1][1].stop
     twice_gamma = rng.standard_gamma(shape, size=size * vectors).reshape(size, vectors)
     twice_gamma *= 2.0
-    for w, trials in _spans(blocks):
+    for w, trials in work:
         s = w[d, :vectors]
         if dist.family == "beta":
             s += twice_gamma[trials].T
@@ -252,14 +235,25 @@ def _gamma_shape(dist: Distribution) -> float:
 def _sample_lifted(dist: Distribution, rng: np.random.Generator, count: int) -> np.ndarray:
     """Draw `count` points from dist as (count, d+1) rows (z, s) of `_sample`; the point is z/s."""
     columns = np.empty((dist.d + 1, 1, count))
-    _sample(dist, rng, [columns], 1)
+    _sample(dist, rng, [(columns, slice(0, count))], 1)
     return columns[:, 0].T
 
 
 def _sample_points(dist: Distribution, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Draw `count` points from dist as a (count, d) array: z/s of `_sample_lifted`."""
+    """Draw `count` points from dist as a (count, d) array: z/s of `_sample_lifted`.
+
+    Raises OverflowBoundError where a coordinate is not finite: near the
+    beta-prime threshold the scale s underflows to 0.
+    """
     lifted = _sample_lifted(dist, rng, count)
-    return lifted[:, :-1] / lifted[:, -1:]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        points = lifted[:, :-1] / lifted[:, -1:]
+    if not np.isfinite(points).all():
+        raise OverflowBoundError(
+            f"{dist.family} point at beta = {dist.beta!r}: its scale s underflows to 0, "
+            "so a coordinate z/s is not finite"
+        )
+    return points
 
 
 def sample_point(dist: Distribution, rng: np.random.Generator) -> np.ndarray:
@@ -287,27 +281,27 @@ def _barycentric_batch(lifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients lam of the last lifted vector in the first d+1, by `_solve`.
 
     lifted: finite (N, d+2, d+1), left unchanged; it is copied one sub-block
-    at a time into one work array of `_sub_blocks`, so a large batch costs
-    no second copy of itself.  Returns (lam (N, d+1), degenerate (N,)).
+    at a time into the leading trials of one slot of a sub-block, so a large
+    batch costs no second copy of itself.  Returns (lam (N, d+1), degenerate (N,)).
     """
     n_trials, m, k = lifted.shape
     step = _QR_ROW_VALUES // (k + 2)
     lam = np.empty((k, n_trials))
     degenerate = np.empty(n_trials, dtype=bool)
-    (work,) = _sub_blocks(k, min(step, n_trials))
+    slot = _slot(k, min(step, n_trials))
     for start in range(0, n_trials, step):
         trials = slice(start, start + step)
-        w = work[:, :, : min(step, n_trials - start)]
+        work = _work(slot, k, min(step, n_trials - start))
         for j in range(m):  # 2-D transposes: about twice as fast as one 3-D transpose at d = 20
-            w[:, j] = lifted[trials, j].T
-        lam[:, trials], degenerate[trials] = _solve([w])
+            work[0][0][:, j] = lifted[trials, j].T
+        lam[:, trials], degenerate[trials] = _solve(work)
     return lam.T, degenerate
 
 
-def _solve(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The one per-trial solve (simplex test, one-cloud surfaces), over the work arrays of `_sub_blocks`.
+def _solve(work: list[tuple[np.ndarray, slice]]) -> tuple[np.ndarray, np.ndarray]:
+    """The one per-trial solve (simplex test, one-cloud surfaces), over the work arrays of `_work`.
 
-    Each block w holds, per trial, the first d+1 lifted vectors (the matrix a)
+    Each work array w holds, per trial, the first d+1 lifted vectors (the matrix a)
     and the last vector b as its first k+1 columns; it is overwritten.  Each
     coordinate is divided by its largest |value| in the trial, a positive
     diagonal map that keeps lam in a lam = b.  One Householder QR per trial
@@ -318,12 +312,12 @@ def _solve(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     within TAU_RANK of the largest, as in `_frame`), estimate above
     1/TAU_RANK, or lam not finite.
     """
-    k = blocks[0].shape[0]
-    size = sum(w.shape[-1] for w in blocks)
+    k = work[0][0].shape[0]
+    size = work[-1][1].stop
     lam = np.empty((k, size))
     degenerate = np.empty(size, dtype=bool)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for w, trials in _spans(blocks):
+        for w, trials in work:
             degenerate[trials] = _qr_solve(w, lam[:, trials])
     return lam, degenerate
 
@@ -481,7 +475,7 @@ def estimate_sylvester(dist: Distribution, mc: McConfig) -> McResult:
 
     Raises DomainError for d > 38, and OverflowBoundError where the point
     scale overflows, before any array exists.  Each worker draws into one
-    slot of `_sub_blocks`, allocated when the call starts.
+    `_slot`, allocated when the call starts.
     """
     d = dist.d
     gigabytes = BLOCK_TRIALS * (d + 1) * (d + 3) * 8 / 1e9
@@ -490,12 +484,12 @@ def estimate_sylvester(dist: Distribution, mc: McConfig) -> McResult:
         _gamma_shape(dist)
 
     def new_draw():
-        slot = _sub_blocks(d + 1, min(BLOCK_TRIALS, mc.trials))
+        slot = _slot(d + 1, min(BLOCK_TRIALS, mc.trials))
 
         def draw(rng: np.random.Generator, size: int):
-            blocks = _leading(slot, size)
-            _sample(dist, rng, blocks, d + 2)
-            lam, degenerate = _solve(blocks)
+            work = _work(slot, d + 1, size)
+            _sample(dist, rng, work, d + 2)
+            lam, degenerate = _solve(work)
             return _sign_rule(lam.T, degenerate)
 
         return draw

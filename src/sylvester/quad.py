@@ -257,9 +257,7 @@ def integrate_line(
         points = x if symmetric else np.stack((x, -x))
         if on_refinement is not None:
             on_refinement(points)
-        values = np.asarray(f(points), dtype=float)
-        if values.shape != points.shape:
-            raise DomainError(f"integrand returned shape {values.shape} for nodes of shape {points.shape}")
+        values = _integrand_values(f(points), points)
         if not np.isfinite(values).all():
             raise DomainError("integrand returned a non-finite value inside the truncated domain")
         nodes_used += points.size
@@ -305,6 +303,17 @@ def integrate_line(
     )
 
 
+def _integrand_values(values, nodes: np.ndarray) -> np.ndarray:
+    """An integrand's output at nodes as a float array of their shape; DomainError for anything else."""
+    try:
+        array = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError("integrand returned values that are not real numbers") from None
+    if array.shape != nodes.shape:
+        raise DomainError(f"integrand returned shape {array.shape} for nodes of shape {nodes.shape}")
+    return array
+
+
 def _gl_integrals(g: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """7-point Gauss-Legendre integrals of g over the cells [lo[i], hi[i]].
 
@@ -319,7 +328,8 @@ def _gl_integrals(g: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
         # built node-major and transposed, so each node's column is contiguous
-        weighted = np.asarray(g((mid + half * _GL_NODES[:, None]).T), dtype=float) * _GL_WEIGHTS
+        nodes = (mid + half * _GL_NODES[:, None]).T
+        weighted = _integrand_values(g(nodes), nodes) * _GL_WEIGHTS
         sums = weighted[:, 0] + weighted[:, 1]
         for k in range(2, _GL_WEIGHTS.size):
             sums += weighted[:, k]

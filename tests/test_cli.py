@@ -422,7 +422,7 @@ def _refuse_work_arrays(monkeypatch):
     def refuse(k, size):
         raise AssertionError(f"a work array of {size} trials was allocated at k = {k}")
 
-    monkeypatch.setattr(geomc, "_sub_blocks", refuse)
+    monkeypatch.setattr(geomc, "_slot", refuse)
 
 
 class TestMc:
@@ -738,6 +738,23 @@ class TestSweep:
             "--beta-min", "0", "--beta-max", "1", "--steps", "2",
         )
         assert code == 2
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # 2,001 rows, about 78 KB, outgrow a 64 KB pipe, so the sweep still writes
+    # after the reader has read one line and gone
+    src = str(pathlib.Path(sylvester.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv = ["sweep", "--family", "beta", "--dim", "2", "--beta-min", "0", "--beta-max", "2", "--steps", "2000"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "sylvester.cli", *argv], env=env, bufsize=0,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as child:
+        assert child.stdout.readline() == b"beta,value,abs_error\n"
+        child.stdout.close()
+        stderr = child.stderr.read()
+        assert child.wait(timeout=300) == 141  # 128 + SIGPIPE
+    assert stderr == b""
 
 
 class TestTable:

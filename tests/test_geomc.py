@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import sys
 import threading
 import time
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from sylvester import geomc
-from sylvester.errors import DegenerateGeometryError, DomainError
+from sylvester.errors import DegenerateGeometryError, DomainError, OverflowBoundError
 from sylvester.geomc import (
     BLOCK_TRIALS,
     MAX_TRIALS,
@@ -31,7 +32,8 @@ from sylvester.geomc import (
     _sample_lifted,
     _sample_points,
     _sign_rule,
-    _sub_blocks,
+    _slot,
+    _work,
     estimate_cone_angle,
     estimate_sylvester,
     is_inside_simplex,
@@ -102,9 +104,9 @@ def _reference_rows(dist, rng, count) -> np.ndarray:
     return np.column_stack((z, s))
 
 
-def _layout_rows(blocks, vectors) -> np.ndarray:
+def _layout_rows(work, vectors) -> np.ndarray:
     """The points of the work arrays as (trials * vectors, d+1) rows, in trial order."""
-    return np.concatenate([w[:, :vectors].transpose(2, 1, 0) for w in blocks]).reshape(-1, blocks[0].shape[0])
+    return np.concatenate([w[:, :vectors].transpose(2, 1, 0) for w, _ in work]).reshape(-1, work[0][0].shape[0])
 
 
 def _reference_draw(dist):
@@ -187,6 +189,12 @@ class TestSampling:
         assert np.isfinite(lifted).all() and (lifted[:, 2] >= 0.0).all()
         assert (lifted[:, 2] == 0.0).any()
 
+    @pytest.mark.parametrize("d, beta", [(2, 1.0 + 1e-9), (3, 1.5 + 1e-6)])
+    def test_point_with_an_underflowed_scale_is_refused(self, d, beta):
+        # s^2 = 2 Gamma(beta - d/2) underflows to 0, so z/s is not finite: refused, not [inf, -inf]
+        with pytest.raises(OverflowBoundError, match=re.escape(f"beta_prime point at beta = {beta!r}")):
+            sample_point(Distribution("beta_prime", d, beta), np.random.Generator(np.random.Philox(1)))
+
     def test_directions_are_uniform(self):
         pts = _sample_points(Distribution("beta", 2, -1.0), _rng(), 100_000)
         angles = np.arctan2(pts[:, 1], pts[:, 0])
@@ -196,16 +204,24 @@ class TestSampling:
     @pytest.mark.parametrize("d", [*range(1, 13), 20, 38])
     def test_layout_holds_the_row_formula(self, d):
         # byte for byte, with |z|^2 summed by rows left to right (numpy's running sum);
-        # two sub-blocks and a short third one
+        # two sub-blocks and a short third one, in a slot of their size and in the
+        # leading trials of a slot twice as large
         size = 2 * (geomc._QR_ROW_VALUES // (d + 3)) + 37
         for family, beta in FAMILIES:
             if d == 1 and beta(d) == -1.0:
                 continue  # the sphere needs d >= 2
             dist = Distribution(family, d, beta(d))
-            blocks = _sub_blocks(d + 1, size)
-            _sample(dist, _rng(60 + d), blocks, d + 2)
-            rows = _layout_rows(blocks, d + 2)
-            assert rows.tobytes() == _reference_rows(dist, _rng(60 + d), size * (d + 2)).tobytes(), (family, d)
+            expected = _reference_rows(dist, _rng(60 + d), size * (d + 2)).tobytes()
+            for slot in (_slot(d + 1, size), _slot(d + 1, 2 * size)):
+                work = _work(slot, d + 1, size)
+                assert [trials for _, trials in work] == [
+                    slice(start, min(start + geomc._QR_ROW_VALUES // (d + 3), size))
+                    for start in range(0, size, geomc._QR_ROW_VALUES // (d + 3))
+                ]
+                assert all(w.base is slot and w.flags.c_contiguous for w, _ in work)
+                _sample(dist, _rng(60 + d), work, d + 2)
+                rows = _layout_rows(work, d + 2)
+                assert rows.tobytes() == expected, (family, d)
             if family == "beta_prime" and beta(d) < 0.5 * d + 0.1:
                 assert (rows[:, d] == 0.0).any()
             lifted = _sample_lifted(dist, _rng(60 + d), 1_000)
@@ -249,7 +265,7 @@ def _refuse_work_arrays(monkeypatch):
     def refuse(k, size):
         raise AssertionError(f"a work array of {size} trials was allocated at k = {k}")
 
-    monkeypatch.setattr(geomc, "_sub_blocks", refuse)
+    monkeypatch.setattr(geomc, "_slot", refuse)
 
 
 class _ZeroNormals:
@@ -321,13 +337,13 @@ class TestEstimateSylvester:
     def test_work_slots_are_allocated_by_the_calling_thread(self, monkeypatch):
         # one slot per worker, made before any worker starts, reused by every block and resample batch
         calls = []
-        sub_blocks = geomc._sub_blocks
+        slot = geomc._slot
 
         def record(k, size):
             calls.append((threading.get_ident(), size))
-            return sub_blocks(k, size)
+            return slot(k, size)
 
-        monkeypatch.setattr(geomc, "_sub_blocks", record)
+        monkeypatch.setattr(geomc, "_slot", record)
         for dist, trials, workers in ((Distribution("gaussian", 2), 5 * BLOCK_TRIALS + 7, 2),
                                       (Distribution("beta_prime", 11, 5.51), 2 * BLOCK_TRIALS + 4321, 2),
                                       (Distribution("beta", 3, 0.0), BLOCK_TRIALS, 8),

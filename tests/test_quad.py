@@ -1,6 +1,7 @@
 """Quadrature tests: exactness, error honesty, determinism, mirroring."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -150,6 +151,30 @@ def test_non_finite_integrand_rejected():
 def test_wrongly_shaped_integrand_rejected():
     with pytest.raises(DomainError, match="integrand returned shape"):
         integrate_line(lambda x: np.exp(-0.5 * x * x).sum(axis=0), GAUSS_ENV)
+
+
+def _switching_integrand(outputs):
+    """A CumulativeIntegral on [-1, 2] built with g = 1, whose g then returns outputs(y)."""
+    current = [np.ones_like]
+    evaluator = CumulativeIntegral(lambda y: current[0](y), [-1.0, 0.0, 1.0, 2.0])
+    current[0] = outputs
+    return evaluator
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: integrate_line(lambda x: "a", GAUSS_ENV), "values that are not real numbers"),
+        (lambda: CumulativeIntegral(lambda y: 1.0, [0.0, 1.0]), "shape () for nodes of shape (1, 7)"),
+        (lambda: CumulativeIntegral(lambda y: np.ones(3), [-1.0, 0.0, 1.0]), "shape (3,) for nodes of shape (2, 7)"),
+        (lambda: _switching_integrand(lambda y: 1.0)(np.array([0.0, 1.5])), "shape () for nodes of shape (1, 7)"),
+    ],
+    ids=["line-string", "build-scalar", "build-wrong-length", "lookup-scalar"],
+)
+def test_integrand_output_is_checked_in_one_place(call, message):
+    # integrate_line, a CumulativeIntegral build and its partial-cell lookup share one rule
+    with pytest.raises(DomainError, match=re.escape(f"integrand returned {message}")):
+        call()
 
 
 def test_on_refinement_sees_all_nodes():
