@@ -31,9 +31,10 @@ directly once n is moderately large while the full integrand stays tame.
 Every integrand here is a numpy expression: it maps the array of quadrature
 nodes to the array of its values, so each of integrate_line's levels is one
 call on all of its positive half-line nodes.  The cosh-kernel integrand
-builds I on 0 and the nodes it is handed and answers them in one lookup, so
-it is a pure function of its argument: each level builds its own I, and the
-inner error shrinks with the outer step.
+builds I on 0 and the nodes it is handed and reads I at those nodes
+straight from its prefix sums, so it is a pure function of its argument:
+each level builds its own I, and the inner error shrinks with the outer
+step.
 
 Every n <= N_MAX reports integrate_line's own error estimate.  Near n = 40
 the probabilities (1e-36 for the Gaussian) lie below the noise that the
@@ -48,7 +49,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, OverflowBoundError, integer_count
+from .errors import DomainError, NonConvergenceError, OverflowBoundError, integer_count
 from .quad import (
     DEFAULT_CONFIG,
     CumulativeIntegral,
@@ -58,6 +59,7 @@ from .quad import (
     integrate_line,
 )
 from .specfun import (
+    Y_MAX,
     h_imag_cdf,
     log_half_line_beta_const,
     log_half_line_beta_prime_const,
@@ -119,13 +121,26 @@ def _integrate_real_part(
 
 
 def gaussian_angle_sum(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> EvalResult:
-    """Angle sum of the regular simplex with n vertices."""
+    """Angle sum of the regular simplex with n vertices.
+
+    A tolerance whose cutoff would pass ``Y_MAX``, where h_imag_cdf's table
+    ends, raises NonConvergenceError as below the floor (``--tol 1e-300``).
+    """
     n = _check_n(n, minimum=2)
     # substitution u = x / sqrt(n); prefactor n*sqrt(n)/sqrt(2*pi)
     log_pref = 1.5 * math.log(n) - 0.5 * math.log(2.0 * math.pi)
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        return _real_part(log_pref - 0.5 * n * u * u, h_imag_cdf(u), n)
+        try:
+            inner = h_imag_cdf(u)
+        except OverflowBoundError:
+            # the nodes run to the envelope's cutoff, so the tolerance asks for
+            # a tail past the table's end, where no level can reach it
+            raise NonConvergenceError(
+                f"requested tolerance {cfg.abs_tol:.3e} lies below the roundoff/truncation floor for"
+                f" this integrand: its cutoff passes |u| = {Y_MAX}, where h_imag_cdf ends"
+            ) from None
+        return _real_part(log_pref - 0.5 * n * u * u, inner, n)
 
     # |Phi(iu)| <= (1/2)*(1+u)*exp(u^2/2), giving a sigma=1 Gaussian envelope
     envelope = DecayEnvelope(

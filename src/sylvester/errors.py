@@ -45,6 +45,8 @@ def integer_count(value, name: str) -> int:
     stored as an int, so it serializes as JSON; bool, float, str and None are
     refused.  Range checks stay with the caller.
     """
+    if type(value) is int:
+        return value
     if isinstance(value, bool):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     try:
@@ -59,8 +61,11 @@ def real_number(value, name: str) -> float:
     Any real number type is taken (int, Fraction, numpy's) and stored as a
     float; bool, complex, str and None are refused, and so is a number beyond
     the float range, which would overflow later as a raw OverflowError.
+    A built-in float is returned as it is, before any type check.
     Finiteness and range checks stay with the caller.
     """
+    if type(value) is float:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise DomainError(f"{name} must be a real number, got {value!r}")
     try:

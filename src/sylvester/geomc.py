@@ -258,6 +258,8 @@ def _sample_points(dist: Distribution, rng: np.random.Generator, count: int) -> 
 
 def sample_point(dist: Distribution, rng: np.random.Generator) -> np.ndarray:
     """One draw from dist using the supplied generator state (z/s, see `_sample`)."""
+    if not isinstance(rng, np.random.Generator):
+        raise DomainError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
     return _sample_points(dist, rng, 1)[0]
 
 

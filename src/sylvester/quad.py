@@ -12,8 +12,9 @@ Two pieces:
 
 * :class:`CumulativeIntegral` — a queryable evaluator for I(x) =
   integral_0^x g, built from 7-point Gauss-Legendre cells on a fixed grid.
-  A query at a node reads the prefix sum alone; only queries between nodes
-  evaluate g, on their partial cells.
+  A query at a node reads the prefix sum alone, and a run of consecutive
+  nodes reads one slice of them without a search; only queries between
+  nodes evaluate g, on their partial cells.
 
 Integrands work on arrays: ``f`` and ``g`` map an ndarray of nodes to an
 ndarray of the same shape.  ``integrate_line`` calls ``f`` once per step
@@ -140,6 +141,9 @@ class DecayEnvelope:
         # a non-finite parameter bounds nothing: a log_amplitude of -inf would certify any cutoff
         if not 0.0 < self.scale < math.inf:
             raise DomainError("envelope scale must be positive and finite")
+        # the Gaussian decay divides by scale^2, which must neither underflow to 0 nor overflow
+        if self.kind == "gaussian" and not 0.0 < self.scale * self.scale < math.inf:
+            raise DomainError(f"gaussian envelope scale {self.scale!r} has a square outside the float range")
         if not 0 <= self.poly_degree < math.inf:
             raise DomainError("envelope poly_degree must be >= 0 and finite")
         if not -math.inf < self.log_amplitude < math.inf:
@@ -386,9 +390,23 @@ class CumulativeIntegral:
         self._prefix = prefix - prefix[zero_pos]
 
     def __call__(self, x):
+        """I at x: an array of x's shape, or a float for a 0-d x.
+
+        A run of consecutive grid points in grid order, such as the nodes the
+        grid was built on, is read straight from the prefix sums.  Any other
+        query is located by search (its absolute value, then mirrored, for an
+        even integrand) and refused outside the grid's hull; one at a node
+        reads its prefix sum, one between nodes adds its partial cell.  Both
+        ways give a node the same bits.
+        """
         x = np.asarray(x, dtype=float)
         queries = x.ravel()
-        if self._even:
+        grid = self._grid
+        start = int(grid.searchsorted(queries[0])) if queries.size else 0
+        stop = start + queries.size
+        if stop <= grid.size and (grid[start:stop] == queries).all():
+            value = self._prefix[start:stop].copy()
+        elif self._even:
             value = self._lookup(np.abs(queries))
             np.negative(value, out=value, where=queries < 0.0)
         else:

@@ -206,6 +206,17 @@ class TestCompute:
         assert out == ""
         assert "floor" in err or "refinements" in err
 
+    @pytest.mark.parametrize("d", [2, 5, 30])
+    def test_gaussian_tolerance_past_the_table_exits_3(self, capsys, d):
+        # the envelope's cutoff passes h_imag_cdf's Y_MAX before a level can
+        # report the floor; this exited 2 with h_imag_cdf's overflow message
+        code, out, err = run_cli(
+            capsys, "compute", "--family", "gauss", "--dim", str(d), "--method", "quadrature",
+            "--tol", "1e-300",
+        )
+        assert (code, out) == (3, "")
+        assert "lies below the roundoff/truncation floor" in err
+
     def test_tight_tolerance_converges(self, capsys):
         # abs_tol is 1e-16 here, a floor the real-part integral reaches
         code, out, _ = run_cli(

@@ -143,6 +143,13 @@ FAMILIES = (("gaussian", lambda d: None), ("beta", lambda d: 0.0), ("beta", lamb
 
 
 class TestSampling:
+    @pytest.mark.parametrize("rng", [None, np.random.RandomState(1), 7], ids=["None", "RandomState", "int"])
+    def test_point_needs_a_generator(self, rng):
+        # None raised a raw AttributeError, a RandomState a TypeError from its standard_normal
+        with pytest.raises(DomainError, match=r"rng must be a numpy\.random\.Generator"):
+            sample_point(Distribution("gaussian", 3), rng)
+        assert sample_point(Distribution("gaussian", 3), _rng()).shape == (3,)
+
     def test_beta_support(self):
         pts = _sample_points(Distribution("beta", 3, 0.5), _rng(), 100_000)
         assert (np.linalg.norm(pts, axis=1) <= 1.0 + 1e-12).all()

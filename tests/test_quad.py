@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sylvester import quad
-from sylvester.errors import DomainError, NonConvergenceError
+from sylvester.errors import DomainError, NonConvergenceError, SylvesterError
 from sylvester.quad import (
     CumulativeIntegral,
     DecayEnvelope,
@@ -290,6 +290,26 @@ def test_envelope_validation():
             DecayEnvelope("gaussian", scale, poly_degree, log_amplitude)
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "exponential"])
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e200, 1e300])
+def test_extreme_envelope_scales_give_a_value_or_a_typed_error(kind, scale):
+    # a Gaussian scale of 1e-300 raised a raw ZeroDivisionError in integrate_line,
+    # one of 1e200 or 1e300 a raw OverflowError from scale**2
+    try:
+        envelope = DecayEnvelope(kind, scale, 2, 1.0)
+    except DomainError as exc:
+        assert kind == "gaussian" and "square outside the float range" in str(exc)
+        return
+    for x in (0.0, 1e-300, 1.0, 1e300):
+        assert not math.isnan(envelope.log_value(x))
+        assert not math.isnan(envelope.log_tail_bound(x))
+    try:
+        result = integrate_line(lambda x: np.exp(-np.abs(x)), envelope)
+    except SylvesterError:
+        return
+    assert math.isfinite(result.value) and result.abs_error_estimate >= 0.0
+
+
 def test_config_validation():
     with pytest.raises(DomainError):
         QuadratureConfig(rel_tol=0.0)
@@ -444,6 +464,60 @@ class TestCumulativeIntegral:
         for q in rng.uniform(grid[1], grid[-1], 25):
             with_node = CumulativeIntegral(g, np.sort(np.append(grid, q)), even_integrand=even)
             assert evaluator(q) == with_node(q)
+
+    @staticmethod
+    def _searching(even):
+        """(grid, evaluator, calls): the evaluator's searches are counted in calls."""
+        half = np.sort(np.random.default_rng(5).uniform(0.0, 4.0, 30))
+        grid = np.concatenate(([0.0], half)) if even else np.concatenate((-half[::-1], [0.0], half))
+        evaluator = CumulativeIntegral(lambda y: np.cosh(y) ** 3, grid, even_integrand=even)
+        calls = []
+        lookup = evaluator._lookup
+
+        def counted(x):
+            calls.append(x.size)
+            return lookup(x)
+
+        evaluator._lookup = counted
+        return grid, evaluator, calls
+
+    @pytest.mark.parametrize("even", [False, True])
+    def test_a_run_of_grid_points_is_read_from_the_prefix(self, even):
+        grid, evaluator, calls = self._searching(even)
+        zero = int(np.flatnonzero(grid == 0.0)[0])
+        between = 0.5 * (grid[1] + grid[2])
+
+        def searched(queries):
+            # a point between nodes keeps every query on the search path
+            value = evaluator(np.append(queries, between))[:-1]
+            return float(value[0]) if np.ndim(queries) == 0 else value.reshape(np.shape(queries))
+
+        runs = [grid[1:], grid, grid[3:11], grid[3:11].reshape(2, 4), grid[5], float(grid[5]),
+                np.empty(0), np.empty((0, 3)), -0.0, np.array([-0.0, grid[zero + 1]])]
+        for queries in runs:
+            calls.clear()
+            value = evaluator(queries)
+            assert calls == []
+            reference = searched(queries)
+            assert type(value) is type(reference)
+            assert np.shape(value) == np.shape(reference)
+            assert np.asarray(value).tobytes() == np.asarray(reference).tobytes()
+        assert evaluator(-0.0) == 0.0 and not math.copysign(1.0, evaluator(-0.0)) < 0.0
+
+    @pytest.mark.parametrize("even", [False, True])
+    def test_other_queries_are_searched(self, even):
+        grid, evaluator, calls = self._searching(even)
+        run = grid[2:12]
+        permuted = run[[1, 0] + list(range(2, run.size))]
+        with_between = np.insert(run, 4, 0.5 * (run[3] + run[4]))
+        for queries in (permuted, with_between, run[::-1], run[::2]):
+            calls.clear()
+            values = evaluator(queries)
+            assert calls == [queries.size]
+            assert np.array_equal(values, np.array([evaluator(float(x)) for x in queries]))
+        for queries in (math.nan, np.append(run, math.nan), grid[-1] + 1.0, np.append(grid, grid[-1] + 1.0)):
+            with pytest.raises(DomainError, match="outside the grid hull"):
+                evaluator(queries)
 
 
 def test_gl_integrals_sum_each_cell_in_one_fixed_order():
