@@ -49,7 +49,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError, OverflowBoundError, integer_count
+from .errors import DomainError, NonConvergenceError, OverflowBoundError, integer_count, real_number
 from .quad import (
     DEFAULT_CONFIG,
     CumulativeIntegral,
@@ -186,6 +186,7 @@ def _cosh_kernel_evaluation(
 def beta_angle_sum(n: int, beta: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> EvalResult:
     """Expected angle sum of the beta simplex with n vertices."""
     n = _check_n(n, minimum=3)
+    beta = real_number(beta, "beta")
     if n == 3:
         if not beta >= -1.0:
             raise DomainError(
@@ -211,6 +212,7 @@ def beta_prime_angle_sum(
 ) -> EvalResult:
     """Expected angle sum of the beta-prime simplex with n vertices."""
     n = _check_n(n, minimum=2)
+    beta = real_number(beta, "beta")
     threshold = 0.5 * (n - 1) + 0.5 / n
     if not beta > threshold:
         raise DomainError(

@@ -1,9 +1,13 @@
-"""Exception hierarchy shared by all modules, and the one rule each for integer counts and real numbers."""
+"""Exception hierarchy shared by all modules, and the one rule each for
+integer counts (``integer_count``), real numbers (``real_number``) and real
+arrays (``real_array``) that enter the package."""
 
 from __future__ import annotations
 
 import numbers
 import operator
+
+import numpy as np
 
 
 class SylvesterError(Exception):
@@ -72,3 +76,36 @@ def real_number(value, name: str) -> float:
         return float(value)
     except OverflowError:
         raise DomainError(f"{name} must lie in the float range") from None
+
+
+# native float64 arrays share this one dtype object, so the fast path compares by identity
+_FLOAT64 = np.dtype(np.float64)
+
+
+def real_array(values, message: str) -> np.ndarray:
+    """values as a float64 ndarray, or DomainError(message).
+
+    The array form of ``real_number``: a float64 ndarray is returned as it is;
+    anything else goes through np.asarray and is taken only with an int, uint
+    or float dtype, or as an object array whose every element ``real_number``
+    takes (Fraction, ints beyond int64), and is then cast to float64.  The
+    dtype is checked before any cast, so a complex array is refused, not cut
+    to its real part; bool, complex, str (numeric str too), None, ragged input
+    and numbers beyond the float range are refused.  Shape and finiteness
+    checks stay with the caller.
+    """
+    if type(values) is np.ndarray and values.dtype is _FLOAT64:
+        return values
+    try:
+        array = np.asarray(values)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(message) from None
+    if array.dtype.kind == "O":
+        try:
+            reals = [real_number(v, "value") for v in array.flat]
+        except DomainError:
+            raise DomainError(message) from None
+        return np.array(reals, dtype=np.float64).reshape(array.shape)
+    if array.dtype.kind not in "iuf":
+        raise DomainError(message)
+    return array.astype(np.float64, copy=False)

@@ -54,7 +54,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, DomainError, OverflowBoundError, integer_count
+from .errors import DegenerateGeometryError, DomainError, OverflowBoundError, integer_count, real_array
 from .probability import Distribution
 
 # trials per RNG block; fixed so results never depend on worker count
@@ -265,12 +265,10 @@ def sample_point(dist: Distribution, rng: np.random.Generator) -> np.ndarray:
 
 def _finite_array(values, what: str) -> np.ndarray:
     """values as a float array; DomainError, naming `what`, if they are ragged, not numbers or not finite."""
-    try:
-        array = np.asarray(values, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        array = None
-    if array is None or not np.isfinite(array).all():
-        raise DomainError(f"need {what}: a rectangular array of finite numbers")
+    message = f"need {what}: a rectangular array of finite numbers"
+    array = real_array(values, message)
+    if not np.isfinite(array).all():
+        raise DomainError(message)
     return array
 
 

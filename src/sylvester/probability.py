@@ -37,6 +37,16 @@ FAMILIES = ("gaussian", "beta", "beta_prime")
 MAX_DIMENSION = 10**6
 
 
+def _dimension(d) -> int:
+    """d as a plain int, once it lies in [1, MAX_DIMENSION]."""
+    d = integer_count(d, "dimension d")
+    if d < 1:
+        raise DomainError(f"dimension d must be an integer >= 1, got {d!r}")
+    if d > MAX_DIMENSION:
+        raise DomainError("dimension d must be at most 10**6: no route keeps its error bar beyond it")
+    return d
+
+
 @dataclass(frozen=True)
 class Distribution:
     """One of the three supported point distributions on R^d.
@@ -55,11 +65,7 @@ class Distribution:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        object.__setattr__(self, "d", integer_count(self.d, "dimension d"))
-        if self.d < 1:
-            raise DomainError(f"dimension d must be an integer >= 1, got {self.d!r}")
-        if self.d > MAX_DIMENSION:
-            raise DomainError("dimension d must be at most 10**6: no route keeps its error bar beyond it")
+        object.__setattr__(self, "d", _dimension(self.d))
         if self.family == "gaussian":
             if self.beta is not None:
                 raise DomainError("gaussian distribution takes no beta parameter")
@@ -150,7 +156,5 @@ def cauchy_asymptotic(d: int) -> float:
     approximation, not an exact value, and it is never substituted for a
     probability; the quadrature route serves exact queries.
     """
-    d = integer_count(d, "dimension d")
-    if d < 1:
-        raise DomainError(f"dimension d must be an integer >= 1, got {d!r}")
+    d = _dimension(d)
     return 2.0 * math.sqrt(3.0) * d * math.pi ** (-d - 1)

@@ -37,7 +37,7 @@ from typing import Callable, Literal, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError, real_number
+from .errors import DomainError, NonConvergenceError, real_array, real_number
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -309,10 +309,7 @@ def integrate_line(
 
 def _integrand_values(values, nodes: np.ndarray) -> np.ndarray:
     """An integrand's output at nodes as a float array of their shape; DomainError for anything else."""
-    try:
-        array = np.asarray(values, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError("integrand returned values that are not real numbers") from None
+    array = real_array(values, "integrand returned values that are not real numbers")
     if array.shape != nodes.shape:
         raise DomainError(f"integrand returned shape {array.shape} for nodes of shape {nodes.shape}")
     return array
@@ -361,10 +358,7 @@ class CumulativeIntegral:
         x_points: Sequence[float],
         even_integrand: bool = False,
     ):
-        try:
-            grid = np.asarray(x_points, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise DomainError("CumulativeIntegral grid must be a 1-d array of real numbers") from None
+        grid = real_array(x_points, "CumulativeIntegral grid must be a 1-d array of real numbers")
         if grid.ndim != 1 or grid.size < 2:
             raise DomainError("CumulativeIntegral needs a 1-d grid with at least two points")
         if not (grid[1:] > grid[:-1]).all():
@@ -390,7 +384,7 @@ class CumulativeIntegral:
         self._prefix = prefix - prefix[zero_pos]
 
     def __call__(self, x):
-        """I at x: an array of x's shape, or a float for a 0-d x.
+        """I at x, taken by ``errors.real_array``: an array of x's shape, or a float for a 0-d x.
 
         A run of consecutive grid points in grid order, such as the nodes the
         grid was built on, is read straight from the prefix sums.  Any other
@@ -399,7 +393,7 @@ class CumulativeIntegral:
         reads its prefix sum, one between nodes adds its partial cell.  Both
         ways give a node the same bits.
         """
-        x = np.asarray(x, dtype=float)
+        x = real_array(x, "CumulativeIntegral queries must be real numbers")
         queries = x.ravel()
         grid = self._grid
         start = int(grid.searchsorted(queries[0])) if queries.size else 0

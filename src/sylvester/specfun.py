@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, OverflowBoundError
+from .errors import DomainError, OverflowBoundError, real_array
 
 # exp(y^2/2) must stay ~700x below the float64 maximum at y = Y_MAX
 Y_MAX = 37.5
@@ -115,10 +115,10 @@ def h_imag_cdf(y):
     Nondecreasing in floating point as well (strictly increasing in exact
     arithmetic): each anchor's polynomial has positive coefficients, so its
     rounded value never falls as u grows, and it is capped at the next
-    anchor's value.  Raises DomainError for nan and OverflowBoundError for
-    |y| > Y_MAX, where exp(y^2/2) would approach the float64 range.
+    anchor's value.  Raises DomainError for nan or a y that is not real
+    (``errors.real_array``) and OverflowBoundError for |y| > Y_MAX.
     """
-    y = np.asarray(y, dtype=float)
+    y = real_array(y, "h_imag_cdf requires real numbers")
     a = np.abs(y).ravel()
     # one pass: the maximum is nan if any argument is
     top = a.max(initial=0.0)

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -119,6 +120,20 @@ class TestBetaPrimeAngleSum:
         with pytest.raises(DomainError, match="does not converge"):
             beta_prime_angle_sum(4, threshold)
         assert beta_prime_angle_sum(4, threshold + 0.05).value > 0.0
+
+
+@pytest.mark.parametrize("angle_sum, beta", [(beta_angle_sum, 0.25), (beta_prime_angle_sum, 3.25)],
+                         ids=["beta", "beta_prime"])
+class TestBetaIsARealNumber:
+    @pytest.mark.parametrize("bad", ["1", 10**400, True, 1j], ids=["str", "beyond-float", "bool", "complex"])
+    def test_refused(self, angle_sum, beta, bad):
+        with pytest.raises(DomainError, match="beta must (be a real number|lie in the float range)"):
+            angle_sum(5, bad)
+
+    def test_real_types_give_the_floats_result(self, angle_sum, beta):
+        expected = angle_sum(5, beta)
+        for given in (np.float64(beta), Fraction(beta)):
+            assert angle_sum(5, given) == expected
 
 
 class TestSharedProperties:

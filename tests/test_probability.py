@@ -387,3 +387,11 @@ class TestCauchyAsymptotic:
         with pytest.raises(DomainError, match="must be an integer"):
             cauchy_asymptotic(True)
         assert cauchy_asymptotic(np.int64(2)) == cauchy_asymptotic(2)
+
+    @pytest.mark.parametrize("d, message", [(0, ">= 1"), (10**6 + 1, "at most 10"), (10**400, "at most 10"),
+                                            (True, "must be an integer"), (2.0, "must be an integer")],
+                             ids=["zero", "above-ceiling", "beyond-float", "bool", "float"])
+    def test_dimension_rule_is_the_distributions(self, d, message):
+        for call in (cauchy_asymptotic, lambda d: Distribution("gaussian", d)):
+            with pytest.raises(DomainError, match=message):
+                call(d)
