@@ -73,14 +73,26 @@ _LN2 = math.log(2.0)
 
 
 def _log_cosh(x: np.ndarray) -> np.ndarray:
+    # |x| + log1p(exp(-2|x|)) - log 2, in place in one new array
     a = np.abs(x)
-    return a + np.log1p(np.exp(-2.0 * a)) - _LN2
+    out = -2.0 * a
+    np.log1p(np.exp(out, out=out), out=out)
+    out += a
+    out -= _LN2
+    return out
 
 
 def _real_part(log_weight: np.ndarray, inner: np.ndarray, n: int) -> np.ndarray:
     """Re[exp(log_weight) * (1/2 + i*inner)^(n-1)], the power taken in log space."""
-    log_modulus = log_weight + (n - 1) * np.log(np.hypot(0.5, inner))
-    return np.exp(log_modulus) * np.cos((n - 1) * np.arctan2(inner, 0.5))
+    log_modulus = np.hypot(0.5, inner)
+    np.log(log_modulus, out=log_modulus)
+    log_modulus *= n - 1
+    log_modulus += log_weight
+    phase = np.arctan2(inner, 0.5)
+    phase *= n - 1
+    np.exp(log_modulus, out=log_modulus)
+    log_modulus *= np.cos(phase, out=phase)
+    return log_modulus
 
 
 def _check_n(n: int, minimum: int) -> int:

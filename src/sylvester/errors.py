@@ -91,8 +91,10 @@ def real_array(values, message: str) -> np.ndarray:
     takes (Fraction, ints beyond int64), and is then cast to float64.  The
     dtype is checked before any cast, so a complex array is refused, not cut
     to its real part; bool, complex, str (numeric str too), None, ragged input
-    and numbers beyond the float range are refused.  Shape and finiteness
-    checks stay with the caller.
+    and numbers beyond the float range are refused, and so is a bool inside a
+    sequence of numbers, whose dtype it takes.  An element ``real_number``
+    refuses appends its reason to the message.  Shape and finiteness checks
+    stay with the caller.
     """
     if type(values) is np.ndarray and values.dtype is _FLOAT64:
         return values
@@ -101,11 +103,18 @@ def real_array(values, message: str) -> np.ndarray:
     except (TypeError, ValueError, OverflowError):
         raise DomainError(message) from None
     if array.dtype.kind == "O":
-        try:
-            reals = [real_number(v, "value") for v in array.flat]
-        except DomainError:
-            raise DomainError(message) from None
-        return np.array(reals, dtype=np.float64).reshape(array.shape)
+        return np.array(_real_elements(array.flat, message), dtype=np.float64).reshape(array.shape)
     if array.dtype.kind not in "iuf":
         raise DomainError(message)
+    if array.ndim and not isinstance(values, np.ndarray):
+        elements = np.asarray(values, dtype=object).flat
+        _real_elements([v for v in elements if isinstance(v, (bool, np.bool_))], message)
     return array.astype(np.float64, copy=False)
+
+
+def _real_elements(elements, message: str) -> list:
+    """The elements as floats by ``real_number``, or DomainError(message) with its reason appended."""
+    try:
+        return [real_number(v, "value") for v in elements]
+    except DomainError as exc:
+        raise DomainError(f"{message}: {exc}") from None

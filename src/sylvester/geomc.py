@@ -64,6 +64,10 @@ BLOCK_TRIALS = 1 << 14
 # and Philox counters stop below 2^256
 MAX_TRIALS = BLOCK_TRIALS << 128
 
+# most worker threads a call starts: each holds one block's work slot, allocated
+# before any worker runs, 210 MB at d = 38
+MAX_WORKERS = 64
+
 # values in one row of the batched QR's work array, d+3 per trial, so a
 # sub-block holds _QR_ROW_VALUES // (d+3) trials: each QR step works on a few
 # such 384 KB rows, which stay in a 2 MB L2 cache, and rows this long keep
@@ -104,8 +108,8 @@ class McConfig:
             )
         if not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if self.workers < 1:
-            raise DomainError(f"workers must be a positive integer, got {self.workers!r}")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise DomainError(f"workers must be an integer in [1, {MAX_WORKERS}], got {self.workers!r}")
 
 
 @dataclass(frozen=True)

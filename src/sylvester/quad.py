@@ -11,8 +11,9 @@ Two pieces:
   envelope is a required input, never inferred from samples.
 
 * :class:`CumulativeIntegral` — a queryable evaluator for I(x) =
-  integral_0^x g, built from 7-point Gauss-Legendre cells on a fixed grid.
-  A query at a node reads the prefix sum alone, and a run of consecutive
+  integral_0^x g, built from 7-point Gauss-Legendre cells on a fixed grid
+  as prefix sums, shifted to vanish at 0 unless the grid starts there.  A
+  query at a node reads its prefix sum alone, and a run of consecutive
   nodes reads one slice of them without a search; only queries between
   nodes evaluate g, on their partial cells.
 
@@ -24,9 +25,11 @@ level on all of that level's nodes;
 query's value the same as when asked alone.
 
 Every weighted sum has one fixed order and calls no BLAS: a Gauss-Legendre
-cell adds its seven weighted values left to right, a trapezoid level is one
-numpy sum.  So no result depends on the BLAS kernel, its threads or how cells
-are batched into calls of ``g``: identical inputs give bit-identical results.
+cell adds its seven weighted values left to right, and a trapezoid level's
+value, every-other-node value, roundoff sum and finiteness test are each a
+single ufunc reduction (``np.add.reduce``, ``np.logical_and.reduce``).  So
+no result depends on the BLAS kernel, its threads or how cells are batched
+into calls of ``g``: identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
@@ -40,6 +43,10 @@ import numpy as np
 from .errors import DomainError, NonConvergenceError, real_array, real_number
 
 _EPS = float(np.finfo(np.float64).eps)
+
+# ndarray.sum() and .all() as the ufunc reductions they wrap, without the method's dispatch
+_sum = np.add.reduce
+_all = np.logical_and.reduce
 
 # 7-point Gauss-Legendre abscissae and weights on [-1, 1], for the cumulative
 # evaluator; tabulated rather than computed so every build is bit-reproducible
@@ -202,9 +209,13 @@ def _levels(t_lo: float, t_hi: float):
     """
     h = _FIRST_STEP
     for _ in range(_MAX_REFINEMENTS):
-        t = t_hi - h * np.arange(math.ceil((t_hi - t_lo) / h), -1, -1)
-        x = np.exp(0.5 * math.pi * np.sinh(t))
-        yield x, h * 0.5 * math.pi * np.cosh(t) * x
+        # in place, on the operands of t_hi - h*m, exp((pi/2) sinh t) and h*(pi/2)*cosh(t)*x
+        t = np.arange(float(math.ceil((t_hi - t_lo) / h)), -1.0, -1.0)
+        np.subtract(t_hi, np.multiply(t, h, out=t), out=t)
+        x = np.sinh(t)
+        np.exp(np.multiply(x, 0.5 * math.pi, out=x), out=x)
+        weights = np.multiply(np.cosh(t, out=t), h * 0.5 * math.pi, out=t)
+        yield x, np.multiply(weights, x, out=weights)
         h *= 0.5
 
 
@@ -262,20 +273,23 @@ def integrate_line(
         if on_refinement is not None:
             on_refinement(points)
         values = _integrand_values(f(points), points)
-        if not np.isfinite(values).all():
+        if not _all(np.isfinite(values), axis=None):
             raise DomainError("integrand returned a non-finite value inside the truncated domain")
         nodes_used += points.size
         weighted = values * weights
-        value = factor * float(weighted.sum())
+        value = factor * float(_sum(weighted, axis=None))
         if previous_value is None:
             # the first level is checked against every other one of its own
             # nodes (t = t_hi - m*h, m even): the level of twice its step
             every_other = slice((x.size - 1) % 2, None, 2)
-            previous_value = 2.0 * factor * float(weighted[..., every_other].sum())
+            previous_value = 2.0 * factor * float(_sum(weighted[..., every_other], axis=None))
         disc = abs(value - previous_value)
-        roundoff = 50.0 * _EPS * factor * float(np.abs(weighted).sum())
+        roundoff = 50.0 * _EPS * factor * float(_sum(np.abs(weighted), axis=None))
         # the skipped heads [0, x_0] on both sides, f taken at its value at the first node x_0
-        head = factor * float(x[0] * np.abs(values[..., 0]).sum())
+        if symmetric:
+            head = factor * (float(x[0]) * abs(float(values[0])))
+        else:
+            head = factor * float(x[0] * _sum(np.abs(values[:, 0])))
         floor = tail + head + roundoff
         estimate = disc + floor
         result = EvalResult(value, estimate, "quadrature", nodes_used)
@@ -322,20 +336,21 @@ def _gl_integrals(g: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.
     call.  A cell adds its weighted values left to right, so its integral is
     the same in any call, alone or among other cells.
     """
-    out = np.empty(lo.size)
-    for start in range(0, lo.size, _BLOCK_CELLS):
-        a = lo[start : start + _BLOCK_CELLS]
-        b = hi[start : start + _BLOCK_CELLS]
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        # built node-major and transposed, so each node's column is contiguous
-        nodes = (mid + half * _GL_NODES[:, None]).T
-        weighted = _integrand_values(g(nodes), nodes) * _GL_WEIGHTS
-        sums = weighted[:, 0] + weighted[:, 1]
-        for k in range(2, _GL_WEIGHTS.size):
-            sums += weighted[:, k]
-        out[start : start + a.size] = half * sums
-    return out
+    if lo.size > _BLOCK_CELLS:
+        return np.concatenate([
+            _gl_integrals(g, lo[start : start + _BLOCK_CELLS], hi[start : start + _BLOCK_CELLS])
+            for start in range(0, lo.size, _BLOCK_CELLS)
+        ])
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    # built node-major and transposed, so each node's column is contiguous
+    nodes = (mid + half * _GL_NODES[:, None]).T
+    weighted = _integrand_values(g(nodes), nodes) * _GL_WEIGHTS
+    sums = weighted[:, 0] + weighted[:, 1]
+    for k in range(2, _GL_WEIGHTS.size):
+        sums += weighted[:, k]
+    sums *= half
+    return sums
 
 
 _NON_FINITE_INTEGRAND = "CumulativeIntegral integrand returned a non-finite value on the grid"
@@ -361,7 +376,7 @@ class CumulativeIntegral:
         grid = real_array(x_points, "CumulativeIntegral grid must be a 1-d array of real numbers")
         if grid.ndim != 1 or grid.size < 2:
             raise DomainError("CumulativeIntegral needs a 1-d grid with at least two points")
-        if not (grid[1:] > grid[:-1]).all():
+        if not _all(grid[1:] > grid[:-1]):
             raise DomainError("CumulativeIntegral grid must be strictly increasing")
         # strict increase leaves only the ends to check for infinities
         if not (math.isfinite(grid[0]) and math.isfinite(grid[-1])):
@@ -377,11 +392,13 @@ class CumulativeIntegral:
         self._g = g
         self._grid = grid
         self._even = even_integrand
-        prefix = np.concatenate(([0.0], np.cumsum(_gl_integrals(g, grid[:-1], grid[1:]))))
+        prefix = np.zeros(grid.size)
+        np.add.accumulate(_gl_integrals(g, grid[:-1], grid[1:]), out=prefix[1:])
         # a non-finite cell leaves every later prefix entry non-finite
         if not math.isfinite(prefix[-1]):
             raise DomainError(_NON_FINITE_INTEGRAND)
-        self._prefix = prefix - prefix[zero_pos]
+        # a grid that starts at 0 is anchored already: x - 0.0 is x, to the bit
+        self._prefix = prefix - prefix[zero_pos] if zero_pos else prefix
 
     def __call__(self, x):
         """I at x, taken by ``errors.real_array``: an array of x's shape, or a float for a 0-d x.
@@ -398,7 +415,7 @@ class CumulativeIntegral:
         grid = self._grid
         start = int(grid.searchsorted(queries[0])) if queries.size else 0
         stop = start + queries.size
-        if stop <= grid.size and (grid[start:stop] == queries).all():
+        if stop <= grid.size and _all(grid[start:stop] == queries):
             value = self._prefix[start:stop].copy()
         elif self._even:
             value = self._lookup(np.abs(queries))

@@ -360,3 +360,18 @@ class TestOneCallPerIntegration:
         capsys.readouterr()
         assert code == 0
         assert counts == expected
+
+
+def test_in_place_kernels_have_the_bits_of_their_plain_formulas():
+    x = np.concatenate((np.linspace(-40.0, 40.0, 401), [0.0, -0.0, 1e-300, 710.0]))
+    for points in (x, x.reshape(5, 81)):
+        a = np.abs(points)
+        plain = a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
+        value = anglesums._log_cosh(points)
+        assert value.shape == points.shape and value.tobytes() == plain.tobytes()
+    inner = np.random.default_rng(8).uniform(-3.0, 3.0, x.size)
+    log_weight = 1.5 - 7.0 * anglesums._log_cosh(x)
+    for n in (2, 3, 12, 40):
+        log_modulus = log_weight + (n - 1) * np.log(np.hypot(0.5, inner))
+        plain = np.exp(log_modulus) * np.cos((n - 1) * np.arctan2(inner, 0.5))
+        assert anglesums._real_part(log_weight, inner, n).tobytes() == plain.tobytes()

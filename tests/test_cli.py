@@ -492,6 +492,21 @@ class TestMc:
         assert (code, out) == (2, "")
         assert "Monte Carlo accepts dimension d <= 38" in err
 
+    @pytest.mark.parametrize("workers", ["65", "100000"])
+    def test_workers_above_the_ceiling_exit_2_before_any_thread(self, capsys, monkeypatch, workers):
+        # one 210 MB work slot per worker at d = 38, all allocated before any worker starts
+        _refuse_work_arrays(monkeypatch)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(geomc, "ThreadPoolExecutor", no_pool)
+        code, out, err = run_cli(
+            capsys, "mc", "--family", "gauss", "--dim", "38", "--workers", workers, "--trials", "10000000",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "workers must be an integer in [1, 64]" in err
+
     def test_trials_beyond_the_generator_windows_exit_2(self, capsys, monkeypatch):
         # block i draws from Philox counters i << 128, so 2**142 trials is the most any call can run
         _refuse_work_arrays(monkeypatch)

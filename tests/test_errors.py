@@ -64,6 +64,7 @@ NOT_REAL_ARRAYS = {
     "None": None,
     "ragged": [[0.0, 1.0], [2.0]],
     "beyond-float": 10**400,
+    "bool-in-list": [True, 0.5],
 }
 
 
@@ -91,3 +92,15 @@ def test_real_array_keeps_the_values_of_real_input():
     evaluator = CumulativeIntegral(np.cosh, [-1, 0, 1])
     assert evaluator(Fraction(1, 2)) == CumulativeIntegral(np.cosh, [-1.0, 0.0, 1.0])(0.5)
     assert is_inside_simplex([Fraction(1, 4), 0], [[0, 0], [1, 0], [0, 1]])
+
+
+def test_a_refused_element_names_its_reason():
+    # the argument is real, but beyond the float range
+    with pytest.raises(DomainError) as refused:
+        h_imag_cdf(10**400)
+    assert str(refused.value) == "h_imag_cdf requires real numbers: value must lie in the float range"
+    # a bool among numbers would take their float dtype; real_number refuses it alone too
+    with pytest.raises(DomainError, match="^m: value must be a real number, got True$"):
+        real_array([True, 0.5], "m")
+    with pytest.raises(DomainError, match="value must be a real number, got True"):
+        is_inside_simplex([0.2, True], [[0, 0], [1, 0], [0, 1]])

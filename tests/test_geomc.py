@@ -23,6 +23,7 @@ from sylvester.errors import DegenerateGeometryError, DomainError, OverflowBound
 from sylvester.geomc import (
     BLOCK_TRIALS,
     MAX_TRIALS,
+    MAX_WORKERS,
     McConfig,
     SimplicialCone,
     _barycentric_batch,
@@ -820,6 +821,14 @@ class TestMcConfig:
         assert McConfig(trials=MAX_TRIALS, seed=1).trials == MAX_TRIALS
         with pytest.raises(DomainError, match=r"trials must be at most 2\*\*142"):
             McConfig(trials=MAX_TRIALS + 1, seed=1)
+
+    def test_workers_are_bounded_by_a_fixed_ceiling(self):
+        # every worker holds one work slot, allocated before any of them starts
+        assert MAX_WORKERS == 64
+        assert McConfig(trials=10, seed=1, workers=MAX_WORKERS).workers == MAX_WORKERS
+        for workers in (MAX_WORKERS + 1, 10**6, 10**400):
+            with pytest.raises(DomainError, match=r"workers must be an integer in \[1, 64\]"):
+                McConfig(trials=10, seed=1, workers=workers)
 
     def test_numpy_integers_are_stored_as_int(self):
         mc = McConfig(trials=np.int64(100), seed=np.uint64(2**64 - 1), workers=np.arange(3)[2])

@@ -544,3 +544,47 @@ def test_gl_integrals_sum_each_cell_in_one_fixed_order():
     cells = quad._gl_integrals(np.cosh, edges[:-1], edges[1:])
     for i in range(block - 3, block + 3):
         assert cells[i] == quad._gl_integrals(np.cosh, edges[i : i + 1], edges[i + 1 : i + 2])[0]
+
+
+def test_a_grid_of_several_blocks_gives_each_cell_its_one_block_bits():
+    block = quad._BLOCK_CELLS
+    edges = np.concatenate(([0.0], np.sort(np.random.default_rng(11).uniform(0.0, 5.0, 2 * block + 300))))
+    assert edges.size - 1 > block
+
+    def g(y):
+        return np.cosh(y) ** 3 - y
+
+    lo, hi = edges[:-1], edges[1:]
+    cells = quad._gl_integrals(g, lo, hi)
+    assert cells.shape == lo.shape
+    for start in range(0, cells.size, block):
+        alone = quad._gl_integrals(g, lo[start : start + block], hi[start : start + block])
+        assert cells[start : start + block].tobytes() == alone.tobytes()
+    evaluator = CumulativeIntegral(g, edges)
+    assert evaluator._prefix.tobytes() == np.concatenate(([0.0], np.add.accumulate(cells))).tobytes()
+
+
+@pytest.mark.parametrize("even", [False, True])
+def test_a_grid_from_0_keeps_its_running_sum_unshifted(even):
+    grid = np.concatenate(([0.0], np.sort(np.random.default_rng(13).uniform(0.0, 4.0, 60))))
+
+    def g(y):
+        return np.exp(-y) * np.cosh(3.0 * y)
+
+    evaluator = CumulativeIntegral(g, grid, even_integrand=even)
+    cells = quad._gl_integrals(g, grid[:-1], grid[1:])
+    expected = np.concatenate(([0.0], np.add.accumulate(cells)))
+    assert evaluator._prefix.tobytes() == expected.tobytes()
+    # the shift a grid with points below 0 takes leaves these bits as they are
+    assert (expected - expected[0]).tobytes() == expected.tobytes()
+
+
+def test_levels_have_the_bits_of_their_plain_formulas():
+    for t_lo, t_hi in ((-3.2, 2.7), (-5.8, 0.3), (-0.9, 3.1)):
+        h = quad._FIRST_STEP
+        for _, (x, weights) in zip(range(4), quad._levels(t_lo, t_hi)):
+            t = t_hi - h * np.arange(math.ceil((t_hi - t_lo) / h), -1, -1)
+            plain_x = np.exp(0.5 * math.pi * np.sinh(t))
+            assert x.tobytes() == plain_x.tobytes()
+            assert weights.tobytes() == (h * 0.5 * math.pi * np.cosh(t) * plain_x).tobytes()
+            h *= 0.5
