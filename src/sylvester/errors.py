@@ -91,10 +91,10 @@ def real_array(values, message: str) -> np.ndarray:
     takes (Fraction, ints beyond int64), and is then cast to float64.  The
     dtype is checked before any cast, so a complex array is refused, not cut
     to its real part; bool, complex, str (numeric str too), None, ragged input
-    and numbers beyond the float range are refused, and so is a bool inside a
-    sequence of numbers, whose dtype it takes.  An element ``real_number``
-    refuses appends its reason to the message.  Shape and finiteness checks
-    stay with the caller.
+    and numbers beyond the float range are refused, and so is a bool (or a
+    0-d bool array) inside a sequence of numbers, whose dtype it takes.  An
+    element ``real_number`` refuses appends its reason to the message.  Shape
+    and finiteness checks stay with the caller.
     """
     if type(values) is np.ndarray and values.dtype is _FLOAT64:
         return values
@@ -108,7 +108,7 @@ def real_array(values, message: str) -> np.ndarray:
         raise DomainError(message)
     if array.ndim and not isinstance(values, np.ndarray):
         elements = np.asarray(values, dtype=object).flat
-        _real_elements([v for v in elements if isinstance(v, (bool, np.bool_))], message)
+        _real_elements([v for v in elements if isinstance(v, bool) or getattr(v, "dtype", None) == np.bool_], message)
     return array.astype(np.float64, copy=False)
 
 

@@ -9,18 +9,18 @@ the convex hull of the other d+1.  That is the sign pattern of the one
 linear dependence among the d+2 lifted vectors in R^(d+1) (a singleton
 side), which positive rescales keep (Stolfi, "Oriented Projective
 Geometry", 1991).  Each trial is decided by one equilibrated Householder QR,
-`_solve`, run across a whole block at once with the trials on the last
-axis: every step is one numpy operation over all trials, and no step mixes
-two trials.  `_sample` draws a block straight into the QR's work arrays,
-one contiguous (coordinate, vector, trial) view per sub-block, in the same
-stream order as a row of (z, s) per point, so the layout changes no seeded
-count.  `_solve` is the only per-trial QR: it serves the simplex test and
-the one-cloud surfaces.  The two lemma estimators, the solid angle of a
-cone by uniform directions and the random projection of a simplex, have
-one fixed matrix each (the cone's R^-1, the simplex's lifted vertices); it
-is factored once per call, and each block's directions go through it by
-one BLAS-free map, `_fixed_map`.  Undecided trials are resampled by one
-loop, `_estimate`.
+`_solve`, run across a whole sub-block of trials at once with the trials on
+the last axis: every step is one numpy operation over all its trials, and no
+step mixes two trials.  `_sample` draws a sub-block straight into the QR's
+work array, one contiguous (coordinate, vector, trial) view of a worker's
+slot, in the same stream order as a row of (z, s) per point, so the layout
+changes no seeded count.  `_solve` is the only per-trial QR: it serves the
+simplex test and the one-cloud surfaces.  The two lemma estimators, the
+solid angle of a cone by uniform directions and the random projection of a
+simplex, have one fixed matrix each (the cone's R^-1, the simplex's lifted
+vertices); it is factored once per call, and each block's directions go
+through it by one BLAS-free map, `_fixed_map`.  Undecided trials are
+resampled by one loop, `_estimate`.
 
 Three rules hold throughout.  A per-trial sum adds its terms left to right,
 the same order for every trial.  A tolerance is TAU_RANK times the largest
@@ -29,19 +29,18 @@ by its largest |value| once, before any arithmetic (`_unit_scale`), so any
 scaled copy of the input, from subnormals to the largest double, gets the
 same answer.
 
-Reproducibility contract: trials are processed in fixed-size blocks and
-block i draws from a counter-based generator keyed by (seed, i), so the
-estimate is a pure function of (trials, seed) no matter how many workers
-partition the blocks.
+Reproducibility contract: trials are processed in fixed-size blocks, and
+block i draws its normals from Philox counters i << 128 on and its gammas
+from (i << 128) + 2**127 on, keyed by the seed, so the estimate is a pure
+function of (trials, seed), whatever the workers or sub-blocks that cut it.
 
-Ownership rule: a call owns a fixed amount of memory, one block per worker.
-It starts min(workers, blocks) workers, and before any of them runs, the
-calling thread allocates each one's work slot (for the simplex test, one
-flat `_slot` of min(BLOCK_TRIALS, trials) trials).  Each worker pulls blocks
-one at a time, and one cutter, `_work`, lays every block and resample batch
-out in its slot's leading trials: trials last, _QR_ROW_VALUES // (k+2) per
-sub-block.  The slots are freed when the call returns; nothing a draw
-returns is a view of its slot.
+Ownership rule: a call owns one sub-block per worker.  Before any of its
+min(workers, blocks) workers runs, the calling thread allocates each one's
+work slot (for the simplex test, one flat `_slot` of one sub-block).  Each
+worker pulls blocks one at a time and runs each block and resample batch one
+sub-block at a time: it draws, solves and classifies the sub-block in its
+slot and keeps only its success and undecided flags.  The slots are freed
+when the call returns; nothing a draw returns is a view of its slot.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -64,22 +63,24 @@ BLOCK_TRIALS = 1 << 14
 # and Philox counters stop below 2^256
 MAX_TRIALS = BLOCK_TRIALS << 128
 
-# most worker threads a call starts: each holds one block's work slot, allocated
-# before any worker runs, 210 MB at d = 38
+# block i's gammas start halfway through its Philox window, at (i << 128) + _SCALES_WINDOW
+_SCALES_WINDOW = 1 << 127
+
+# most worker threads a call starts: each holds one sub-block's work slot,
+# allocated before any worker runs, 15 MB at d = 38
 MAX_WORKERS = 64
 
 # values in one row of the batched QR's work array, d+3 per trial, so a
 # sub-block holds _QR_ROW_VALUES // (d+3) trials: each QR step works on a few
 # such 384 KB rows, which stay in a 2 MB L2 cache, and rows this long keep
-# numpy's per-call cost, and the GIL hand-offs between workers, small
+# numpy's per-call cost, and the GIL hand-offs between workers, small.  A
+# worker's slot holds one sub-block, about _QR_ROW_VALUES*(d+1) floats, and
+# `_sample` stages its draws in at most _QR_ROW_VALUES values
 _QR_ROW_VALUES = 49152
 
-# largest dimension Monte Carlo accepts.  The simplex test holds one block of
-# BLOCK_TRIALS*(d+1)*(d+3) floats per worker, 210 MB at d = 38 but 5.3 GB at
-# d = 200, all resident, since its gammas follow all its normals in the stream,
-# and it sees no success past d ~ 12 at any practical budget.
-# projection_experiment, with about (2n+3)*BLOCK_TRIALS floats a block, keeps
-# the same cap on n to match
+# largest dimension Monte Carlo accepts: it sees no success past d ~ 12 at any
+# practical budget, and d+2 = 40 points is where quadrature stops too.
+# projection_experiment keeps the same cap on n to match
 _MAX_DIMENSION = 38
 
 # rank / conditioning guard: a |diag R| within TAU_RANK of the largest rejects
@@ -123,9 +124,9 @@ class McResult:
     seed: int
 
 
-def _block_generator(seed: int, block_index: int) -> np.random.Generator:
-    # disjoint 2^128-state windows of one Philox stream per block
-    return np.random.Generator(np.random.Philox(key=seed, counter=block_index << 128))
+def _block_generator(seed: int, block_index: int, window: int = 0) -> np.random.Generator:
+    # disjoint 2^128-state windows of one Philox stream per block, read from `window` on
+    return np.random.Generator(np.random.Philox(key=seed, counter=(block_index << 128) + window))
 
 
 def _check_dimension(d: int, what: str, reason: str) -> None:
@@ -140,7 +141,7 @@ def _run_blocks(mc: McConfig, new_block: Callable[[], Callable[[int, int], objec
     times, before any worker starts, so a work slot it allocates lives outside
     the worker threads' arenas.  Each worker then pulls (index, size) pairs one
     at a time from one shared lazy iterator and adds up its own counts: the
-    call holds at most one block per worker, and no per-block list or future.
+    call holds at most one block's flags per worker, and no per-block list or future.
     """
     blocks = (mc.trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
     pairs = ((i, min(BLOCK_TRIALS, mc.trials - i * BLOCK_TRIALS)) for i in range(blocks))
@@ -163,23 +164,26 @@ def _run_blocks(mc: McConfig, new_block: Callable[[], Callable[[int, int], objec
 
 
 def _slot(k: int, size: int) -> np.ndarray:
-    """One worker's empty flat work buffer for `size` trials of k coordinates, cut by `_work`."""
-    return np.empty(size * k * (k + 2))
+    """One worker's empty flat work buffer for one sub-block of k coordinates, or `size` trials if fewer."""
+    return np.empty(min(_QR_ROW_VALUES // (k + 2), size) * k * (k + 2))
 
 
-def _work(slot: np.ndarray, k: int, size: int) -> list[tuple[np.ndarray, slice]]:
-    """The work arrays of `_qr_solve` for the first `size` trials of a slot, each with its trial slice.
+def _work(slot: np.ndarray, k: int, size: int) -> Iterator[tuple[np.ndarray, slice]]:
+    """The work arrays of `_qr_solve` for `size` trials, one sub-block at a time, each with its trial slice.
 
-    One contiguous (coordinate, vector, trial) view (k, k+2, n) per sub-block of
-    _QR_ROW_VALUES // (k+2) trials, in trial order (one empty view for no trials).
+    Each is the slot's leading values as one contiguous (coordinate, vector,
+    trial) view (k, k+2, n) of at most _QR_ROW_VALUES // (k+2) trials, so it
+    holds until the next one is taken.
     """
     step = _QR_ROW_VALUES // (k + 2)
-    spans = [slice(start, min(start + step, size)) for start in range(0, max(size, 1), step)]
-    return [(slot[t.start * k * (k + 2):t.stop * k * (k + 2)].reshape(k, k + 2, -1), t) for t in spans]
+    for start in range(0, size, step):
+        n = min(step, size - start)
+        yield slot[: n * k * (k + 2)].reshape(k, k + 2, n), slice(start, start + n)
 
 
-def _sample(dist: Distribution, rng: np.random.Generator, work: list[tuple[np.ndarray, slice]], vectors: int) -> None:
-    """Draw `vectors` points of dist per trial into the columns w[:d+1, :vectors] of each work array w.
+def _sample(dist: Distribution, normals: np.random.Generator, scales: np.random.Generator,
+            w: np.ndarray, vectors: int) -> None:
+    """Draw `vectors` points of dist per trial into the columns w[:d+1, :vectors] of a work array w.
 
     A point is written as the column (z, s), coordinates first and trials on
     the last axis, and the point is z/s.  z ~ N(0, I_d) and s >= 0: s = 1
@@ -190,39 +194,41 @@ def _sample(dist: Distribution, rng: np.random.Generator, work: list[tuple[np.nd
     is divided, so a heavy tail gives a small s, or s = 0 (a point at
     infinity), never an infinite coordinate.
 
-    The layout leaves the stream, and so every seeded count, as it was:
-    first the normals, point j of trial t in row t*vectors + j, drawn one
-    sub-block at a time into one reused buffer, then every gamma; |z|^2 adds
-    its d squares left to right.
+    The normals come from `normals`, point j of trial t in row t*vectors + j,
+    and then the gammas from `scales`, one per point in the same order, each
+    through one staging buffer of at most _QR_ROW_VALUES values (or one
+    trial's); |z|^2 adds its d squares left to right.  So the values depend
+    only on where the two streams stand, not on how the trials are cut into
+    work arrays.  The public samplers pass one generator as both.
     """
-    d = dist.d
-    normals = np.empty(max(w.shape[-1] for w, _ in work) * vectors * d)
-    for w, _ in work:
-        z = normals[: w.shape[-1] * vectors * d].reshape(-1, vectors, d)
-        rng.standard_normal(out=z)
-        points = w[: d + 1, :vectors]
+    d, size = dist.d, w.shape[-1]
+    points = w[: d + 1, :vectors]
+    chunk = max(1, _QR_ROW_VALUES // (vectors * d))  # trials per normal draw
+    stage = np.empty(min(chunk, size) * vectors * d)
+    for start in range(0, size, chunk):
+        z = stage[: min(chunk, size - start) * vectors * d].reshape(-1, vectors, d)
+        normals.standard_normal(out=z)
         for j in range(vectors):  # 2-D transposes: 1.4 to 2.5 times as fast as one 3-D transpose at d >= 8
-            points[:d, j] = z[:, j].T
-        s = points[d]
-        if dist.family == "gaussian":
-            s[...] = 1.0
-        elif dist.family == "beta":  # |z|^2 now, 2G once every normal is drawn
-            np.multiply(points[0], points[0], out=s)
-            for row in points[1:d]:
-                s += row * row
+            points[:d, j, start:start + chunk] = z[:, j].T
+    s = points[d]
     if dist.family == "gaussian":
+        s[...] = 1.0
         return
+    if dist.family == "beta":  # |z|^2 now, 2G next
+        np.multiply(points[0], points[0], out=s)
+        for row in points[1:d]:
+            s += row * row
     shape = _gamma_shape(dist)
-    size = work[-1][1].stop
-    twice_gamma = rng.standard_gamma(shape, size=size * vectors).reshape(size, vectors)
-    twice_gamma *= 2.0
-    for w, trials in work:
-        s = w[d, :vectors]
+    chunk = max(1, stage.size // vectors)  # trials per gamma draw
+    for start in range(0, size, chunk):
+        twice_gamma = stage[: min(chunk, size - start) * vectors].reshape(-1, vectors)
+        scales.standard_gamma(shape, out=twice_gamma)
+        twice_gamma *= 2.0
         if dist.family == "beta":
-            s += twice_gamma[trials].T
-            np.sqrt(s, out=s)
+            s[:, start:start + chunk] += twice_gamma.T
         else:
-            np.sqrt(twice_gamma[trials].T, out=s)
+            s[:, start:start + chunk] = twice_gamma.T
+    np.sqrt(s, out=s)
 
 
 def _gamma_shape(dist: Distribution) -> float:
@@ -239,7 +245,7 @@ def _gamma_shape(dist: Distribution) -> float:
 def _sample_lifted(dist: Distribution, rng: np.random.Generator, count: int) -> np.ndarray:
     """Draw `count` points from dist as (count, d+1) rows (z, s) of `_sample`; the point is z/s."""
     columns = np.empty((dist.d + 1, 1, count))
-    _sample(dist, rng, [(columns, slice(0, count))], 1)
+    _sample(dist, rng, rng, columns, 1)
     return columns[:, 0].T
 
 
@@ -285,27 +291,23 @@ def _barycentric_batch(lifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients lam of the last lifted vector in the first d+1, by `_solve`.
 
     lifted: finite (N, d+2, d+1), left unchanged; it is copied one sub-block
-    at a time into the leading trials of one slot of a sub-block, so a large
-    batch costs no second copy of itself.  Returns (lam (N, d+1), degenerate (N,)).
+    at a time into one slot of a sub-block, so a large batch costs no second
+    copy of itself.  Returns (lam (N, d+1), degenerate (N,)).
     """
     n_trials, m, k = lifted.shape
-    step = _QR_ROW_VALUES // (k + 2)
     lam = np.empty((k, n_trials))
     degenerate = np.empty(n_trials, dtype=bool)
-    slot = _slot(k, min(step, n_trials))
-    for start in range(0, n_trials, step):
-        trials = slice(start, start + step)
-        work = _work(slot, k, min(step, n_trials - start))
+    for work, trials in _work(_slot(k, n_trials), k, n_trials):
         for j in range(m):  # 2-D transposes: about twice as fast as one 3-D transpose at d = 20
-            work[0][0][:, j] = lifted[trials, j].T
+            work[:, j] = lifted[trials, j].T
         lam[:, trials], degenerate[trials] = _solve(work)
     return lam.T, degenerate
 
 
-def _solve(work: list[tuple[np.ndarray, slice]]) -> tuple[np.ndarray, np.ndarray]:
-    """The one per-trial solve (simplex test, one-cloud surfaces), over the work arrays of `_work`.
+def _solve(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one per-trial solve (simplex test, one-cloud surfaces), over one work array of `_work`.
 
-    Each work array w holds, per trial, the first d+1 lifted vectors (the matrix a)
+    The work array w holds, per trial, the first d+1 lifted vectors (the matrix a)
     and the last vector b as its first k+1 columns; it is overwritten.  Each
     coordinate is divided by its largest |value| in the trial, a positive
     diagonal map that keeps lam in a lam = b.  One Householder QR per trial
@@ -316,14 +318,9 @@ def _solve(work: list[tuple[np.ndarray, slice]]) -> tuple[np.ndarray, np.ndarray
     within TAU_RANK of the largest, as in `_frame`), estimate above
     1/TAU_RANK, or lam not finite.
     """
-    k = work[0][0].shape[0]
-    size = work[-1][1].stop
-    lam = np.empty((k, size))
-    degenerate = np.empty(size, dtype=bool)
+    lam = np.empty((w.shape[0], w.shape[-1]))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for w, trials in work:
-            degenerate[trials] = _qr_solve(w, lam[:, trials])
-    return lam, degenerate
+        return lam, _qr_solve(w, lam)
 
 
 def _qr_solve(w: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -437,11 +434,12 @@ def is_inside_simplex(x: Sequence[float], vertices: Sequence[Sequence[float]]) -
     return bool(_closed_inside(lam))
 
 
-def _estimate(mc: McConfig, new_draw: Callable[[], Callable[[np.random.Generator, int], tuple]]) -> McResult:
-    """Binomial estimate from draw(rng, size) -> per-trial fresh (success, undecided) arrays.
+def _estimate(mc: McConfig, new_draw: Callable[[], Callable[..., tuple]]) -> McResult:
+    """Binomial estimate from draw(normals, scales, size) -> per-trial fresh (success, undecided) arrays.
 
     new_draw() gives one worker its draw; `_run_blocks` calls it in the
-    calling thread, once per worker.  Undecided trials are resampled, which
+    calling thread, once per worker.  A block's draws read its two Philox
+    windows, normals and scales, in turn.  Undecided trials are resampled, which
     can move the estimate by the share resampled: more than sqrt(trials)/2 of
     them (trials times the largest binomial stderr) raises
     DegenerateGeometryError.  A pure function of (seed, trials).
@@ -452,12 +450,12 @@ def _estimate(mc: McConfig, new_draw: Callable[[], Callable[[np.random.Generator
         draw = new_draw()
 
         def block(block_index: int, size: int) -> np.ndarray:
-            rng = _block_generator(mc.seed, block_index)
-            success, undecided = draw(rng, size)
+            streams = _block_generator(mc.seed, block_index), _block_generator(mc.seed, block_index, _SCALES_WINDOW)
+            success, undecided = draw(*streams, size)
             resampled = undecided.sum()
             while undecided.any() and resampled <= limit:
                 redo = np.flatnonzero(undecided)
-                success[redo], undecided[redo] = draw(rng, redo.size)
+                success[redo], undecided[redo] = draw(*streams, redo.size)
                 resampled += undecided.sum()
             return np.array([success.sum(), resampled])
 
@@ -478,23 +476,25 @@ def estimate_sylvester(dist: Distribution, mc: McConfig) -> McResult:
     """Monte Carlo estimate of the simplex probability for dist: the sign rule on d+2 lifted points.
 
     Raises DomainError for d > 38, and OverflowBoundError where the point
-    scale overflows, before any array exists.  Each worker draws into one
-    `_slot`, allocated when the call starts.
+    scale overflows, before any array exists.  Each worker runs its blocks
+    one sub-block at a time in one `_slot`, allocated when the call starts.
     """
     d = dist.d
-    gigabytes = BLOCK_TRIALS * (d + 1) * (d + 3) * 8 / 1e9
-    _check_dimension(d, "dimension d", f"a block of {BLOCK_TRIALS} trials would take {gigabytes:.3g} GB per worker")
+    _check_dimension(d, "dimension d", "it sees no success past d ~ 12 at any practical budget, "
+                     "and quadrature stops at d+2 = 40 points")
     if dist.family != "gaussian":
         _gamma_shape(dist)
 
     def new_draw():
-        slot = _slot(d + 1, min(BLOCK_TRIALS, mc.trials))
+        slot = _slot(d + 1, mc.trials)
 
-        def draw(rng: np.random.Generator, size: int):
-            work = _work(slot, d + 1, size)
-            _sample(dist, rng, work, d + 2)
-            lam, degenerate = _solve(work)
-            return _sign_rule(lam.T, degenerate)
+        def draw(normals: np.random.Generator, scales: np.random.Generator, size: int):
+            success, undecided = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+            for work, trials in _work(slot, d + 1, size):
+                _sample(dist, normals, scales, work, d + 2)
+                lam, degenerate = _solve(work)
+                success[trials], undecided[trials] = _sign_rule(lam.T, degenerate)
+            return success, undecided
 
         return draw
 
@@ -565,7 +565,7 @@ def estimate_cone_angle(cone: SimplicialCone, mc: McConfig) -> McResult:
     k = r.shape[0]
     inverse = np.linalg.inv(r)
 
-    def draw(rng: np.random.Generator, size: int):
+    def draw(rng: np.random.Generator, _scales: np.random.Generator, size: int):
         directions = np.ascontiguousarray(rng.standard_normal((size, k)).T)
         return _closed_inside(_fixed_map(inverse, directions)), np.zeros(size, dtype=bool)
 
@@ -617,7 +617,7 @@ def projection_experiment(vertices: Sequence[Sequence[float]], mc: McConfig) -> 
     fixed = np.vstack((normal[:n], pinv[:, :n]))
     offset = pinv[:, n:]
 
-    def draw(rng: np.random.Generator, size: int):
+    def draw(rng: np.random.Generator, _scales: np.random.Generator, size: int):
         directions = np.ascontiguousarray(rng.standard_normal((size, n)).T)
         mapped = _fixed_map(fixed, directions)
         t, lam = mapped[0], mapped[1:]

@@ -494,7 +494,7 @@ class TestMc:
 
     @pytest.mark.parametrize("workers", ["65", "100000"])
     def test_workers_above_the_ceiling_exit_2_before_any_thread(self, capsys, monkeypatch, workers):
-        # one 210 MB work slot per worker at d = 38, all allocated before any worker starts
+        # one 15 MB work slot per worker at d = 38, all allocated before any worker starts
         _refuse_work_arrays(monkeypatch)
 
         def no_pool(*args, **kwargs):

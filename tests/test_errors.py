@@ -65,6 +65,7 @@ NOT_REAL_ARRAYS = {
     "ragged": [[0.0, 1.0], [2.0]],
     "beyond-float": 10**400,
     "bool-in-list": [True, 0.5],
+    "0-d-bool-array-in-list": [[0.5, 1.0], [np.array(False), 2]],
 }
 
 
@@ -102,5 +103,9 @@ def test_a_refused_element_names_its_reason():
     # a bool among numbers would take their float dtype; real_number refuses it alone too
     with pytest.raises(DomainError, match="^m: value must be a real number, got True$"):
         real_array([True, 0.5], "m")
+    with pytest.raises(DomainError, match=r"^m: value must be a real number, got array\(False\)$"):
+        real_array([[0.5, 1.0], [np.array(False), 2]], "m")
+    # a 0-d float array among numbers is a real number
+    assert real_array([[0.5, 1.0], [np.array(3.0), 2]], "m").tolist() == [[0.5, 1.0], [3.0, 2.0]]
     with pytest.raises(DomainError, match="value must be a real number, got True"):
         is_inside_simplex([0.2, True], [[0, 0], [1, 0], [0, 1]])

@@ -7,6 +7,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -60,8 +61,8 @@ COORDINATE = st.one_of(
 )
 
 
-def _rng(seed=123):
-    return _block_generator(seed, 0)
+def _rng(seed=123, window=0):
+    return _block_generator(seed, 0, window)
 
 
 def _exact_det(rows) -> Fraction:
@@ -92,42 +93,41 @@ def _exact_signs(trial) -> np.ndarray:
     return np.array([-np.sign(c) * np.sign(minors[-1]) for c in minors[:-1]], dtype=float)
 
 
-def _reference_rows(dist, rng, count) -> np.ndarray:
+def _reference_rows(dist, normals, scales, count) -> np.ndarray:
     """(count, d+1) rows (z, s) by the row formula: every normal, then every gamma, a running row sum."""
     d = dist.d
-    z = rng.standard_normal((count, d))
+    z = normals.standard_normal((count, d))
     if dist.family == "gaussian":
         s = np.ones(count)
     elif dist.family == "beta":
-        s = np.sqrt(np.cumsum(z * z, axis=1)[:, -1] + 2.0 * rng.standard_gamma(dist.beta + 1.0, size=count))
+        s = np.sqrt(np.cumsum(z * z, axis=1)[:, -1] + 2.0 * scales.standard_gamma(dist.beta + 1.0, size=count))
     else:
-        s = np.sqrt(2.0 * rng.standard_gamma(dist.beta - 0.5 * d, size=count))
+        s = np.sqrt(2.0 * scales.standard_gamma(dist.beta - 0.5 * d, size=count))
     return np.column_stack((z, s))
-
-
-def _layout_rows(work, vectors) -> np.ndarray:
-    """The points of the work arrays as (trials * vectors, d+1) rows, in trial order."""
-    return np.concatenate([w[:, :vectors].transpose(2, 1, 0) for w, _ in work]).reshape(-1, work[0][0].shape[0])
 
 
 def _reference_draw(dist):
     """A draw of `_estimate` for the simplex test: `_reference_rows` through `_barycentric_batch`."""
-    def draw(rng, size):
-        lifted = _reference_rows(dist, rng, size * (dist.d + 2)).reshape(size, dist.d + 2, dist.d + 1)
-        return _sign_rule(*_barycentric_batch(lifted))
+    def draw(normals, scales, size):
+        rows = _reference_rows(dist, normals, scales, size * (dist.d + 2))
+        return _sign_rule(*_barycentric_batch(rows.reshape(size, dist.d + 2, dist.d + 1)))
 
     return draw
 
 
 def _reference_successes(mc, draw) -> int:
-    """Successes of `_estimate`'s resampling loop, run block by block in the test."""
+    """Successes of `_estimate`'s resampling loop, run block by block in the test.
+
+    Block i's normals window starts at Philox counter i << 128, its scales window halfway through.
+    """
     successes = 0
     for index, start in enumerate(range(0, mc.trials, BLOCK_TRIALS)):
-        rng = _block_generator(mc.seed, index)
-        success, undecided = draw(rng, min(BLOCK_TRIALS, mc.trials - start))
+        normals = _block_generator(mc.seed, index)
+        scales = _block_generator(mc.seed, index, 2**127)
+        success, undecided = draw(normals, scales, min(BLOCK_TRIALS, mc.trials - start))
         while undecided.any():
             redo = np.flatnonzero(undecided)
-            success[redo], undecided[redo] = draw(rng, redo.size)
+            success[redo], undecided[redo] = draw(normals, scales, redo.size)
         successes += int(success.sum())
     return successes
 
@@ -190,6 +190,10 @@ class TestSampling:
         assert point.shape == (4,)
         assert np.linalg.norm(point) <= 1.0
 
+    def test_no_points(self):
+        for family, beta in FAMILIES:
+            assert _sample_points(Distribution(family, 3, beta(3)), _rng(), 0).shape == (0, 3), family
+
     def test_beta_prime_lifted_rows_stay_finite_at_the_threshold(self):
         # s^2 = 2 Gamma(1e-6) underflows to 0 for most draws: points at infinity, no inf or NaN
         lifted = _sample_lifted(Distribution("beta_prime", 2, 1.0 + 1e-6), _rng(), 10_000)
@@ -211,29 +215,35 @@ class TestSampling:
 
     @pytest.mark.parametrize("d", [*range(1, 13), 20, 38])
     def test_layout_holds_the_row_formula(self, d):
-        # byte for byte, with |z|^2 summed by rows left to right (numpy's running sum);
-        # two sub-blocks and a short third one, in a slot of their size and in the
-        # leading trials of a slot twice as large
-        size = 2 * (geomc._QR_ROW_VALUES // (d + 3)) + 37
+        # byte for byte, with |z|^2 summed by rows left to right (numpy's running sum):
+        # two sub-blocks and a short third one, each drawn by its own `_sample` call
+        # into the leading values of one slot of a sub-block, normals and scales
+        # each read on from where the last sub-block left its stream
+        step = geomc._QR_ROW_VALUES // (d + 3)
+        size = 2 * step + 37
         for family, beta in FAMILIES:
             if d == 1 and beta(d) == -1.0:
                 continue  # the sphere needs d >= 2
             dist = Distribution(family, d, beta(d))
-            expected = _reference_rows(dist, _rng(60 + d), size * (d + 2)).tobytes()
-            for slot in (_slot(d + 1, size), _slot(d + 1, 2 * size)):
-                work = _work(slot, d + 1, size)
-                assert [trials for _, trials in work] == [
-                    slice(start, min(start + geomc._QR_ROW_VALUES // (d + 3), size))
-                    for start in range(0, size, geomc._QR_ROW_VALUES // (d + 3))
-                ]
-                assert all(w.base is slot and w.flags.c_contiguous for w, _ in work)
-                _sample(dist, _rng(60 + d), work, d + 2)
-                rows = _layout_rows(work, d + 2)
-                assert rows.tobytes() == expected, (family, d)
+            expected = _reference_rows(dist, _rng(60 + d), _rng(60 + d, 2**127), size * (d + 2)).tobytes()
+            slot = _slot(d + 1, size)
+            assert slot.size == step * (d + 1) * (d + 3)
+            normals, scales = _rng(60 + d), _rng(60 + d, 2**127)
+            spans, rows = [], []
+            for w, trials in _work(slot, d + 1, size):
+                assert w.base is slot and w.flags.c_contiguous and w.shape == (d + 1, d + 3, trials.stop - trials.start)
+                _sample(dist, normals, scales, w, d + 2)
+                spans.append(trials)
+                rows.append(w[:, : d + 2].transpose(2, 1, 0).reshape(-1, d + 1).copy())
+            assert spans == [slice(0, step), slice(step, 2 * step), slice(2 * step, size)]
+            rows = np.concatenate(rows)
+            assert rows.tobytes() == expected, (family, d)
             if family == "beta_prime" and beta(d) < 0.5 * d + 0.1:
                 assert (rows[:, d] == 0.0).any()
+            # the public samplers read one generator: every normal, then every gamma
             lifted = _sample_lifted(dist, _rng(60 + d), 1_000)
-            assert lifted.tobytes() == _reference_rows(dist, _rng(60 + d), 1_000).tobytes(), (family, d)
+            rng = _rng(60 + d)
+            assert lifted.tobytes() == _reference_rows(dist, rng, rng, 1_000).tobytes(), (family, d)
 
 
 class TestInsideSimplex:
@@ -292,7 +302,7 @@ def _every_trial_undecided(monkeypatch):
     The simplex test then sees d+2 equal points, a rank-deficient system, and
     the projection experiment a zero direction, |t| <= TAU_RANK |u| with t = 0.
     """
-    monkeypatch.setattr(geomc, "_block_generator", lambda seed, block_index: _ZeroNormals())
+    monkeypatch.setattr(geomc, "_block_generator", lambda seed, block_index, window=0: _ZeroNormals())
 
 
 class TestEstimateSylvester:
@@ -343,13 +353,15 @@ class TestEstimateSylvester:
         assert len(messages) == 1
 
     def test_work_slots_are_allocated_by_the_calling_thread(self, monkeypatch):
-        # one slot per worker, made before any worker starts, reused by every block and resample batch
+        # one slot of one sub-block per worker, made before any worker starts, reused
+        # by every sub-block of every block and resample batch
         calls = []
         slot = geomc._slot
 
         def record(k, size):
-            calls.append((threading.get_ident(), size))
-            return slot(k, size)
+            made = slot(k, size)
+            calls.append((threading.get_ident(), made.size))
+            return made
 
         monkeypatch.setattr(geomc, "_slot", record)
         for dist, trials, workers in ((Distribution("gaussian", 2), 5 * BLOCK_TRIALS + 7, 2),
@@ -360,7 +372,9 @@ class TestEstimateSylvester:
             estimate_sylvester(dist, McConfig(trials=trials, seed=9, workers=workers))
             slots = min(workers, -(-trials // BLOCK_TRIALS))
             assert 1 <= len(calls) <= slots
-            assert set(calls) == {(threading.get_ident(), min(BLOCK_TRIALS, trials))}
+            d = dist.d
+            sub_block = min(geomc._QR_ROW_VALUES // (d + 3), trials)
+            assert set(calls) == {(threading.get_ident(), sub_block * (d + 1) * (d + 3))}
 
     def test_blocks_in_flight_are_bounded_by_the_workers(self, monkeypatch):
         # a block is in flight from its start until its counts are freed
@@ -414,6 +428,25 @@ class TestEstimateSylvester:
             mc = McConfig(trials=BLOCK_TRIALS + 5_000, seed=seed)
             assert estimate_sylvester(dist, mc).successes == _reference_successes(mc, _reference_draw(dist)), seed
 
+    def test_counts_do_not_depend_on_the_sub_block_size(self, monkeypatch):
+        # each stream is read on in trial order from one sub-block to the next, so
+        # sub-blocks of other sizes (and other staging chunks) give the same counts
+        mc = McConfig(trials=BLOCK_TRIALS + 4321, seed=9, workers=2)
+        dists = [Distribution(family, d, beta(d)) for family, beta in FAMILIES for d in [11 if beta(0) == 0.01 else 3]]
+        expected = [estimate_sylvester(dist, mc).successes for dist in dists]
+        for row_values in (4099, 997):
+            monkeypatch.setattr(geomc, "_QR_ROW_VALUES", row_values)
+            assert [estimate_sylvester(dist, mc).successes for dist in dists] == expected, row_values
+
+    def test_gaussian_counts_keep_their_stream(self):
+        # counts of the Gaussian simplex test, which draws no gamma, recorded while
+        # a block's gammas still followed its normals in one stream
+        pinned = {(2, 7): 70_475, (3, 99): 19_381, (5, 20242): 931}
+        for (d, seed), successes in pinned.items():
+            for workers in (1, 2, 8):
+                mc = McConfig(trials=200_000, seed=seed, workers=workers)
+                assert estimate_sylvester(Distribution("gaussian", d), mc).successes == successes, (d, seed, workers)
+
     def test_largest_dimension_runs(self):
         res = estimate_sylvester(Distribution("gaussian", 38), McConfig(trials=3, seed=1))
         assert res.trials == 3 and res.successes == 0
@@ -425,6 +458,34 @@ class TestEstimateSylvester:
             math.sqrt(res.estimate * (1.0 - res.estimate) / res.trials)
         )
         assert res.seed == 4
+
+
+def _traced_peak(call) -> int:
+    """Bytes by which the traced memory peaks above its level before call(); numpy traces its data buffers."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestMemory:
+    # each bound is about 1.25 times the peak measured with numpy 2.4 on Linux
+    def test_two_workers_hold_two_sub_blocks(self):
+        # 9.4 MB: two slots of 2.4 MB and their scratch; 18.0 MB when a worker held a whole block
+        dist = Distribution("beta", 5, 0.0)
+        assert _traced_peak(lambda: estimate_sylvester(dist, McConfig(200_000, seed=1, workers=2))) <= 11.8e6
+
+    def test_a_block_at_the_largest_dimension_holds_one_sub_block(self):
+        # 18.2 MB: a 15 MB slot of 1,198 trials and its scratch; 224 MB when the slot held the 16,384-trial block
+        dist = Distribution("gaussian", 38)
+        assert _traced_peak(lambda: estimate_sylvester(dist, McConfig(BLOCK_TRIALS, seed=1))) <= 22.7e6
 
 
 class TestIndicators:
@@ -634,7 +695,7 @@ def _assert_cone_count_matches_solve_rows(generators, seeds):
     k = generators.shape[0]
     _, r = np.linalg.qr(cone.generators.T)
 
-    def draw(rng, size):
+    def draw(rng, _scales, size):
         directions = rng.standard_normal((size, k))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
         coords = np.linalg.solve(r, directions.T).T
@@ -768,6 +829,15 @@ class TestProjectionExperiment:
         assert projection_experiment(vertices, mc).trials == 40_000
         assert estimate_cone_angle(SimplicialCone(vertices[:3] - vertices[3]), mc).trials == 40_000
 
+    def test_lemma_counts_keep_their_stream(self):
+        # counts recorded while a block's gammas still followed its normals in one stream
+        vertices = np.eye(4)
+        cone = SimplicialCone(vertices[:3] - vertices[3])
+        for seed, projected, inside in ((3, 35_253, 17_624), (501, 34_883, 17_394)):
+            mc = McConfig(trials=400_000, seed=seed, workers=2)
+            assert projection_experiment(vertices, mc).successes == projected, seed
+            assert estimate_cone_angle(cone, mc).successes == inside, seed
+
     @pytest.mark.parametrize("vertices", [np.eye(4), np.random.default_rng(6).standard_normal((5, 6))])
     def test_scaled_simplices_give_the_same_count(self, vertices):
         # the direction's unit-scale entries share coordinate rows with the
@@ -792,7 +862,7 @@ class TestProjectionExperiment:
         template[:n, :n] = edges @ q
         template[:n, n] = template[n + 1, n] = 1.0
 
-        def draw(rng, size):
+        def draw(rng, _scales, size):
             trials = np.repeat(template[None], size, axis=0)
             trials[:, n, :n] = rng.standard_normal((size, n))
             lam, degenerate = _barycentric_batch(trials)
