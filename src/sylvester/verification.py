@@ -6,7 +6,11 @@ report order, and the suite sets their budgets.  Every row that compares
 quadrature with an exact value runs ``_agreement``, which reads that value
 from the registry lookup; the Gaussian-limit rows read their target there
 too, and the registry alone decides which Monte Carlo rows have an exact
-truth.  Hard rows gate the exit code; the monotonicity
+truth.  The Monte Carlo rows of one dimension (Gaussian, beta, beta-prime)
+share one draw of their normals, ``_SharedDraw`` in the table, made by the
+first of them for a seed; each row still prints its own result or its own
+law's error, and every count is the one an estimate per row gives.  Hard
+rows gate the exit code; the monotonicity
 sweeps and the heavy-tail ratio are reported only, since the first is a
 conjecture and the second is asymptotic in d.
 """
@@ -22,7 +26,15 @@ import numpy as np
 
 from . import registry
 from .errors import SylvesterError
-from .geomc import McConfig, SimplicialCone, estimate_cone_angle, estimate_sylvester, projection_experiment
+from .geomc import (
+    McConfig,
+    McResult,
+    SimplicialCone,
+    estimate_cone_angle,
+    estimate_sylvester,
+    estimate_sylvester_laws,
+    projection_experiment,
+)
 from .probability import Distribution, cauchy_asymptotic, quadrature_probability
 from .quad import DecayEnvelope, QuadratureConfig, integrate_line
 
@@ -153,8 +165,32 @@ def _gaussian_limit(d, seed, lookup):
     )
 
 
-def _mc_cross(dist, trials, exact, seed, lookup):
+class _SharedDraw:
+    """The Monte Carlo estimates of laws of one dimension, from one draw per seed.
+
+    The first row to ask for a seed runs ``estimate_sylvester_laws`` on every
+    law; the rows after it read their law's result, or raise its error.  It
+    holds one seed's results, and each count is the one ``estimate_sylvester``
+    gives that law alone.
+    """
+
+    def __init__(self, dists, trials):
+        self.dists, self.trials = dists, trials
+        self.seed, self.results = None, None
+
+    def result(self, law, seed) -> McResult:
+        if self.seed != seed:
+            self.results = estimate_sylvester_laws(self.dists, McConfig(trials=self.trials, seed=seed, workers=2))
+            self.seed = seed
+        result = self.results[law]
+        if isinstance(result, SylvesterError):
+            raise result
+        return result
+
+
+def _mc_cross(shared, law, exact, seed, lookup):
     # the truth is the registry's value when exact, else quadrature's
+    dist = shared.dists[law]
     if exact:
         entry = lookup(dist.family, dist.d, dist.beta)
         if entry is None:
@@ -162,7 +198,7 @@ def _mc_cross(dist, trials, exact, seed, lookup):
         truth = entry.value
     else:
         truth = _quad(dist)
-    res = estimate_sylvester(dist, McConfig(trials=trials, seed=seed, workers=2))
+    res = shared.result(law, seed)
     diff = abs(res.estimate - truth)
     return diff <= 4.0 * res.stderr, (
         f"mc={res.estimate:.6f} truth={truth:.6f} |diff|={diff:.2e} 4se={4 * res.stderr:.2e}"
@@ -285,15 +321,18 @@ def checks(suite: str = "basic") -> List[Check]:
         Check("gaussian-limit[d=2]", partial(_gaussian_limit, 2)),
         Check("gaussian-limit[d=3]", partial(_gaussian_limit, 3)),
     ]
-    # Monte Carlo against the registry, or against quadrature where it has no row
-    mc_dists = [Distribution("gaussian", d) for d in (2, 3, 4)]
-    mc_dists += [Distribution("beta", d, 0.0) for d in (2, 3, 4)]
-    mc_dists += [Distribution("beta_prime", d, 0.5 * d + 1.0) for d in (2, 3, 4)]
-    rows += [
-        Check(f"mc-cross[{dist.family} d={dist.d}]",
-              partial(_mc_cross, dist, trials, registry.lookup(dist.family, dist.d, dist.beta) is not None))
-        for dist in mc_dists
+    # Monte Carlo against the registry, or against quadrature where it has no row;
+    # the three laws of one dimension share one draw, and the rows run law by law
+    shared = [
+        _SharedDraw([Distribution("gaussian", d), Distribution("beta", d, 0.0),
+                     Distribution("beta_prime", d, 0.5 * d + 1.0)], trials)
+        for d in (2, 3, 4)
     ]
+    for law in range(3):
+        for draw in shared:
+            dist = draw.dists[law]
+            exact = registry.lookup(dist.family, dist.d, dist.beta) is not None
+            rows.append(Check(f"mc-cross[{dist.family} d={dist.d}]", partial(_mc_cross, draw, law, exact)))
     rows += [
         Check("lemma-projection-identity", partial(_lemma, trials)),
         Check("reproducibility", _reproducibility),

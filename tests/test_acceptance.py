@@ -6,8 +6,8 @@ acceptance seed: ``mc-cross[... d=k]`` at 20240 + k, the projection lemma at
 501 (its cone angle at 502), every other row at 42.  A row runs once per
 session; the tests after ``test_check`` reuse its outcome and cover what no
 row does: the time limits, the dimensions criterion 7 spans, two named
-registry entries, the report-only rows, CLI reproducibility and ``verify
---suite basic``.
+registry entries, the Monte Carlo rows' shared draw, the report-only rows,
+CLI reproducibility and ``verify --suite basic``.
 """
 
 import functools
@@ -75,6 +75,23 @@ def test_criterion_07_gaussian_limit():
 
 def test_criterion_08_monte_carlo_triangulation():
     assert seconds("mc-cross[") <= 600.0
+
+
+def test_mc_cross_rows_print_what_one_law_estimates_give(monkeypatch):
+    # the rows of one dimension read one shared draw; at the acceptance seeds, on the
+    # basic budget of 100,000 trials, each detail is the one that an estimate_sylvester
+    # call per row gives
+    shared = {check.name: check for check in verification.checks("basic") if check.name.startswith("mc-cross[")}
+    assert list(shared) == [name for name in HARD if name.startswith("mc-cross[")]
+    details = {name: check.run(acceptance_seed(name), registry.lookup)[1] for name, check in shared.items()}
+
+    def one_law_each(dists, mc):
+        return [verification.estimate_sylvester(dist, mc) for dist in dists]
+
+    monkeypatch.setattr(verification, "estimate_sylvester_laws", one_law_each)
+    rows = {check.name: check for check in verification.checks("basic")}
+    for name, detail in details.items():
+        assert rows[name].run(acceptance_seed(name), registry.lookup)[1] == detail, name
 
 
 def test_criterion_10_reproducibility(capsys):

@@ -375,6 +375,19 @@ BETAPRIME_NEAR_THRESHOLD = {
 }
 
 
+@pytest.mark.parametrize("tol", ["1e-10", "1e-12"])
+def test_large_beta_bar_is_honest(capsys, tol):
+    # mpmath reference of the real-line integral at 80 and 110 digits; with the constants
+    # taken as a difference of two lgammas near 500 the error was 19.5x (43x) the bar
+    code, out, _ = run_cli(
+        capsys, "compute", "--family", "betaprime", "--dim", "5", "--beta", "500",
+        "--method", "quadrature", "--tol", tol,
+    )
+    assert code == 0
+    (rec,) = parse_json_lines(out)
+    assert abs(rec["value"] - 0.004788260260431552) <= 3.0 * rec["abs_error"]
+
+
 class TestBetaPrimeThreshold:
     """Slow decay near the threshold: every query resolves, none passes a wrong value."""
 

@@ -38,6 +38,7 @@ from sylvester.geomc import (
     _work,
     estimate_cone_angle,
     estimate_sylvester,
+    estimate_sylvester_laws,
     is_inside_simplex,
     projection_experiment,
     sample_point,
@@ -458,6 +459,118 @@ class TestEstimateSylvester:
             math.sqrt(res.estimate * (1.0 - res.estimate) / res.trials)
         )
         assert res.seed == 4
+
+
+def _alone(dist, mc):
+    """What `estimate_sylvester` gives dist: its McResult, or the message of its typed error."""
+    try:
+        return estimate_sylvester(dist, mc)
+    except (DegenerateGeometryError, OverflowBoundError) as exc:
+        return type(exc), str(exc)
+
+
+def _together(dists, mc):
+    """`estimate_sylvester_laws` in the form of `_alone`."""
+    return [result if isinstance(result, geomc.McResult) else (type(result), str(result))
+            for result in estimate_sylvester_laws(dists, mc)]
+
+
+class TestSharedDraw:
+    def test_each_law_counts_as_it_does_alone(self, monkeypatch):
+        # every family at d = 3, over two whole blocks and a short third one, at any
+        # worker count and any sub-block size
+        laws = [Distribution(family, 3, beta(3)) for family, beta in FAMILIES]
+        mc = McConfig(trials=2 * BLOCK_TRIALS + 4321, seed=9)
+        expected = [_alone(dist, mc) for dist in laws]
+        for workers in (1, 2, 8):
+            assert _together(laws, dataclasses.replace(mc, workers=workers)) == expected, workers
+        mc = McConfig(trials=BLOCK_TRIALS + 4321, seed=9, workers=2)
+        expected = [_alone(dist, mc) for dist in laws]
+        for row_values in (4099, 997):
+            monkeypatch.setattr(geomc, "_QR_ROW_VALUES", row_values)
+            assert _together(laws, mc) == expected, row_values
+
+    def test_a_law_that_resamples_beside_two_that_do_not(self):
+        # beta-prime at d = 11, beta = 5.51 resamples 76 trials of 37,089; the
+        # Gaussian and the uniform ball resample none
+        laws = [Distribution("gaussian", 11), Distribution("beta_prime", 11, 5.51), Distribution("beta", 11, 0.0)]
+        mc = McConfig(trials=2 * BLOCK_TRIALS + 4321, seed=9)
+        expected = [_alone(dist, mc) for dist in laws]
+        assert expected[1].successes > 0
+        assert _together(laws, mc) == expected
+        assert _together(laws[::-1], dataclasses.replace(mc, workers=2)) == expected[::-1]
+
+    def test_each_law_resamples_from_the_streams_the_shared_pass_left(self):
+        # laws 0 and 2 read gammas and leave trials undecided; each resample reads
+        # the normals from where the shared pass left them, and its own scales
+        seed, calls = 5, []
+
+        def state(rng):
+            return None if rng is None else repr(rng.bit_generator.state)
+
+        def draw(normals, laws, size):
+            entry = state(normals), [(law, state(scales)) for law, scales in laws]
+            normals.standard_normal(size)
+            for _, scales in laws:
+                if scales is not None:
+                    scales.standard_gamma(1.0, size)
+            calls.append((entry, (state(normals), [(law, state(scales)) for law, scales in laws])))
+            first = len(laws) > 1
+            return [(np.ones(size, dtype=bool), np.arange(size) < (3 if first and law != 1 else 0)) for law, _ in laws]
+
+        results = geomc._estimate(McConfig(trials=100, seed=seed), lambda: draw, (True, False, True))
+        assert [result.successes for result in results] == [100, 100, 100]
+        (pass_in, pass_out), (law0_in, _), (law2_in, _) = calls
+        assert pass_in[0] == state(_block_generator(seed, 0))
+        window = state(_block_generator(seed, 0, 2**127))
+        assert pass_in[1] == [(0, window), (1, None), (2, window)]
+        assert law0_in == (pass_out[0], [pass_out[1][0]])
+        assert law2_in == (pass_out[0], [pass_out[1][2]])
+
+    def test_a_law_past_its_limits_keeps_its_own_error(self):
+        # beta-prime at d = 2, beta = 1.01 resamples past sqrt(trials)/2, and 2 Gamma(1e308)
+        # overflows; the other laws still answer
+        laws = [Distribution("gaussian", 2), Distribution("beta_prime", 2, 1.01), Distribution("beta", 2, 1e308),
+                Distribution("beta", 2, 0.0)]
+        mc = McConfig(trials=2 * BLOCK_TRIALS + 4321, seed=9, workers=2)
+        together = _together(laws, mc)
+        assert together == [_alone(dist, mc) for dist in laws]
+        assert [type(result) for result in together] == [geomc.McResult, tuple, tuple, geomc.McResult]
+        assert together[1][0] is DegenerateGeometryError and together[2][0] is OverflowBoundError
+        (overflow,) = estimate_sylvester_laws(laws[2:3], mc)
+        assert isinstance(overflow, OverflowBoundError)
+
+    def test_laws_share_one_dimension(self):
+        mc = McConfig(trials=10, seed=1)
+        for laws in ([], [Distribution("gaussian", 2), Distribution("gaussian", 3)]):
+            with pytest.raises(DomainError, match="need laws of one dimension"):
+                estimate_sylvester_laws(laws, mc)
+        with pytest.raises(DomainError, match="Monte Carlo accepts dimension d <= 38"):
+            estimate_sylvester_laws([Distribution("gaussian", 39)] * 2, mc)
+
+    def test_clouds_are_allocated_by_the_calling_thread(self, monkeypatch):
+        # a work slot and a clouds buffer of one sub-block per worker, both made before any
+        # worker starts; one law allocates no clouds buffer
+        calls = []
+        slot = geomc._slot
+
+        def record(k, size):
+            made = slot(k, size)
+            calls.append((threading.get_ident(), made.size))
+            return made
+
+        monkeypatch.setattr(geomc, "_slot", record)
+        for laws, trials, workers in (([Distribution("gaussian", 3), Distribution("beta", 3, 0.0)], 5 * BLOCK_TRIALS, 2),
+                                      ([Distribution("beta_prime", 4, 3.0)] * 3, 3 * BLOCK_TRIALS, 8),
+                                      ([Distribution("gaussian", 2)] * 2, 100, 1),
+                                      ([Distribution("beta", 3, 0.0)], 3 * BLOCK_TRIALS, 2)):
+            calls.clear()
+            estimate_sylvester_laws(laws, McConfig(trials=trials, seed=9, workers=workers))
+            d = laws[0].d
+            sub_block = min(geomc._QR_ROW_VALUES // (d + 3), trials)
+            per_worker = 2 if len(laws) > 1 else 1
+            assert len(calls) == per_worker * min(workers, -(-trials // BLOCK_TRIALS))
+            assert set(calls) == {(threading.get_ident(), sub_block * (d + 1) * (d + 3))}
 
 
 def _traced_peak(call) -> int:

@@ -18,6 +18,7 @@ from sylvester.errors import DomainError, OverflowBoundError
 from sylvester.specfun import (
     Y_MAX,
     h_imag_cdf,
+    log_gamma_half_ratio,
     log_gen_binomial,
     log_half_line_beta_const,
     log_half_line_beta_prime_const,
@@ -93,6 +94,28 @@ class TestNormalizingConstants:
             log_half_line_beta_const(beta)
         with pytest.raises(OverflowBoundError, match="overflows double precision"):
             log_half_line_beta_prime_const(beta)
+
+    @pytest.mark.parametrize("k", range(16))
+    def test_half_ratio_matches_mpmath(self, k):
+        # the lgamma difference loses 1.8e-13 at x = 1e3 and 7e-2 at 1e15; the Stirling difference keeps 4 eps
+        x = 10.0**k
+        with mpmath.workdps(40):
+            exact = mpmath.loggamma(mpmath.mpf(x) + 0.5) - mpmath.loggamma(x)
+        assert log_gamma_half_ratio(x) == pytest.approx(float(exact), rel=1e-15, abs=5e-16)
+
+    def test_half_ratio_is_continuous_where_it_switches_to_stirling(self):
+        below, at = math.nextafter(specfun._STIRLING_FROM, 0.0), specfun._STIRLING_FROM
+        assert log_gamma_half_ratio(at) == pytest.approx(log_gamma_half_ratio(below), rel=1e-14)
+
+    @pytest.mark.parametrize("beta", [30.0, 500.0, 1e5, 1e12])
+    def test_large_beta_constants_match_mpmath(self, beta):
+        # as lgamma differences these were off by 7.6e-14 at beta = 500 and 5.3e-11 at 1e5
+        with mpmath.workdps(40):
+            b = mpmath.mpf(beta)
+            exact_beta = mpmath.loggamma(b + 1.5) - mpmath.loggamma(b + 1) - mpmath.log(mpmath.pi) / 2
+            exact_prime = mpmath.loggamma(b) - mpmath.loggamma(b - 0.5) - mpmath.log(mpmath.pi) / 2
+        assert log_half_line_beta_const(beta) == pytest.approx(float(exact_beta), rel=1e-15)
+        assert log_half_line_beta_prime_const(beta) == pytest.approx(float(exact_prime), rel=1e-15)
 
     def test_finite_below_the_overflow_limit(self):
         assert math.isfinite(log_half_line_beta_const(2.4e305))
