@@ -8,22 +8,21 @@ A trial cloud of d+2 points is a simplex exactly when one point lies in
 the convex hull of the other d+1.  That is the sign pattern of the one
 linear dependence among the d+2 lifted vectors in R^(d+1) (a singleton
 side), which positive rescales keep (Stolfi, "Oriented Projective
-Geometry", 1991).  Each trial is decided by one equilibrated Householder QR,
-`_solve`, run across a whole sub-block of trials at once with the trials on
-the last axis: every step is one numpy operation over all its trials, and no
-step mixes two trials.  `_sample` draws a sub-block straight into the QR's
-work array, one contiguous (coordinate, vector, trial) view of a worker's
-slot, in the same stream order as a row of (z, s) per point, so the layout
-changes no seeded count.  Only s sets the law, so the laws of one dimension
-share z: `estimate_sylvester_laws` draws each sub-block's normals once and
-gives every law its own scales and solve, and `estimate_sylvester` is its
-one-law case.  `_solve` is the only per-trial QR: it serves the
-simplex test and the one-cloud surfaces.  The two lemma estimators, the
-solid angle of a cone by uniform directions and the random projection of a
-simplex, have one fixed matrix each (the cone's R^-1, the simplex's lifted
-vertices); it is factored once per call, and each block's directions go
-through it by one BLAS-free map, `_fixed_map`.  Undecided trials are
-resampled by one loop, `_estimate`.
+Geometry", 1991).  With a = (Z; s_a) the first d+1 lifted vectors and
+b = (z_b, s_b) the last, only s sets the law, so `_factor` factors a
+trial's normals once for all its laws: it equilibrates them and factors Z
+by one Householder QR along the vector axis, into its pivots, the min-norm
+lam0 and p0 of Z lam0 = z_b and Z p0 = 1, and the unit null vector n of Z.
+A law then costs O(d) in `_solve`: lam = lam0 + ((s_b - s_a.lam0)/t) n with
+t = s_a.n.  Both run over a sub-block of trials at once, trials last, one
+numpy operation per step and no step mixing two trials, for the simplex
+test, its resample batches and the one-cloud surfaces; `estimate_sylvester`
+is the one-law case of `estimate_sylvester_laws`.  The two lemma
+estimators, the solid angle of a cone by uniform directions and the random
+projection of a simplex, have one fixed matrix each (the cone's R^-1, the
+simplex's lifted vertices); it is factored once per call, and each block's
+directions go through it by one BLAS-free map, `_fixed_map`.  Undecided
+trials are resampled by one loop, `_estimate`.
 
 Three rules hold throughout.  A per-trial sum adds its terms left to right,
 the same order for every trial.  A tolerance is TAU_RANK times the largest
@@ -42,13 +41,12 @@ other draw opens one.
 
 Ownership rule: a call owns one sub-block per worker.  Before any of its
 min(workers, blocks) workers runs, the calling thread allocates each one's
-work slot (for the simplex test, one flat `_slot` of one sub-block) and, for
-a call of several laws, its clouds buffer (a second `_slot`, which keeps the
-sub-block's normals clean while each law's solve overwrites the work slot).
-Each worker pulls blocks one at a time and runs each block and resample
-batch one sub-block at a time: it draws, solves and classifies the sub-block
-in its slot and keeps only its success and undecided flags.  The slots are
-freed when the call returns; nothing a draw returns is a view of its slot.
+work slot (for the simplex test, one flat `_slot` of one sub-block for any
+number of laws).  Each worker pulls blocks one at a time and runs each
+block and resample batch one sub-block at a time: it draws, factors, solves
+and classifies the sub-block in its slot and keeps only its success and
+undecided flags.  The slots are freed when the call returns; nothing a draw
+returns is a view of its slot.
 """
 
 from __future__ import annotations
@@ -57,6 +55,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -82,15 +81,13 @@ MAX_TRIALS = BLOCK_TRIALS << 128
 _SCALES_WINDOW = 1 << 127
 
 # most worker threads a call starts: each holds one sub-block's work slot,
-# allocated before any worker runs, 15 MB at d = 38
+# allocated before any worker runs, 17 MB at d = 38
 MAX_WORKERS = 64
 
-# values in one row of the batched QR's work array, d+3 per trial, so a
-# sub-block holds _QR_ROW_VALUES // (d+3) trials: each QR step works on a few
-# such 384 KB rows, which stay in a 2 MB L2 cache, and rows this long keep
-# numpy's per-call cost, and the GIL hand-offs between workers, small.  A
-# worker's slot holds one sub-block, about _QR_ROW_VALUES*(d+1) floats, and
-# `_sample` stages its draws in at most _QR_ROW_VALUES values
+# a sub-block holds _QR_ROW_VALUES // (d+3) trials, so a few rows of a worker's
+# slot (`_rows`) fill a 2 MB L2 cache, and rows this long keep numpy's per-call
+# cost, and the GIL hand-offs between workers, small; `_normals` and `_scales`
+# stage their draws in at most _QR_ROW_VALUES values
 _QR_ROW_VALUES = 49152
 
 # largest dimension Monte Carlo accepts: it sees no success past d ~ 12 at any
@@ -98,7 +95,7 @@ _QR_ROW_VALUES = 49152
 # projection_experiment keeps the same cap on n to match
 _MAX_DIMENSION = 38
 
-# rank / conditioning guard: a |diag R| within TAU_RANK of the largest rejects
+# rank / conditioning guard: a pivot within TAU_RANK of the largest rejects
 # a solve or a frame, an equilibrated condition estimate above 1/TAU_RANK
 # rejects a solve, and coefficients within TAU_RANK of the largest decide no sign
 TAU_RANK = 1e-12
@@ -178,57 +175,58 @@ def _run_blocks(mc: McConfig, new_block: Callable[[], Callable[[int, int], objec
         return sum(pool.map(work, workers))
 
 
-def _slot(k: int, size: int) -> np.ndarray:
-    """One worker's empty flat work buffer for one sub-block of k coordinates, or `size` trials if fewer."""
-    return np.empty(min(_QR_ROW_VALUES // (k + 2), size) * k * (k + 2))
+def _rows(d: int) -> tuple[int, ...]:
+    """Rows per trial of the parts of a `_Cloud` of dimension d, in slot order."""
+    return max(d * (d + 2), 3 * d + 7), d + 2, d + 1, 3 * (d + 1), 2, max(2 * d - 1, d + 2, 6)
 
 
-def _work(slot: np.ndarray, k: int, size: int) -> Iterator[tuple[np.ndarray, slice]]:
-    """The work arrays of `_qr_solve` for `size` trials, one sub-block at a time, each with its trial slice.
+def _slot(d: int, size: int) -> np.ndarray:
+    """One worker's empty flat work buffer for one sub-block of dimension d, or `size` trials if fewer."""
+    return np.empty(min(_QR_ROW_VALUES // (d + 3), size) * sum(_rows(d)))
 
-    Each is the slot's leading values as one contiguous (coordinate, vector,
-    trial) view (k, k+2, n) of at most _QR_ROW_VALUES // (k+2) trials, so it
-    holds until the next one is taken.
+
+class _Cloud:
+    """One sub-block of n trials in a slot's leading values, trials last: the arrays of `_factor` and `_solve`.
+
+    z (d+2, d, n), the normals, points first, until `_factor` is done with them; then each law's s,
+    coefficients (lam and p) and dots reuse its values.  squares: |z|^2; zsum: each point's sum of
+    |z|; basis (d+1, 3, n): lam0, p0 and n; extremes: the least and largest pivot size.
     """
-    step = _QR_ROW_VALUES // (k + 2)
+
+    def __init__(self, slot: np.ndarray, d: int, n: int):
+        law, self.squares, self.zsum, basis, self.extremes, self.scratch = (
+            slot[(end - size) * n: end * n].reshape(size, n) for size, end in zip(_rows(d), accumulate(_rows(d))))
+        self.z, self.basis, self.s = law[: d * (d + 2)].reshape(d + 2, d, n), basis.reshape(d + 1, 3, n), law[: d + 2]
+        self.coefficients, self.dots = law[d + 2: 3 * d + 4].reshape(d + 1, 2, n), law[3 * d + 4: 3 * d + 7]
+
+
+def _work(slot: np.ndarray, d: int, size: int) -> Iterator[tuple[_Cloud, slice]]:
+    """The `_Cloud`s of `size` trials, one of at most _QR_ROW_VALUES // (d+3) trials at a time, each until the next."""
+    step = _QR_ROW_VALUES // (d + 3)
     for start in range(0, size, step):
-        n = min(step, size - start)
-        yield slot[: n * k * (k + 2)].reshape(k, k + 2, n), slice(start, start + n)
-
-
-def _sample(dist: Distribution, normals: np.random.Generator, scales: np.random.Generator | None,
-            w: np.ndarray, vectors: int) -> None:
-    """Draw `vectors` points of dist per trial into the columns w[:d+1, :vectors] of a work array w.
-
-    A point is written as the column (z, s), coordinates first and trials on
-    the last axis, and the point is z/s: `_normals` draws z from `normals`,
-    then `_scales` draws s from `scales` (None for the Gaussian, which reads
-    no gamma).  So the values depend only on where the two streams stand,
-    not on how the trials are cut into work arrays.  The public samplers
-    pass one generator as both.
-    """
-    _normals(normals, w[: dist.d, :vectors])
-    _scales(dist, scales, w, vectors)
+        stop = min(start + step, size)
+        yield _Cloud(slot, d, stop - start), slice(start, stop)
 
 
 def _normals(normals: np.random.Generator, z: np.ndarray) -> None:
-    """Fill z (d, vectors, trials) with standard normals: point j of trial t in row t*vectors + j of the stream.
+    """Fill z (vectors, d, trials) with standard normals: point j of trial t in row t*vectors + j of the stream.
 
     The rows go through one staging buffer of at most _QR_ROW_VALUES values
     (or one trial's).
     """
-    d, vectors, size = z.shape
+    vectors, d, size = z.shape
     chunk = max(1, _QR_ROW_VALUES // (vectors * d))  # trials per normal draw
     stage = np.empty(min(chunk, size) * vectors * d)
     for start in range(0, size, chunk):
         rows = stage[: min(chunk, size - start) * vectors * d].reshape(-1, vectors, d)
         normals.standard_normal(out=rows)
         for j in range(vectors):  # 2-D transposes: 1.4 to 2.5 times as fast as one 3-D transpose at d >= 8
-            z[:, j, start:start + chunk] = rows[:, j].T
+            z[j, :, start:start + chunk] = rows[:, j].T
 
 
-def _scales(dist: Distribution, scales: np.random.Generator | None, w: np.ndarray, vectors: int) -> None:
-    """Fill the scale row w[d, :vectors] of the points whose normals z fill w[:d, :vectors].
+def _scales(dist: Distribution, scales: np.random.Generator | None, s: np.ndarray,
+            squares: np.ndarray | None) -> None:
+    """Fill s (vectors, trials) with the scales of points whose normals z have |z|^2 = squares (beta only).
 
     z ~ N(0, I_d) and s >= 0: s = 1 for the Gaussian; s^2 = |z|^2 + 2G with
     G ~ Gamma(beta+1) for the beta family, so |x|^2 ~ BetaLaw(d/2, beta+1)
@@ -236,20 +234,15 @@ def _scales(dist: Distribution, scales: np.random.Generator | None, w: np.ndarra
     G ~ Gamma(beta-d/2) for beta_prime, so |x|^2 = V/(1-V) with
     V ~ BetaLaw(d/2, beta-d/2).  Nothing is divided, so a heavy tail gives a
     small s, or s = 0 (a point at infinity), never an infinite coordinate.
-    The gammas come from `scales`, one per point in the order of the normals,
-    through one staging buffer of at most _QR_ROW_VALUES values (or one
-    trial's); |z|^2 adds its d squares left to right.
+    The gammas come from `scales` (None for the Gaussian, which reads none),
+    one per point in the order of the normals, through one staging buffer of
+    at most _QR_ROW_VALUES values (or one trial's), so the values depend only
+    on where the two streams stand, not on how the trials are cut.
     """
-    d, size = dist.d, w.shape[-1]
-    points = w[: d + 1, :vectors]
-    s = points[d]
     if dist.family == "gaussian":
         s[...] = 1.0
         return
-    if dist.family == "beta":  # |z|^2 now, 2G next
-        np.multiply(points[0], points[0], out=s)
-        for row in points[1:d]:
-            s += row * row
+    vectors, size = s.shape
     shape = _gamma_shape(dist)
     chunk = max(1, _QR_ROW_VALUES // vectors)  # trials per gamma draw
     stage = np.empty(min(chunk, size) * vectors)
@@ -258,14 +251,14 @@ def _scales(dist: Distribution, scales: np.random.Generator | None, w: np.ndarra
         scales.standard_gamma(shape, out=twice_gamma)
         twice_gamma *= 2.0
         if dist.family == "beta":
-            s[:, start:start + chunk] += twice_gamma.T
+            np.add(squares[:, start:start + chunk], twice_gamma.T, out=s[:, start:start + chunk])
         else:
             s[:, start:start + chunk] = twice_gamma.T
     np.sqrt(s, out=s)
 
 
 def _gamma_shape(dist: Distribution) -> float:
-    """The shape of `_sample`'s gamma draws G; OverflowBoundError where 2G overflows.
+    """The shape of `_scales`'s gamma draws G; OverflowBoundError where 2G overflows.
 
     A draw at a shape near the largest double equals the shape to double precision.
     """
@@ -276,10 +269,11 @@ def _gamma_shape(dist: Distribution) -> float:
 
 
 def _sample_lifted(dist: Distribution, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Draw `count` points from dist as (count, d+1) rows (z, s) of `_sample`; the point is z/s."""
-    columns = np.empty((dist.d + 1, 1, count))
-    _sample(dist, rng, rng, columns, 1)
-    return columns[:, 0].T
+    """Draw `count` points from dist as (count, d+1) rows (z, s), every normal then every gamma; the point is z/s."""
+    lifted = np.empty((dist.d + 1, count))
+    _normals(rng, z := lifted[None, : dist.d])
+    _scales(dist, rng, lifted[None, dist.d], np.cumsum(z * z, axis=1)[:, -1])
+    return lifted.T
 
 
 def _sample_points(dist: Distribution, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -300,7 +294,7 @@ def _sample_points(dist: Distribution, rng: np.random.Generator, count: int) -> 
 
 
 def sample_point(dist: Distribution, rng: np.random.Generator) -> np.ndarray:
-    """One draw from dist using the supplied generator state (z/s, see `_sample`)."""
+    """One draw from dist using the supplied generator state (z/s, see `_scales`)."""
     if not isinstance(rng, np.random.Generator):
         raise DomainError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
     return _sample_points(dist, rng, 1)[0]
@@ -321,91 +315,103 @@ def _lift(points: np.ndarray) -> np.ndarray:
 
 
 def _barycentric_batch(lifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients lam of the last lifted vector in the first d+1, by `_solve`.
+    """Coefficients lam (N, d+1) of the last lifted vector in the first d+1, and degenerate (N,).
 
-    lifted: finite (N, d+2, d+1), left unchanged; it is copied one sub-block
-    at a time into one slot of a sub-block, so a large batch costs no second
-    copy of itself.  Returns (lam (N, d+1), degenerate (N,)).
+    lifted: finite (N, d+2, d+1) with last coordinates s >= 0, left unchanged; it goes one sub-block
+    at a time through one slot of a sub-block, so a large batch costs no second copy of itself.
     """
-    n_trials, m, k = lifted.shape
-    lam = np.empty((k, n_trials))
-    degenerate = np.empty(n_trials, dtype=bool)
-    for work, trials in _work(_slot(k, n_trials), k, n_trials):
-        for j in range(m):  # 2-D transposes: about twice as fast as one 3-D transpose at d = 20
-            work[:, j] = lifted[trials, j].T
-        lam[:, trials], degenerate[trials] = _solve(work)
+    n_trials, _, k = lifted.shape
+    lam, degenerate = np.empty((k, n_trials)), np.empty(n_trials, dtype=bool)
+    for cloud, trials in _work(_slot(k - 1, n_trials), k - 1, n_trials):
+        cloud.z[...] = lifted[trials, :, :-1].transpose(1, 2, 0)
+        _factor(cloud, squares=False)
+        cloud.s[...] = lifted[trials, :, -1].T
+        lam[:, trials], degenerate[trials] = _solve(cloud)
     return lam.T, degenerate
 
 
-def _solve(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The one per-trial solve (simplex test, one-cloud surfaces), over one work array of `_work`.
+def _dot(a: np.ndarray, v: np.ndarray, out: np.ndarray, product: np.ndarray) -> np.ndarray:
+    """out = the sum over l of v[l] * a[l], its terms added left to right; product has out's shape."""
+    np.multiply(a[0], v[0], out=out)
+    for a_l, v_l in zip(a[1:], v[1:]):
+        out += np.multiply(a_l, v_l, out=product)
+    return out
 
-    The work array w holds, per trial, the first d+1 lifted vectors (the matrix a)
-    and the last vector b as its first k+1 columns; it is overwritten.  Each
-    coordinate is divided by its largest |value| in the trial, a positive
-    diagonal map that keeps lam in a lam = b.  One Householder QR per trial
-    then solves for lam and for a second right-hand side, a p = 1, which
-    gives the condition estimate |a|_1 |p|_1 / (d+1).  Every step is one
-    numpy operation along the trial axis and no step mixes two trials.
-    Returns (lam (d+1, N), degenerate (N,)): rank-deficient (some |r_jj|
-    within TAU_RANK of the largest, as in `_frame`), estimate above
-    1/TAU_RANK, or lam not finite.
+
+def _reflect(a: np.ndarray, v: np.ndarray, half: np.ndarray, dot: np.ndarray, product: np.ndarray) -> None:
+    """Apply I - v v^T / half, half = v.v / 2, to a (m, r, n) along its first axis, in place; dot is (r, n)."""
+    _dot(a, v, dot, product)
+    dot /= half
+    for a_l, v_l in zip(a, v):
+        a_l -= np.multiply(v_l, dot, out=product)
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _factor(cloud: _Cloud, squares: bool) -> None:
+    """The part of the solve that a cloud's laws share: its normals z, factored once (|z|^2 first if `squares`).
+
+    Each coordinate is divided by its largest |value| over the d+2 points.  Householder reflections
+    H_j along the vector axis factor Z, the first d+1 points: Z H_0 ... H_{d-1} = (L 0), with v_j
+    over row j of Z, L below it, and v_j.v_j / 2 over z_b once z_b is in cloud.basis.  L y = z_b and
+    L y = 1 are solved as L's columns come, and H_0 ... H_{d-1} applied to (y, 0) for both and to
+    e_d give cloud.basis: lam0, p0 and the unit null vector n of Z.
     """
-    lam = np.empty((w.shape[0], w.shape[-1]))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return lam, _qr_solve(w, lam)
+    z, basis, scratch, (low, high) = cloud.z, cloud.basis, cloud.scratch, cloud.extremes
+    d, n = z.shape[1:]
+    free = basis.reshape(-1, n)  # scratch until the basis is set up
+    if squares:
+        _dot(z.swapaxes(0, 1), z.swapaxes(0, 1), cloud.squares, free[: d + 2])
+    top, bottom = np.max(z, axis=0, out=free[:d]), np.min(z, axis=0, out=free[d: 2 * d])
+    z /= np.maximum(np.maximum(top, np.negative(bottom, out=bottom), out=top), np.finfo(float).tiny, out=top)
+    np.abs(z[: d + 1, 0], out=cloud.zsum)
+    for c in range(1, d):
+        cloud.zsum += np.abs(z[: d + 1, c], out=free[: d + 1])
+    basis[...], low[...], high[...] = 0.0, np.inf, 0.0
+    basis[:d, 0], basis[:d, 1], basis[d, 2] = z[d + 1], 1.0, 1.0
+    alpha, half = scratch[-1], z[d + 1]
+    for j in range(d):
+        x, r = z[j: d + 1, j], d - 1 - j
+        np.sqrt(_dot(x, x, alpha, scratch[0]), out=alpha)  # |L_jj|
+        np.minimum(low, alpha, out=low)
+        np.maximum(high, alpha, out=high)
+        np.copysign(alpha, x[0], out=alpha)  # x goes onto -alpha e_0, so L_jj = -alpha
+        x[0] += alpha  # v_j = x + alpha e_0
+        np.multiply(alpha, x[0], out=half[j])
+        y = np.divide(basis[j, :2], np.negative(alpha, out=alpha), out=basis[j, :2])
+        if r:
+            _reflect(z[j: d + 1, j + 1:], x, half[j], scratch[:r], scratch[r: 2 * r])  # column j of L in row j of z
+            basis[j + 1: d, :2] -= np.multiply(z[j, j + 1:, None], y, out=scratch[: 2 * r].reshape(r, 2, n))
+    for j in range(d - 1, -1, -1):
+        _reflect(basis[j:], z[j: d + 1, j], half[j], scratch[:3], scratch[3:6])
 
 
-def _qr_solve(w: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Solve a lam = b and a p = 1 for w = [a | b | .], (k, k+2, trials), in place.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _solve(cloud: _Cloud) -> tuple[np.ndarray, np.ndarray]:
+    """One law's solve after `_factor`, O(d) a trial: (lam (d+1, N), a view of the cloud, degenerate (N,)).
 
-    Fills the last column with the ones, writes lam (k, trials) and returns
-    the degenerate flags of `_solve`.  Sums over the short axes are
-    accumulated row by row, in the same order for every trial.
+    cloud.s holds the law's scales s >= 0, each point a positive multiple of its lifted vector (or at
+    infinity); it is divided by its largest value.  With t = s_a.n, lam = lam0 + ((s_b - s_a.lam0)/t) n
+    solves a lam = b, and p = p0 + ((1 - s_a.p0)/t) n solves a p = 1.  A trial is degenerate when some
+    pivot of a (diag L and t) is within TAU_RANK of the largest in size, as in `_frame`, when its
+    condition estimate |a|_1 |p|_1 / (d+1) is above 1/TAU_RANK, or when lam is not finite.
     """
-    k, _, size = w.shape
-    w[:, k + 1] = 1.0
-    scratch = np.empty((k + 1, size))
-    # equilibrate each coordinate over the d+2 vectors; sum |a| down each column
-    col_sums = np.zeros((k, size))
-    for row in w:
-        mag = np.abs(row[: k + 1], out=scratch)
-        scale = np.maximum(mag.max(axis=0), np.finfo(float).tiny)
-        row[: k + 1] /= scale
-        mag[:k] /= scale
-        col_sums += mag[:k]
-    # d reflections: column j onto -alpha e_j, with v = x + alpha e_j in place of x
-    diag = np.empty((k, size))
-    for j in range(k - 1):
-        x, rest = w[j:, j], w[j:, j + 1:]
-        squares = x[0] * x[0]
-        for xi in x[1:]:
-            squares += xi * xi
-        alpha = np.copysign(np.sqrt(squares), x[0])
-        np.negative(alpha, out=diag[j])
-        x[0] += alpha
-        alpha *= x[0]  # v.v / 2
-        product = scratch[: rest.shape[1]]
-        dot = x[0] * rest[0]
-        for xi, row in zip(x[1:], rest[1:]):
-            dot += np.multiply(xi, row, out=product)
-        dot /= alpha
-        for xi, row in zip(x, rest):
-            row -= np.multiply(xi, dot, out=product)
-    diag[k - 1] = w[k - 1, k - 1]
-    # back substitution, column by column, for both right-hand sides
-    solution = w[:, k:]
-    for i in range(k - 1, -1, -1):
-        solution[i] /= diag[i]
-        solution[:i] -= w[:i, i, None] * solution[i]
-    lam[...] = solution[:, 0]
-    p_sum = np.abs(solution[0, 1])
-    for p_i in solution[1:, 1]:
-        p_sum += np.abs(p_i)
-    cond = col_sums.max(axis=0) * p_sum / k
-    diag_size = np.abs(diag)
-    rank_deficient = (diag_size <= TAU_RANK * diag_size.max(axis=0)).any(axis=0)
-    return rank_deficient | ~np.isfinite(cond) | (cond > 1.0 / TAU_RANK) | ~np.isfinite(lam).all(axis=0)
+    s, basis, scratch, (low, high) = cloud.s, cloud.basis, cloud.scratch, cloud.extremes
+    k, norm = len(basis), scratch[-1]
+    s /= np.maximum(np.max(s, axis=0, out=norm), np.finfo(float).tiny, out=norm)
+    np.max(np.add(s[:k], cloud.zsum, out=scratch[:k]), axis=0, out=norm)  # |a|_1
+    dots = _dot(basis, s[:k], cloud.dots, scratch[:3])  # s_a.lam0, s_a.p0, t
+    np.subtract(s[k], dots[0], out=dots[0])
+    np.subtract(1.0, dots[1], out=dots[1])
+    dots[:2] /= dots[2]
+    coefficients = np.multiply(basis[:, 2:], dots[:2], out=cloud.coefficients)
+    coefficients += basis[:, :2]
+    lam, p = coefficients[:, 0], np.abs(coefficients[:, 1], out=coefficients[:, 1])
+    for p_i in p[1:]:
+        p[0] += p_i
+    size = np.abs(dots[2], out=scratch[0])  # the pivots of a are diag L and t
+    rank_deficient = np.minimum(low, size, out=scratch[1]) <= TAU_RANK * np.maximum(high, size, out=scratch[2])
+    cond = norm * p[0] / k  # >= 0 or NaN: it passes only when finite and at most 1/TAU_RANK
+    return lam, rank_deficient | ~(cond <= 1.0 / TAU_RANK) | ~np.isfinite(lam).all(axis=0)
 
 
 def _closed_inside(coords: np.ndarray) -> np.ndarray:
@@ -533,9 +539,8 @@ def estimate_sylvester(dist: Distribution, mc: McConfig) -> McResult:
     """Monte Carlo estimate of the simplex probability for dist: the sign rule on d+2 lifted points.
 
     Raises DomainError for d > 38, and OverflowBoundError where the point
-    scale overflows, before any array exists.  Each worker runs its blocks
-    one sub-block at a time in one `_slot`, allocated when the call starts.
-    The one-law case of `estimate_sylvester_laws`.
+    scale overflows, before any array exists.  The one-law case of
+    `estimate_sylvester_laws`.
     """
     return _only(estimate_sylvester_laws([dist], mc))
 
@@ -548,9 +553,8 @@ def estimate_sylvester_laws(dists: Sequence[Distribution], mc: McConfig) -> list
     its scale, DegenerateGeometryError past its resample limit); each count is
     bit for bit the one `estimate_sylvester` gives.  Raises DomainError for
     no laws, laws of two dimensions, or d > 38.  Each sub-block's normals are
-    drawn once into a clouds buffer, a second `_slot` per worker, and each
-    law copies them into the work slot, draws its scales and solves; one law
-    draws straight into its work slot, with no clouds buffer.
+    drawn and factored once in a worker's one `_slot` (|z|^2 first if a beta
+    law needs it); each law then draws its scales there and solves in O(d).
     """
     dims = {dist.d for dist in dists}
     if len(dims) != 1:
@@ -570,20 +574,16 @@ def estimate_sylvester_laws(dists: Sequence[Distribution], mc: McConfig) -> list
             live.append(dist)
 
     def new_draw():
-        slot = _slot(d + 1, mc.trials)
-        clouds = _slot(d + 1, mc.trials) if len(live) > 1 else None
+        slot = _slot(d, mc.trials)
 
         def draw(normals: np.random.Generator, laws: list, size: int) -> list:
             flags = [(np.empty(size, dtype=bool), np.empty(size, dtype=bool)) for _ in laws]
-            shared = len(laws) > 1
-            for work, trials in _work(slot, d + 1, size):
-                cloud = clouds[: work.size].reshape(work.shape) if shared else work
-                _normals(normals, cloud[:d, : d + 2])
+            for cloud, trials in _work(slot, d, size):
+                _normals(normals, cloud.z)
+                _factor(cloud, squares=any(live[law].family == "beta" for law, _ in laws))
                 for (law, scales), (success, undecided) in zip(laws, flags):
-                    if shared:
-                        work[:d] = cloud[:d]
-                    _scales(live[law], scales, work, d + 2)
-                    lam, degenerate = _solve(work)
+                    _scales(live[law], scales, cloud.s, cloud.squares)
+                    lam, degenerate = _solve(cloud)
                     success[trials], undecided[trials] = _sign_rule(lam.T, degenerate)
             return flags
 

@@ -7,9 +7,10 @@ quadrature with an exact value runs ``_agreement``, which reads that value
 from the registry lookup; the Gaussian-limit rows read their target there
 too, and the registry alone decides which Monte Carlo rows have an exact
 truth.  The Monte Carlo rows of one dimension (Gaussian, beta, beta-prime)
-share one draw of their normals, ``_SharedDraw`` in the table, made by the
-first of them for a seed; each row still prints its own result or its own
-law's error, and every count is the one an estimate per row gives.  Hard
+share one draw of their normals and one factorization of each trial's
+normals, ``_SharedDraw`` in the table, made by the first of them for a
+seed; each row still prints its own result or its own law's error, and
+every count is the one an estimate per row gives.  Hard
 rows gate the exit code; the monotonicity
 sweeps and the heavy-tail ratio are reported only, since the first is a
 conjecture and the second is asymptotic in d.
