@@ -6,7 +6,15 @@ proportional to (1-|x|^2)^beta on the unit ball), and the beta-prime
 family (density proportional to (1+|x|^2)^(-beta)).  Three independent
 routes cross-validate each other: contour-integral quadrature, a registry
 of exact closed forms, and a Monte Carlo convex-hull oracle.
+
+The Monte Carlo names (`McConfig`, `McResult`, `SimplicialCone`,
+`estimate_cone_angle`, `estimate_sylvester`, `is_inside_simplex`,
+`projection_experiment`, `sample_point`, `simplex_indicators`) and the
+`geomc` submodule that holds them load on first access, so a process that
+only runs quadrature never imports them.
 """
+
+import importlib
 
 from .anglesums import beta_angle_sum, beta_prime_angle_sum, gaussian_angle_sum
 from .errors import (
@@ -16,17 +24,6 @@ from .errors import (
     NotInRegistryError,
     OverflowBoundError,
     SylvesterError,
-)
-from .geomc import (
-    McConfig,
-    McResult,
-    SimplicialCone,
-    estimate_cone_angle,
-    estimate_sylvester,
-    is_inside_simplex,
-    projection_experiment,
-    sample_point,
-    simplex_indicators,
 )
 from .probability import (
     Distribution,
@@ -78,3 +75,30 @@ __all__ = [
     "simplex_indicators",
     "sylvester_probability",
 ]
+
+_GEOMC_NAMES = frozenset({
+    "McConfig",
+    "McResult",
+    "SimplicialCone",
+    "estimate_cone_angle",
+    "estimate_sylvester",
+    "is_inside_simplex",
+    "projection_experiment",
+    "sample_point",
+    "simplex_indicators",
+})
+
+
+def __getattr__(name):
+    # importing the submodule binds `geomc` here; each name read is bound too,
+    # so this runs at most once per name
+    if name == "geomc" or name in _GEOMC_NAMES:
+        geomc = importlib.import_module(".geomc", __name__)
+        value = geomc if name == "geomc" else getattr(geomc, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | {"geomc"})

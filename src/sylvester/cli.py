@@ -4,12 +4,17 @@ Data goes to stdout (JSON lines or RFC-4180 CSV), diagnostics to stderr.
 Exit codes: 0 success, 1 verification failure, 2 domain error (any
 SylvesterError but non-convergence), 3 non-convergence, which includes a
 value whose error bar excludes every probability in [0, 1].
+
+`compute` and `table` load only the quadrature route.  `McConfig` and
+`estimate_sylvester` (from `geomc`) resolve on first read, `verification`
+is imported by `verify` and `sweep`, and `csv` by the commands that write
+it.  A caller may replace `estimate_sylvester` before or after it has
+loaded; `mc` calls whatever the name is bound to when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -17,9 +22,8 @@ import re
 import sys
 from typing import Optional
 
-from . import registry, verification
+from . import registry
 from .errors import DomainError, NonConvergenceError, SylvesterError
-from .geomc import McConfig, estimate_sylvester
 from .probability import Distribution, sylvester_probability
 from .quad import QuadratureConfig
 
@@ -57,6 +61,8 @@ def _emit_records(records, fmt: str, out) -> None:
         for rec in records:
             print(json.dumps(rec), file=out)
         return
+    import csv
+
     writer = csv.DictWriter(out, fieldnames=_RECORD_FIELDS, lineterminator="\n")
     writer.writeheader()
     for rec in records:
@@ -109,8 +115,10 @@ def _cmd_compute(args) -> int:
 
 def _cmd_mc(args) -> int:
     dist = _distribution(args)
-    mc = McConfig(trials=args.trials, seed=_default_seed(args.seed), workers=args.workers)
-    res = estimate_sylvester(dist, mc)
+    # read through the module, so a name replaced by a caller, or not yet loaded, is found
+    cli = sys.modules[__name__]
+    mc = cli.McConfig(trials=args.trials, seed=_default_seed(args.seed), workers=args.workers)
+    res = cli.estimate_sylvester(dist, mc)
     rec = _record(
         dist.family, dist.d, dist.beta, "monte-carlo", res.estimate,
         stderr=res.stderr, trials=res.trials, seed=res.seed,
@@ -132,6 +140,10 @@ def _cmd_sweep(args) -> int:
             raise DomainError(f"{name} must be finite, got {bound}")
     if not args.beta_max >= args.beta_min:
         raise DomainError("--beta-max must be >= --beta-min")
+    import csv
+
+    from . import verification
+
     cfg = _quadrature_config(args.tol)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["beta", "value", "abs_error"])
@@ -172,6 +184,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verification
+
     checks = verification.run_suite(args.suite, seed=_default_seed(args.seed), out=sys.stdout)
     failures = verification.hard_failures(checks)
     warns = [c for c in checks if not c.hard and not c.passed]
@@ -255,8 +269,8 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sub.choices
 
 
-# built once: the handlers read sylvester_probability and estimate_sylvester as
-# module globals when they run, so a caller that replaces those names sees every call
+# built once: the handlers read sylvester_probability and estimate_sylvester
+# from this module when they run, so a caller that replaces those names sees every call
 _PARSER, _COMMANDS = _build_parsers()
 
 
@@ -292,6 +306,16 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
+
+
+def __getattr__(name):
+    if name in ("McConfig", "estimate_sylvester"):
+        from . import geomc
+
+        value = getattr(geomc, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":
