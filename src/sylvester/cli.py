@@ -5,11 +5,11 @@ Exit codes: 0 success, 1 verification failure, 2 domain error (any
 SylvesterError but non-convergence), 3 non-convergence, which includes a
 value whose error bar excludes every probability in [0, 1].
 
-`compute` and `table` load only the quadrature route.  `McConfig` and
-`estimate_sylvester` (from `geomc`) resolve on first read, `verification`
-is imported by `verify` and `sweep`, and `csv` by the commands that write
-it.  A caller may replace `estimate_sylvester` before or after it has
-loaded; `mc` calls whatever the name is bound to when it runs.
+`compute`, `table` and `sweep` load only the quadrature route.  `McConfig`
+and `estimate_sylvester` (from `geomc`) resolve on first read,
+`verification` is imported by `verify` alone, and `csv` by the commands
+that write it.  A caller may replace `estimate_sylvester` before or after
+it has loaded; `mc` calls whatever the name is bound to when it runs.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Optional
 
 from . import registry
 from .errors import DomainError, NonConvergenceError, SylvesterError
-from .probability import Distribution, sylvester_probability
+from .probability import Distribution, conjecture_trend, sylvester_probability
 from .quad import QuadratureConfig
 
 EXIT_OK = 0
@@ -142,8 +142,6 @@ def _cmd_sweep(args) -> int:
         raise DomainError("--beta-max must be >= --beta-min")
     import csv
 
-    from . import verification
-
     cfg = _quadrature_config(args.tol)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["beta", "value", "abs_error"])
@@ -178,7 +176,7 @@ def _cmd_sweep(args) -> int:
         )
     if not values:
         raise DomainError("the whole sweep range lies outside the validity region")
-    monotone, trend, _ = verification.conjecture_trend(family, values)
+    monotone, trend, _ = conjecture_trend(family, values)
     print(f"# monotone {trend}: {str(monotone).lower()}")
     return EXIT_OK
 

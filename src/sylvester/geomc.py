@@ -458,12 +458,14 @@ def is_inside_simplex(x: Sequence[float], vertices: Sequence[Sequence[float]]) -
 
     Boundary points count as inside, and a common positive scale of x and the
     vertices keeps the answer.  Raises DomainError for ragged, non-numeric or
-    non-finite input and DegenerateGeometryError when `_barycentric_batch`
-    finds the vertices degenerate.
+    non-finite input and for d < 1, and DegenerateGeometryError when
+    `_barycentric_batch` finds the vertices degenerate.
     """
     x = _finite_array(x, "a point x in R^d")
     vertices = _finite_array(vertices, "d+1 vertices in R^d")
-    if x.ndim != 1 or vertices.shape != (x.size + 1, x.size):
+    if x.ndim != 1 or x.size < 1:
+        raise DomainError(f"x must be a point in R^d with d >= 1, got shape {x.shape}")
+    if vertices.shape != (x.size + 1, x.size):
         raise DomainError(f"need {x.size + 1} vertices in R^{x.size}, got shape {vertices.shape}")
     (lam,), (degenerate,) = _barycentric_batch(_lift(np.vstack((vertices, x)))[None])
     if degenerate:

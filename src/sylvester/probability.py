@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Literal, Optional, Tuple
+
+import numpy as np
 
 from . import registry
 from .anglesums import beta_angle_sum, beta_prime_angle_sum, gaussian_angle_sum
@@ -158,3 +160,17 @@ def cauchy_asymptotic(d: int) -> float:
     """
     d = _dimension(d)
     return 2.0 * math.sqrt(3.0) * d * math.pi ** (-d - 1)
+
+
+def conjecture_trend(family, values) -> Tuple[bool, str, str]:
+    """The monotonicity conjecture on values along an increasing beta grid.
+
+    p is conjectured non-decreasing in beta for the beta family and non-increasing
+    for beta-prime, here up to 1e-9 a step.  Returns (holds, trend, nearest): the
+    verdict, the trend's name, and the step nearest to breaking it as "min step …"
+    or "max step …".
+    """
+    rising = family == "beta"
+    sign, trend, extreme = (1.0, "non-decreasing", "min") if rising else (-1.0, "non-increasing", "max")
+    nearest = float((sign * np.diff(values)).min(initial=math.inf))
+    return nearest >= -1e-9, trend, f"{extreme} step {sign * nearest:.2e}"

@@ -2,16 +2,18 @@
 
 One table of checks backs both the CLI ``verify`` subcommand (through
 ``run_suite``) and the acceptance tests: ``checks(suite)`` lists the rows in
-report order, and the suite sets their budgets.  Every row that compares
-quadrature with an exact value runs ``_agreement``, which reads that value
-from the registry lookup; the Gaussian-limit rows read their target there
-too, and the registry alone decides which Monte Carlo rows have an exact
+report order, and the suite sets their budgets.  Each row is a function of
+the seed alone.  Every row that compares quadrature with an exact value runs
+``_agreement``, which reads that value from ``registry.lookup``; the
+Gaussian-limit rows read their target there too, and the registry alone
+decides, when the table is built, which Monte Carlo rows have an exact
 truth.  The Monte Carlo rows of one dimension (Gaussian, beta, beta-prime)
 share one draw of their normals and one factorization of each trial's
-normals, ``_SharedDraw`` in the table, made by the first of them for a
-seed; each row still prints its own result or its own law's error, and
-every count is the one an estimate per row gives.  Hard
-rows gate the exit code; the monotonicity
+normals: the first of them to run at a seed calls
+``estimate_sylvester_laws`` for all three, and a memo of that dimension
+holds the results until another seed is asked for.  Each row still prints
+its own result or raises its own law's error, and every count is the one an
+estimate per row gives.  Hard rows gate the exit code; the monotonicity
 sweeps and the heavy-tail ratio are reported only, since the first is a
 conjecture and the second is asymptotic in d.
 """
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, List, Optional, TextIO, Tuple
 
 import numpy as np
@@ -29,14 +31,13 @@ from . import registry
 from .errors import SylvesterError
 from .geomc import (
     McConfig,
-    McResult,
     SimplicialCone,
     estimate_cone_angle,
     estimate_sylvester,
     estimate_sylvester_laws,
     projection_experiment,
 )
-from .probability import Distribution, cauchy_asymptotic, quadrature_probability
+from .probability import Distribution, cauchy_asymptotic, conjecture_trend, quadrature_probability
 from .quad import DecayEnvelope, QuadratureConfig, integrate_line
 
 # tight enough for 1e-6-relative agreement even at p ~ 1e-6
@@ -99,14 +100,13 @@ def known_integral_suite():
 
 @dataclass(frozen=True)
 class Check:
-    """One row of the table: ``run(seed, lookup)`` returns ``(passed, detail)``.
+    """One row of the table: ``run(seed)`` returns ``(passed, detail)``.
 
-    ``lookup`` is the closed-form registry lookup; a hard row gates the exit
-    code of ``verify``, a soft one is reported only.
+    A hard row gates the exit code of ``verify``, a soft one is reported only.
     """
 
     name: str
-    run: Callable[[int, Callable], Tuple[bool, str]]
+    run: Callable[[int], Tuple[bool, str]]
     hard: bool = True
 
 
@@ -124,21 +124,21 @@ class CheckResult:
         return "FAIL" if self.hard else "WARN"
 
 
-# Row functions take their parameters, then (seed, lookup).  They call
-# quadrature_probability, integrate_line and the Monte Carlo estimators
-# through this module's globals when they run, so a caller that replaces
-# those names (to trace them, say) sees every call.
+# Row functions take their parameters, then the seed.  They call
+# registry.lookup, quadrature_probability, integrate_line and the Monte Carlo
+# estimators by module name when they run, so a caller that replaces those
+# names (to trace them, say) sees every call.
 
 def _quad(dist: Distribution) -> float:
     return quadrature_probability(dist, _VERIFY_CFG).value
 
 
-def _agreement(dists, rel_tol, abs_tol, seed, lookup):
+def _agreement(dists, rel_tol, abs_tol, seed):
     # |quad - exact| <= max(abs_tol, rel_tol*|exact|) for every dist; the detail
     # shows the dist nearest its bound
     rows = []
     for dist in dists:
-        entry = lookup(dist.family, dist.d, dist.beta)
+        entry = registry.lookup(dist.family, dist.d, dist.beta)
         if entry is None:
             return False, "registry entry missing"
         quad = _quad(dist)
@@ -149,8 +149,8 @@ def _agreement(dists, rel_tol, abs_tol, seed, lookup):
     )
 
 
-def _gaussian_limit(d, seed, lookup):
-    entry = lookup("gaussian", d, None)
+def _gaussian_limit(d, seed):
+    entry = registry.lookup("gaussian", d, None)
     if entry is None:
         return False, "registry entry missing"
     target = entry.value
@@ -166,51 +166,37 @@ def _gaussian_limit(d, seed, lookup):
     )
 
 
-class _SharedDraw:
-    """The Monte Carlo estimates of laws of one dimension, from one draw per seed.
-
-    The first row to ask for a seed runs ``estimate_sylvester_laws`` on every
-    law; the rows after it read their law's result, or raise its error.  It
-    holds one seed's results, and each count is the one ``estimate_sylvester``
-    gives that law alone.
-    """
-
-    def __init__(self, dists, trials):
-        self.dists, self.trials = dists, trials
-        self.seed, self.results = None, None
-
-    def result(self, law, seed) -> McResult:
-        if self.seed != seed:
-            self.results = estimate_sylvester_laws(self.dists, McConfig(trials=self.trials, seed=seed, workers=2))
-            self.seed = seed
-        result = self.results[law]
-        if isinstance(result, SylvesterError):
-            raise result
-        return result
+def _shared_draw(dists, trials):
+    """The laws' ``estimate_sylvester_laws`` results at a seed, a memo of the last seed asked for."""
+    @lru_cache(maxsize=1)
+    def draw(seed):
+        return estimate_sylvester_laws(dists, McConfig(trials=trials, seed=seed, workers=2))
+    return draw
 
 
-def _mc_cross(shared, law, exact, seed, lookup):
+def _mc_cross(draw, law, dist, exact, seed):
     # the truth is the registry's value when exact, else quadrature's
-    dist = shared.dists[law]
     if exact:
-        entry = lookup(dist.family, dist.d, dist.beta)
+        entry = registry.lookup(dist.family, dist.d, dist.beta)
         if entry is None:
             return False, "registry entry missing"
         truth = entry.value
     else:
         truth = _quad(dist)
-    res = shared.result(law, seed)
+    res = draw(seed)[law]
+    if isinstance(res, SylvesterError):
+        raise res
     diff = abs(res.estimate - truth)
     return diff <= 4.0 * res.stderr, (
         f"mc={res.estimate:.6f} truth={truth:.6f} |diff|={diff:.2e} 4se={4 * res.stderr:.2e}"
     )
 
 
-def _lemma(trials, seed, lookup):
+def _lemma(trials, seed):
     # projection identity vs cone angle on the regular simplex in R^4; the
     # cone angle draws from the next seed.  The projection probability is twice
     # the vertex angle, p_2/4 for the Gaussian p_2.
-    entry = lookup("gaussian", 2, None)
+    entry = registry.lookup("gaussian", 2, None)
     if entry is None:
         return False, "registry entry missing"
     target = entry.value / 4.0
@@ -230,7 +216,7 @@ def _lemma(trials, seed, lookup):
     )
 
 
-def _reproducibility(seed, lookup):
+def _reproducibility(seed):
     dist = Distribution("gaussian", 2)
     counts = {
         w: estimate_sylvester(dist, McConfig(trials=50_000, seed=seed, workers=w)).successes
@@ -239,7 +225,7 @@ def _reproducibility(seed, lookup):
     return len(set(counts.values())) == 1, f"successes by workers: {counts}"
 
 
-def _honesty(seed, lookup):
+def _honesty(seed):
     worst = 0.0
     cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-12)
     for name, f, envelope, exact in known_integral_suite():
@@ -252,27 +238,13 @@ def _honesty(seed, lookup):
     return worst <= 3.0, f"max |error|/estimate = {worst:.3f} <= 3"
 
 
-def conjecture_trend(family, values) -> Tuple[bool, str, str]:
-    """The monotonicity conjecture on values along an increasing beta grid.
-
-    p is conjectured non-decreasing in beta for the beta family and non-increasing
-    for beta-prime, here up to 1e-9 a step.  Returns (holds, trend, nearest): the
-    verdict, the trend's name, and the step nearest to breaking it as "min step …"
-    or "max step …".
-    """
-    rising = family == "beta"
-    sign, trend, extreme = (1.0, "non-decreasing", "min") if rising else (-1.0, "non-increasing", "max")
-    nearest = float((sign * np.diff(values)).min(initial=math.inf))
-    return nearest >= -1e-9, trend, f"{extreme} step {sign * nearest:.2e}"
-
-
-def _monotone(family, d, low, high, points, seed, lookup):
+def _monotone(family, d, low, high, points, seed):
     grid = np.linspace(low, high, points)
     holds, _, nearest = conjecture_trend(family, [_quad(Distribution(family, d, float(b))) for b in grid])
     return holds, f"{nearest} over beta in [{grid[0]:.2f}, {grid[-1]:.2f}]"
 
 
-def _cauchy(seed, lookup):
+def _cauchy(seed):
     ratios = [
         _quad(Distribution("beta_prime", d, 0.5 * (d + 1))) / cauchy_asymptotic(d)
         for d in range(2, 9)
@@ -324,16 +296,16 @@ def checks(suite: str = "basic") -> List[Check]:
     ]
     # Monte Carlo against the registry, or against quadrature where it has no row;
     # the three laws of one dimension share one draw, and the rows run law by law
-    shared = [
-        _SharedDraw([Distribution("gaussian", d), Distribution("beta", d, 0.0),
-                     Distribution("beta_prime", d, 0.5 * d + 1.0)], trials)
+    laws = [
+        [Distribution("gaussian", d), Distribution("beta", d, 0.0), Distribution("beta_prime", d, 0.5 * d + 1.0)]
         for d in (2, 3, 4)
     ]
+    draws = [_shared_draw(dists, trials) for dists in laws]
     for law in range(3):
-        for draw in shared:
-            dist = draw.dists[law]
+        for dists, draw in zip(laws, draws):
+            dist = dists[law]
             exact = registry.lookup(dist.family, dist.d, dist.beta) is not None
-            rows.append(Check(f"mc-cross[{dist.family} d={dist.d}]", partial(_mc_cross, draw, law, exact)))
+            rows.append(Check(f"mc-cross[{dist.family} d={dist.d}]", partial(_mc_cross, draw, law, dist, exact)))
     rows += [
         Check("lemma-projection-identity", partial(_lemma, trials)),
         Check("reproducibility", _reproducibility),
@@ -355,21 +327,18 @@ def checks(suite: str = "basic") -> List[Check]:
 def run_suite(
     suite: str = "basic",
     seed: int = 42,
-    lookup=registry.lookup,
     out: Optional[TextIO] = None,
 ) -> List[CheckResult]:
     """Run every row of ``checks(suite)``, printing one line per row to ``out``.
 
-    ``lookup`` injects an alternative closed-form registry, which the tests
-    use to prove a corrupted registry is caught and named.  A row that
-    raises a SylvesterError fails with the error as its detail; a seed that
-    Monte Carlo refuses raises DomainError before any row runs.
+    A row that raises a SylvesterError fails with the error as its detail; a
+    seed that Monte Carlo refuses raises DomainError before any row runs.
     """
     McConfig(trials=1, seed=seed)  # Monte Carlo's one seed rule
     results = []
     for check in checks(suite):
         try:
-            passed, detail = check.run(seed, lookup)
+            passed, detail = check.run(seed)
         except SylvesterError as exc:
             passed, detail = False, f"error: {exc}"
         result = CheckResult(check.name, bool(passed), check.hard, detail)

@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from sylvester import registry, verification
+from sylvester import verification
 from sylvester.cli import main
 from sylvester.probability import Distribution, closed_form_lookup
 
@@ -35,7 +35,7 @@ def acceptance_seed(name):
 def outcome(name):
     """(passed, detail, seconds) of one row at its acceptance seed."""
     start = time.perf_counter()
-    passed, detail = ROWS[name].run(acceptance_seed(name), registry.lookup)
+    passed, detail = ROWS[name].run(acceptance_seed(name))
     return passed, detail, time.perf_counter() - start
 
 
@@ -83,7 +83,7 @@ def test_mc_cross_rows_print_what_one_law_estimates_give(monkeypatch):
     # call per row gives
     shared = {check.name: check for check in verification.checks("basic") if check.name.startswith("mc-cross[")}
     assert list(shared) == [name for name in HARD if name.startswith("mc-cross[")]
-    details = {name: check.run(acceptance_seed(name), registry.lookup)[1] for name, check in shared.items()}
+    details = {name: check.run(acceptance_seed(name))[1] for name, check in shared.items()}
 
     def one_law_each(dists, mc):
         return [verification.estimate_sylvester(dist, mc) for dist in dists]
@@ -91,7 +91,7 @@ def test_mc_cross_rows_print_what_one_law_estimates_give(monkeypatch):
     monkeypatch.setattr(verification, "estimate_sylvester_laws", one_law_each)
     rows = {check.name: check for check in verification.checks("basic")}
     for name, detail in details.items():
-        assert rows[name].run(acceptance_seed(name), registry.lookup)[1] == detail, name
+        assert rows[name].run(acceptance_seed(name))[1] == detail, name
 
 
 def test_criterion_10_reproducibility(capsys):
@@ -117,7 +117,7 @@ def test_criterion_12_exploratory_report():
     # and cauchy-ratio passes only when every ratio is finite and positive
     for name, check in ROWS.items():
         if not check.hard:
-            passed, detail = check.run(42, registry.lookup)
+            passed, detail = check.run(42)
             print(f"REPORT  {name}: {detail}")
             if name == "cauchy-ratio":
                 assert passed, detail

@@ -1020,20 +1020,25 @@ class TestVerify:
 
         routes = [row for row in verification.checks("basic") if row.name.startswith("route-")]
         monkeypatch.setattr(verification, "checks", lambda suite: routes)
+        monkeypatch.setattr(registry, "lookup", corrupted)
         out = io.StringIO()
-        failures = verification.hard_failures(verification.run_suite("basic", lookup=corrupted, out=out))
+        failures = verification.hard_failures(verification.run_suite("basic", out=out))
         assert [failure.name for failure in failures] == ["route-agreement[beta d=3 beta=0.0]"]
         assert "FAIL  route-agreement[beta d=3 beta=0.0]: closed=" in out.getvalue()
 
     def test_missing_mc_entry_fails_its_row(self, monkeypatch):
+        real = registry.lookup
+
         def missing(family, d, beta):
             if family == "beta" and d == 2 and beta == 0.0:
                 return None
-            return registry.lookup(family, d, beta)
+            return real(family, d, beta)
 
+        # built with the full registry, so the row expects an exact truth
         rows = [row for row in verification.checks("basic") if row.name == "mc-cross[beta d=2]"]
         monkeypatch.setattr(verification, "checks", lambda suite: rows)
-        results = verification.run_suite("basic", lookup=missing)
+        monkeypatch.setattr(registry, "lookup", missing)
+        results = verification.run_suite("basic")
         assert [(r.name, r.status, r.detail) for r in results] == [
             ("mc-cross[beta d=2]", "FAIL", "registry entry missing"),
         ]
@@ -1041,8 +1046,10 @@ class TestVerify:
     def test_missing_gaussian_entry_fails_its_rows(self, monkeypatch):
         # the Gaussian closed-form rows, the Gaussian-limit rows, the Monte Carlo rows
         # at d = 2, 3 and the lemma take their values from the registry
+        real = registry.lookup
+
         def missing(family, d, beta):
-            return None if family == "gaussian" else registry.lookup(family, d, beta)
+            return None if family == "gaussian" else real(family, d, beta)
 
         names = [
             "gaussian-closed-form[d=2]", "gaussian-closed-form[d=3]",
@@ -1051,13 +1058,37 @@ class TestVerify:
         ]
         rows = [row for row in verification.checks("basic") if row.name in names]
         monkeypatch.setattr(verification, "checks", lambda suite: rows)
-        results = verification.run_suite("basic", lookup=missing)
+        monkeypatch.setattr(registry, "lookup", missing)
+        results = verification.run_suite("basic")
         assert [(r.name, r.status, r.detail) for r in results] == [
             (name, "FAIL", "registry entry missing") for name in names
         ]
 
+    def test_each_dimension_draws_once_a_seed(self, monkeypatch):
+        # the Monte Carlo rows of one dimension share one estimate_sylvester_laws
+        # call, and each dimension's memo holds the last seed it drew
+        calls = []
+        real = verification.estimate_sylvester_laws
+
+        def counted(dists, mc):
+            calls.append((dists[0].d, mc.seed))
+            return real(dists, mc)
+
+        monkeypatch.setattr(verification, "estimate_sylvester_laws", counted)
+        table = verification.checks("basic")
+        monkeypatch.setattr(verification, "checks", lambda suite: table)
+        verification.run_suite("basic", seed=5)
+        assert calls == [(2, 5), (3, 5), (4, 5)]
+        mc_rows = [row for row in table if row.name.startswith("mc-cross[")]
+        for row in mc_rows:
+            row.run(6)
+        assert calls[3:] == [(2, 6), (3, 6), (4, 6)]
+        for row in mc_rows:
+            row.run(6)
+        assert len(calls) == 6
+
     def test_row_error_fails_with_its_message(self, monkeypatch):
-        def broken(seed, lookup):
+        def broken(seed):
             raise NonConvergenceError("no convergence")
 
         rows = [verification.Check("broken", broken), verification.Check("soft", broken, hard=False)]

@@ -1,9 +1,9 @@
 """What a fresh process imports, and the names that resolve on first use.
 
-`compute` and `table` run on the quadrature route alone, so a process that
-makes one of them loads neither the Monte Carlo module nor the verification
-table.  Each case runs in a fresh interpreter, since this test session has
-long since loaded every module.
+`compute`, `table` and `sweep` run on the quadrature route alone, so a
+process that makes one of them loads neither the Monte Carlo module nor the
+verification table.  Each case runs in a fresh interpreter, since this test
+session has long since loaded every module.
 """
 
 import json
@@ -66,7 +66,10 @@ def test_mc_loads_the_monte_carlo_module():
 
 
 def test_csv_output_loads_csv_alone():
-    assert _loaded_after("compute", "--family", "gauss", "--dim", "2", "--format", "csv") == ["csv"]
+    # sweep always writes CSV
+    for argv in (("compute", "--family", "gauss", "--dim", "2", "--format", "csv"),
+                 ("sweep", "--family", "beta", "--dim", "2", "--beta-min", "0", "--beta-max", "1", "--steps", "2")):
+        assert _loaded_after(*argv) == ["csv"], argv
 
 
 _PACKAGE = """\

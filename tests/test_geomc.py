@@ -281,6 +281,9 @@ class TestInsideSimplex:
                             (["a", 0.1], self.TRIANGLE)):
             with pytest.raises(DomainError, match="rectangular array of finite numbers"):
                 is_inside_simplex(x, vertices)
+        # a point in R^0, under the d >= 1 rule of simplex_indicators
+        with pytest.raises(DomainError, match="d >= 1"):
+            is_inside_simplex([], [[]])
 
 
 def _refuse_work_arrays(monkeypatch):
